@@ -31,24 +31,16 @@ from .deterministic import (
 )
 from .herglotz import (
     Automorphism,
-    Cayley,
-    CayleyLinear,
     ConstantImaginary,
     Error,
     Exponential,
-    Taylor,
     format_complex,
     parse_complex,
     parse_spec,
 )
+from .stochastic import _BOUND_SPECS
 
 MANIFEST_SCHEMA = "loewnerkit/manifest-v1"
-
-_BOUND_SPECS = {
-    "cayley": Cayley,
-    "cayley-linear": CayleyLinear,
-    "one": lambda: Taylor([1.0]),
-}
 
 
 @dataclass

@@ -33,15 +33,18 @@ import numpy as np
 from scipy.integrate import quad
 
 from .deterministic import (
+    CONTAINMENT_TOL,
     EvolutionConfig,
     Trajectory,
     _integrate,
     _normalize_sample_times,
 )
-from .herglotz import DomainError, Error, taylor_coefficients
+from .herglotz import (Cayley, CayleyLinear, DomainError, Error, Taylor,
+                       taylor_coefficients)
 
 __all__ = [
     "ZeroNotFoundError",
+    "DiskEscapeError",
     "BROWNIAN_ALGORITHM_ID",
     "BrownianPath",
     "MomentTable",
@@ -77,6 +80,18 @@ _BLOCK_FLOATS = 20_000_000
 
 class ZeroNotFoundError(Error):
     """The drift zero search exhausted all starts without converging."""
+
+
+class DiskEscapeError(Error):
+    """A pathwise solution left the closed unit disk.
+
+    ``t_reached`` is the first recorded time at which the solution lies
+    outside the disk by more than the containment tolerance.
+    """
+
+    def __init__(self, message, t_reached):
+        super().__init__(message)
+        self.t_reached = t_reached
 
 
 # --------------------------------------------------------------------------
@@ -216,22 +231,134 @@ def sample_brownian(seed, dt, n_steps):
     return BrownianPath(dt=dt, values=values, seed=int(seed))
 
 
+# numpy.random.SeedSequence hash constants (pool of 4 uint32 words)
+_SS_INIT_A = 0x43b0d7e5
+_SS_MULT_A = 0x931e8875
+_SS_INIT_B = 0x8b51f9dd
+_SS_MULT_B = 0x58f38ded
+_SS_MIX_L = np.uint32(0xca01f9dd)
+_SS_MIX_R = np.uint32(0x4973f715)
+_SS_POOL = 4
+_MASK32 = 0xFFFFFFFF
+# floats of the scratch buffer that post-processes increment rows
+_SCRATCH_FLOATS = 1 << 16
+
+
+def _seed_sequence_words(entropy, n_words):
+    """SeedSequence(entropy).generate_state(n_words, np.uint32), per row.
+
+    ``entropy`` is a list of at most 4 equal-length uint32 arrays, word j
+    of every row's entropy; a missing trailing word hashes as 0, exactly
+    as NumPy pads a short entropy to its pool.  Returns n_words uint32
+    arrays.
+    """
+    hash_const = _SS_INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * _SS_MULT_A) & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero)
+            for i in range(_SS_POOL)]
+    for src in range(_SS_POOL):
+        for dst in range(_SS_POOL):
+            if src != dst:
+                mixed = _SS_MIX_L * pool[dst] - _SS_MIX_R * hashmix(pool[src])
+                pool[dst] = mixed ^ (mixed >> np.uint32(16))
+    hash_const = _SS_INIT_B
+    words = []
+    for i in range(n_words):
+        value = pool[i % _SS_POOL] ^ np.uint32(hash_const)
+        hash_const = (hash_const * _SS_MULT_B) & _MASK32
+        value = value * np.uint32(hash_const)
+        words.append(value ^ (value >> np.uint32(16)))
+    return words
+
+
+def _join64(lo, hi):
+    return lo.astype(np.uint64) | (hi.astype(np.uint64) << np.uint64(32))
+
+
+def _split32(values):
+    return [(values & np.uint64(_MASK32)).astype(np.uint32),
+            (values >> np.uint64(32)).astype(np.uint32)]
+
+
+def _path_seeds(root_seed, first_index, n_rows):
+    """derive_path_seed(root_seed, first_index + i) for every row, as uint64.
+
+    The entropy (root, index) is hashed for the whole block at once.  A
+    root or index of 2**64 or more may not fit the 4-word pool and takes
+    derive_path_seed row by row.
+    """
+    root_seed = int(root_seed)
+    first_index = int(first_index)
+    if not (0 <= root_seed < 1 << 64 and 0 <= first_index
+            and first_index + n_rows <= 1 << 64):
+        return np.array([derive_path_seed(root_seed, first_index + i)
+                         for i in range(n_rows)], dtype=np.uint64)
+    # entropy words: the root's one or two, then the index's; an index
+    # below 2**32 is one word, and a missing last word hashes as 0
+    root_words = [root_seed & _MASK32]
+    if root_seed >> 32:
+        root_words.append(root_seed >> 32)
+    entropy = [np.full(n_rows, w, dtype=np.uint32) for w in root_words]
+    index = np.arange(n_rows, dtype=np.uint64) + np.uint64(first_index)
+    return _join64(*_seed_sequence_words(entropy + _split32(index), 2))
+
+
+def _philox_keys(seeds):
+    """SeedSequence(seed).generate_state(2, np.uint64) for each seed.
+
+    That is the key Philox(seed=SeedSequence(seed)) runs with; shape
+    (n, 2), dtype uint64.
+    """
+    key = _seed_sequence_words(_split32(seeds), 4)
+    return np.stack([_join64(key[0], key[1]), _join64(key[2], key[3])], axis=1)
+
+
 def _increment_rows(root_seed, first_index, n_rows, dt, n_steps):
     """Increment matrix for paths first_index..first_index+n_rows-1.
 
     Row i reproduces sample_brownian(derive_path_seed(root_seed,
     first_index+i), dt, n_steps).increments() bit for bit.
+
+    The block's path seeds and Philox keys come from ``_path_seeds`` and
+    ``_philox_keys``, which re-implement numpy.random.SeedSequence's hash
+    (pool of 4 words, its hashmix/mix constants and generate_state) on
+    uint32 arrays; one Generator is then re-keyed for each row with
+    counter 0 and an empty buffer.  This relies on NumPy keeping its
+    SeedSequence hash and Philox seeding as they are; the tests compare
+    against the per-path recipe.  Scale, cumsum and diff run over row
+    chunks through one small scratch buffer, so the peak memory stays at
+    the returned matrix.
     """
     out = np.empty((n_rows, n_steps))
+    if n_rows == 0 or n_steps == 0:
+        return out
     root = math.sqrt(dt)
-    values = np.empty(n_steps + 1)
-    values[0] = 0.0
-    for i in range(n_rows):
-        seed = derive_path_seed(root_seed, first_index + i)
-        gen = np.random.Generator(
-            np.random.Philox(seed=np.random.SeedSequence(seed)))
-        np.cumsum(gen.standard_normal(n_steps) * root, out=values[1:])
-        np.subtract(values[1:], values[:-1], out=out[i])
+    keys = _philox_keys(_path_seeds(root_seed, first_index, n_rows))
+    bitgen = np.random.Philox(key=keys[0])
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
+    chunk = max(1, _SCRATCH_FLOATS // n_steps)
+    scratch = np.empty((min(chunk, n_rows), n_steps))
+    for a in range(0, n_rows, chunk):
+        b = min(a + chunk, n_rows)
+        for i in range(a, b):
+            state["state"]["key"] = keys[i]
+            bitgen.state = state
+            gen.standard_normal(n_steps, out=out[i])
+        # values = cumsum(z * sqrt(dt)) after a leading 0, then their diff
+        values = scratch[:b - a]
+        np.multiply(out[a:b], root, out=values)
+        np.cumsum(values, axis=1, out=values)
+        out[a:b, 0] = values[:, 0]
+        np.subtract(values[:, 1:], values[:, :-1], out=out[a:b, 1:])
     return out
 
 
@@ -278,6 +405,11 @@ def evolve_phi_pathwise(spec, k, z0, path, sample_times):
 
     Returns:
         Trajectory in the phi frame.
+
+    Raises:
+        DiskEscapeError: a recorded value lies outside the closed disk
+            (fixed-step RK4 has no error control; coarse grids at high k
+            can leave the disk).
     """
     if abs(z0) > 1.0:
         raise DomainError("need |z0| <= 1, got %r" % abs(z0))
@@ -321,6 +453,11 @@ def evolve_phi_pathwise(spec, k, z0, path, sample_times):
             idx += 1
         if idx == len(remaining) and t_next >= ts[-1] - 1e-12:
             break
+    radii = np.abs(out)
+    if np.max(radii) > 1.0 + CONTAINMENT_TOL:
+        t_out = float(ts[np.argmax(radii > 1.0 + CONTAINMENT_TOL)])
+        raise DiskEscapeError("pathwise RK4 solution escapes the unit disk "
+                              "at t=%.6g" % t_out, t_reached=t_out)
     return Trajectory(times=np.asarray(ts), values=np.asarray(out),
                       frame="phi", config=None, stats={"steps": steps})
 
@@ -432,6 +569,7 @@ def _psi_sde_block(spec, k, psi0, increments, dt, scheme,
     """
     k = float(k)
     k2h = 0.5 * k * k
+    ik = 1j * k
     n_paths, n_steps = increments.shape
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.ndim == 0:
@@ -440,20 +578,38 @@ def _psi_sde_block(spec, k, psi0, increments, dt, scheme,
         if psi0.shape[0] != n_paths:
             raise ValueError("psi0 must have one row per path")
         psi = psi0.copy()
+    # step = (-k2h psi + b(psi)) dt - ik psi db [- k2h psi (db^2 - dt)],
+    # one ufunc per operation in that order, so the rounding is that of
+    # the plain expression, with every intermediate in a reused buffer
+    drift = np.empty_like(psi)
+    step = np.empty_like(psi)
+    noise = np.empty_like(psi)
+    r = np.empty(psi.shape)
+    mask = np.empty(psi.shape, dtype=bool)
+    dbsq = np.empty((n_paths,) + (1,) * (psi.ndim - 1))
+    milstein = scheme == "milstein"
     snapshots = {}
     projections = 0
     for j in range(n_steps):
         db = increments[:, j]
         if psi.ndim == 2:
             db = db[:, None]
-        drift = -k2h * psi + spec._bp_field(psi)
-        step = drift * dt - 1j * k * psi * db
-        if scheme == "milstein":
-            step = step - k2h * psi * (db * db - dt)
-        psi = psi + step
-        r = np.abs(psi)
-        mask = r >= 1.0
-        if np.any(mask):
+        np.multiply(-k2h, psi, out=drift)
+        np.add(drift, spec._bp_field(psi), out=drift)
+        np.multiply(drift, dt, out=step)
+        np.multiply(ik, psi, out=noise)
+        np.multiply(noise, db, out=noise)
+        np.subtract(step, noise, out=step)
+        if milstein:
+            np.multiply(db, db, out=dbsq)
+            np.subtract(dbsq, dt, out=dbsq)
+            np.multiply(k2h, psi, out=noise)
+            np.multiply(noise, dbsq, out=noise)
+            np.subtract(step, noise, out=step)
+        np.add(psi, step, out=psi)
+        np.abs(psi, out=r)
+        np.greater_equal(r, 1.0, out=mask)
+        if mask.any():
             projections += int(np.count_nonzero(mask))
             psi[mask] *= (1.0 - 1e-12) / r[mask]
         if record_cols is not None and (j + 1) in record_cols:
@@ -816,7 +972,9 @@ def radial_solution(A, B, k, r0, path, theta_traj):
     return np.tanh(amp * cum + math.atanh(r0))
 
 
-_GROWTH_IDS = ("cayley", "cayley-linear", "one")
+# spec ids with explicit radial envelopes, and their spec factories
+_BOUND_SPECS = {"cayley": Cayley, "cayley-linear": CayleyLinear,
+                "one": lambda: Taylor([1.0])}
 
 
 def growth_bounds(spec_id, r0, t):
@@ -826,9 +984,9 @@ def growth_bounds(spec_id, r0, t):
     the k=0 radial solution, the lower bound its time reversal, clamped
     at 0.
     """
-    if spec_id not in _GROWTH_IDS:
+    if spec_id not in _BOUND_SPECS:
         raise ValueError("spec_id must be one of %r, got %r"
-                         % (_GROWTH_IDS, spec_id))
+                         % (tuple(_BOUND_SPECS), spec_id))
     r0 = float(r0)
     if not 0.0 <= r0 <= 1.0:
         raise DomainError("need r0 in [0, 1], got %r" % r0)

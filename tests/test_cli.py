@@ -270,6 +270,20 @@ def test_bounds_monte_carlo_check(capsys):
     assert d["mc"]["max"] <= d["upper"] + 1e-9
 
 
+@pytest.mark.parametrize("args", [
+    ["evolve", "--spec", "cayley", "--k", "30", "--z0", "0.99", "--t-end",
+     "2", "--dt", "0.2", "--mode", "random", "--seed", "0"],
+    ["bounds", "--spec", "cayley", "--r0", "0.99", "--t", "2", "--k", "30",
+     "--dt", "0.2", "--paths", "20", "--seed", "0"],
+])
+def test_disk_escape_exits_as_numerical_failure(capsys, tmp_path, args):
+    if args[0] == "evolve":
+        args = args + ["--out", str(tmp_path / "x.csv")]
+    rc, _, err = run(capsys, args)
+    assert rc == 1
+    assert "escapes the unit disk" in err
+
+
 # ---------------------------------------------------------------- boundary
 
 def test_boundary_image_csv_and_svg(capsys, tmp_path):

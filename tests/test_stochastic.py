@@ -94,6 +94,18 @@ def test_pathwise_containment_high_noise():
         assert abs(traj.values[-1]) <= 1.0 + 1e-9
 
 
+def test_pathwise_disk_escape_is_a_typed_numerical_failure():
+    # coarse grid at high k: fixed-step RK4 leaves the disk
+    path = st.sample_brownian(0, 0.2, 10)
+    with pytest.raises(st.DiskEscapeError) as info:
+        st.evolve_phi_pathwise(hg.Cayley(), 30.0, 0.99, path,
+                               np.arange(11) * 0.2)
+    err = info.value
+    assert isinstance(err, hg.Error) and not isinstance(err, ValueError)
+    assert err.t_reached == pytest.approx(0.8)
+    assert "escapes the unit disk" in str(err)
+
+
 def test_pathwise_restart_invariance():
     # the flow restarted at time s from the rotated state continues the
     # original trajectory on the shifted path
