@@ -84,6 +84,21 @@ def _complex_flag(text):
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _positive_float(text):
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError("need a finite value > 0, got %r"
+                                         % text)
+    return value
+
+
+def _count_flag(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("need a count >= 0, got %r" % text)
+    return value
+
+
 def _jsonable(value):
     if isinstance(value, complex):
         return format_complex(value)
@@ -408,7 +423,7 @@ def build_parser():
     p.add_argument("--z0", type=_complex_flag, default=0j,
                    help="start point (complex literal, i suffix)")
     p.add_argument("--t-end", type=float, dest="t_end")
-    p.add_argument("--dt", type=float, default=0.01,
+    p.add_argument("--dt", type=_positive_float, default=0.01,
                    help="sample spacing (and SDE step)")
     p.add_argument("--mode", choices=("det", "random", "sde"), default="det")
     p.add_argument("--scheme", choices=("euler", "milstein"),
@@ -457,10 +472,10 @@ def build_parser():
     p.add_argument("--spec", choices=tuple(_BOUND_SPECS))
     p.add_argument("--r0", type=float)
     p.add_argument("--t", type=float)
-    p.add_argument("--paths", type=int, default=0,
+    p.add_argument("--paths", type=_count_flag, default=0,
                    help="simulate this many paths against the envelope")
     p.add_argument("--k", type=float, default=1.0)
-    p.add_argument("--dt", type=float, default=1e-3)
+    p.add_argument("--dt", type=_positive_float, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     registry["bounds"] = (p, cmd_bounds)
@@ -478,7 +493,7 @@ def build_parser():
     p.add_argument("--B", type=float)
     p.add_argument("--theta0", type=float, default=1.0)
     p.add_argument("--t-end", type=float, dest="t_end")
-    p.add_argument("--dt", type=float, default=1e-3)
+    p.add_argument("--dt", type=_positive_float, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="boundary.csv")
     p.add_argument("--svg", help="draw the image curve (image mode)")
@@ -553,7 +568,7 @@ def main(argv=None):
         return run(args, sub)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except ValueError as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except Error as exc:

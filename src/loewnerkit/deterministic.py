@@ -292,6 +292,25 @@ def _normalize_sample_times(sample_times, t_end):
 # evolution
 # --------------------------------------------------------------------------
 
+def _driven_field(spec, tau_of):
+    """Phi-frame field tau * g(y / tau) with tau = tau_of(t)."""
+
+    def field(t, y):
+        tau = tau_of(t)
+        return tau * spec._bp_field(y / tau)
+
+    return field
+
+
+def _evolve(cfg, z0, sample_times, field, frame):
+    if abs(z0) > 1.0:
+        raise DomainError("need |z0| <= 1, got %r" % abs(z0))
+    ts = _normalize_sample_times(sample_times, cfg.t_end)
+    values, stats = _integrate(field, complex(z0), ts, cfg)
+    return Trajectory(times=np.array(ts), values=np.array(values),
+                      frame=frame, config=cfg, stats=stats)
+
+
 def evolve_phi(spec, cfg, z0, sample_times):
     """Integrate the driven evolution phi_t from z0, sampled at the
     given times.
@@ -300,33 +319,16 @@ def evolve_phi(spec, cfg, z0, sample_times):
     g(w) = (w - 1)^2 p(w) is the spec's cancelled form, so trajectories
     may graze the driving point without a division blow-up.
     """
-    if abs(z0) > 1.0:
-        raise DomainError("need |z0| <= 1, got %r" % abs(z0))
     k = cfg.k
-
-    def field(t, y):
-        tau = cmath.exp(1j * k * t)
-        return tau * spec._bp_field(y / tau)
-
-    ts = _normalize_sample_times(sample_times, cfg.t_end)
-    values, stats = _integrate(field, complex(z0), ts, cfg)
-    return Trajectory(times=np.array(ts), values=np.array(values),
-                      frame="phi", config=cfg, stats=stats)
+    field = _driven_field(spec, lambda t: cmath.exp(1j * k * t))
+    return _evolve(cfg, z0, sample_times, field, "phi")
 
 
 def evolve_psi(spec, cfg, z0, sample_times):
     """Integrate the autonomous rotating-frame evolution psi_t from z0."""
-    if abs(z0) > 1.0:
-        raise DomainError("need |z0| <= 1, got %r" % abs(z0))
     k = cfg.k
-
-    def field(t, y):
-        return spec._bp_field(y) - 1j * k * y
-
-    ts = _normalize_sample_times(sample_times, cfg.t_end)
-    values, stats = _integrate(field, complex(z0), ts, cfg)
-    return Trajectory(times=np.array(ts), values=np.array(values),
-                      frame="psi", config=cfg, stats=stats)
+    return _evolve(cfg, z0, sample_times,
+                   lambda t, y: _generator_value(spec, k, y), "psi")
 
 
 # --------------------------------------------------------------------------
@@ -437,29 +439,22 @@ def _generator_value(spec, k, z):
     return spec._bp_field(z) - 1j * k * z
 
 
-def find_fixed_point(spec, k):
-    """Locate the interior zero of the rotating-frame generator, if any.
+def _interior_zero(field, transfer, margin):
+    """Zero of ``field`` with |z| < 1 - margin, or None.
 
-    Strategy: iterate F(z) = K_k^{-1}(p(z)) from the origin (a strict
-    contraction for large |k|); if that stalls, run Newton's method on
-    the generator from a 5x8 polar grid of starts.  A zero counts only
-    when |generator| <= 1e-11 and the point is strictly interior.
-    Returns None when no interior zero is found, which is how the
-    non-elliptic cases answer.
+    Phase 1 iterates ``transfer`` from the origin; if that stalls,
+    phase 2 runs Newton's method on ``field`` from a 5x8 polar grid of
+    starts.  A zero counts only when |field| <= 1e-11.
     """
-    k = float(k)
-    if k == 0.0:
-        raise ValueError("need k != 0")
 
     def accept(z):
-        return (abs(z) < 1.0 - 1e-6
-                and abs(_generator_value(spec, k, z)) <= 1e-11)
+        return abs(z) < 1.0 - margin and abs(field(z)) <= 1e-11
 
-    # phase 1: fixed-point iteration of the inverse-Koebe transfer map
+    # phase 1: fixed-point iteration of the transfer map
     z = 0.0 + 0.0j
     try:
         for _ in range(300):
-            z_next = koebe_inverse(k, spec._value(z))
+            z_next = transfer(z)
             if not cmath.isfinite(z_next):
                 break
             if abs(z_next - z) < 1e-15:
@@ -471,18 +466,17 @@ def find_fixed_point(spec, k):
     except (ZeroDivisionError, OverflowError):
         pass
 
-    # phase 2: Newton on the generator, multi-start
+    # phase 2: Newton on the field, multi-start
     h = 1e-7
     for r in (0.15, 0.35, 0.55, 0.75, 0.9):
         for j in range(8):
             z = r * cmath.exp(2j * math.pi * (j + 0.5) / 8.0)
             try:
                 for _ in range(60):
-                    g = _generator_value(spec, k, z)
+                    g = field(z)
                     if abs(g) <= 1e-13:
                         break
-                    dg = (_generator_value(spec, k, z + h)
-                          - _generator_value(spec, k, z - h)) / (2.0 * h)
+                    dg = (field(z + h) - field(z - h)) / (2.0 * h)
                     if dg == 0.0:
                         break
                     z_next = z - g / dg
@@ -497,6 +491,23 @@ def find_fixed_point(spec, k):
             if accept(z):
                 return complex(z)
     return None
+
+
+def find_fixed_point(spec, k):
+    """Locate the interior zero of the rotating-frame generator, if any.
+
+    Strategy: iterate F(z) = K_k^{-1}(p(z)) from the origin (a strict
+    contraction for large |k|); if that stalls, run Newton's method on
+    the generator from a 5x8 polar grid of starts.  A zero counts only
+    when |generator| <= 1e-11 and the point is strictly interior.
+    Returns None when no interior zero is found, which is how the
+    non-elliptic cases answer.
+    """
+    k = float(k)
+    if k == 0.0:
+        raise ValueError("need k != 0")
+    return _interior_zero(lambda z: _generator_value(spec, k, z),
+                          lambda z: koebe_inverse(k, spec._value(z)), 1e-6)
 
 
 def boundary_fixed_points(k):
@@ -590,9 +601,8 @@ def boundary_image(spec, k, t, n_points):
     """Image of the near-boundary circle under phi_t, for plotting.
 
     Applies evolve_phi to n_points equispaced points of radius
-    1 - 1e-6 (the flow lives on the open disk).  All points ride one
-    vectorized integration; if that fails, points are retried one by
-    one so the error can name the offending sample.
+    1 - 1e-6 (the flow lives on the open disk), all in one vectorized
+    integration; a failure raises that integration's error.
     """
     n_points = int(n_points)
     if n_points < 16:
@@ -604,21 +614,6 @@ def boundary_image(spec, k, t, n_points):
     if t == 0.0:
         return [complex(v) for v in z0]
     cfg = EvolutionConfig(k=k, t_end=t, dt=min(0.05, t), rtol=1e-10, atol=1e-12)
-
-    def field(tt, y):
-        tau = cmath.exp(1j * k * tt)
-        return tau * spec._bp_field(y / tau)
-
-    try:
-        values, _ = _integrate(field, z0, [0.0, t], cfg)
-        return [complex(v) for v in values[-1]]
-    except Error:
-        out = []
-        for j in range(n_points):
-            try:
-                values, _ = _integrate(field, complex(z0[j]), [0.0, t], cfg)
-            except Error as exc:
-                raise type(exc)("boundary point %d (angle %.6f): %s"
-                                % (j, angles[j], exc)) from exc
-            out.append(complex(values[-1]))
-        return out
+    field = _driven_field(spec, lambda tt: cmath.exp(1j * k * tt))
+    values, _ = _integrate(field, z0, [0.0, t], cfg)
+    return [complex(v) for v in values[-1]]

@@ -36,7 +36,9 @@ from .deterministic import (
     CONTAINMENT_TOL,
     EvolutionConfig,
     Trajectory,
+    _driven_field,
     _integrate,
+    _interior_zero,
     _normalize_sample_times,
 )
 from .herglotz import (Cayley, CayleyLinear, DomainError, Error, Taylor,
@@ -72,6 +74,9 @@ __all__ = [
 
 BROWNIAN_ALGORITHM_ID = "philox-gauss-cumsum-v1"
 
+# moduli up to 1 + _MOMENT_TOL count as inside the disk
+_MOMENT_TOL = 1e-8
+
 # ensembles are processed in path blocks; the cap keeps the per-block
 # increment matrix around 160 MB worst case
 _BLOCK_PATHS = 8192
@@ -92,6 +97,10 @@ class DiskEscapeError(Error):
     def __init__(self, message, t_reached):
         super().__init__(message)
         self.t_reached = t_reached
+
+
+class MomentTruncationError(Error):
+    """A truncated moment hierarchy produced a moment outside the disk."""
 
 
 # --------------------------------------------------------------------------
@@ -164,7 +173,7 @@ class MomentTable:
         if self.closure not in ("zero", "frozen"):
             raise ValueError("closure must be 'zero' or 'frozen', got %r"
                              % self.closure)
-        if values.size and np.max(np.abs(values)) > 1.0 + 1e-8:
+        if values.size and np.max(np.abs(values)) > 1.0 + _MOMENT_TOL:
             raise ValueError("moments of a disk-valued process cannot "
                              "exceed 1 in modulus")
         times.setflags(write=False)
@@ -362,15 +371,16 @@ def _increment_rows(root_seed, first_index, n_rows, dt, n_steps):
     return out
 
 
-def _block_sizes(n_samples, n_steps):
+def _increment_blocks(root_seed, n_samples, dt, n_steps):
+    """Increment matrices of paths 0..n_samples-1, block after block.
+
+    Block sizes are a fixed function of (n_samples, n_steps): at most
+    _BLOCK_PATHS paths and _BLOCK_FLOATS increments per block.
+    """
     cap = max(1, min(_BLOCK_PATHS, _BLOCK_FLOATS // max(1, n_steps)))
-    sizes = []
-    done = 0
-    while done < n_samples:
-        m = min(cap, n_samples - done)
-        sizes.append(m)
-        done += m
-    return sizes
+    for first in range(0, n_samples, cap):
+        yield _increment_rows(root_seed, first, min(cap, n_samples - first),
+                              dt, n_steps)
 
 
 def _pairwise_sum(xs):
@@ -382,6 +392,13 @@ def _pairwise_sum(xs):
         return xs[0]
     mid = n // 2
     return _pairwise_sum(xs[:mid]) + _pairwise_sum(xs[mid:])
+
+
+def _mc_estimate(sums, sq_sums, n):
+    """McEstimate of n samples from per-block sums of f and of |f|^2."""
+    mean = _pairwise_sum(sums) / n
+    var = max(0.0, (_pairwise_sum(sq_sums) - n * abs(mean) ** 2) / (n - 1))
+    return McEstimate(mean=mean, std_error=math.sqrt(var / n), n_samples=n)
 
 
 # --------------------------------------------------------------------------
@@ -425,9 +442,7 @@ def evolve_phi_pathwise(spec, k, z0, path, sample_times):
         b = B[i] + (B[i + 1] - B[i]) * frac if n else 0.0
         return cmath.exp(1j * k * b)
 
-    def field(t, y):
-        tau = tau_at(t)
-        return tau * spec._bp_field(y / tau)
+    field = _driven_field(spec, tau_at)
 
     # step over the union of path grid points and sample times, so each
     # RK4 step stays inside one (smooth) interpolation interval
@@ -535,6 +550,7 @@ def evolve_psi_sde(spec, k, z0, path, scheme="milstein"):
     psi = complex(z0)
     values = [psi]
     projections = 0
+    # scalar on purpose: per path, _psi_sde_block costs >10x more per step
     for db in path.increments():
         drift = -k2h * psi + spec._bp_field(psi)
         step = drift * dt - 1j * k * psi * db
@@ -635,7 +651,7 @@ def expectation_Tt(spec, k, t, z, f, n_samples, seed,
     Args:
         spec, k: field and noise amplitude.
         t: evolution time, >= 0.
-        z: starting point in the open disk.
+        z: starting point in the open disk (DomainError otherwise).
         f: complex function applied to the final state (vectorized or
             scalar; both are accepted).
         n_samples: number of independent paths, >= 2.
@@ -646,6 +662,8 @@ def expectation_Tt(spec, k, t, z, f, n_samples, seed,
     Returns:
         McEstimate with the combined real+imaginary standard error.
     """
+    if abs(z) >= 1.0:
+        raise DomainError("need |z| < 1, got %r" % abs(z))
     n_samples = int(n_samples)
     if n_samples < 2:
         raise ValueError("need n_samples >= 2, got %r" % n_samples)
@@ -659,20 +677,12 @@ def expectation_Tt(spec, k, t, z, f, n_samples, seed,
     dt_used = t / n_steps
     sums = []
     sq_sums = []
-    first = 0
-    for m in _block_sizes(n_samples, n_steps):
-        rows = _increment_rows(seed, first, m, dt_used, n_steps)
+    for rows in _increment_blocks(seed, n_samples, dt_used, n_steps):
         psi, _, _ = _psi_sde_block(spec, k, complex(z), rows, dt_used, scheme)
         vals = _apply_f(f, psi)
         sums.append(complex(np.sum(vals)))
         sq_sums.append(float(np.sum(np.abs(vals) ** 2)))
-        first += m
-    total = _pairwise_sum(sums)
-    total_sq = _pairwise_sum(sq_sums)
-    mean = total / n_samples
-    var = max(0.0, (total_sq - n_samples * abs(mean) ** 2) / (n_samples - 1))
-    return McEstimate(mean=mean, std_error=math.sqrt(var / n_samples),
-                      n_samples=n_samples)
+    return _mc_estimate(sums, sq_sums, n_samples)
 
 
 def covariance_mc(t, k, n_samples, seed, dt=1e-3):
@@ -697,10 +707,9 @@ def covariance_mc(t, k, n_samples, seed, dt=1e-3):
     grid = np.arange(n_steps + 1) * dt_used
     exp_grid = np.exp(grid)
     acc = {key: ([], []) for key in ("e1", "e2", "e3")}
-    first = 0
-    for m in _block_sizes(n_samples, n_steps):
-        rows = _increment_rows(seed, first, m, dt_used, n_steps)
-        B = np.concatenate([np.zeros((m, 1)), np.cumsum(rows, axis=1)], axis=1)
+    for rows in _increment_blocks(seed, n_samples, dt_used, n_steps):
+        B = np.concatenate([np.zeros((len(rows), 1)), np.cumsum(rows, axis=1)],
+                           axis=1)
         g = exp_grid[None, :] * np.exp(1j * k * B)
         integral = 0.5 * dt_used * (g[:, :-1] + g[:, 1:]).sum(axis=1)
         phi = math.exp(-t) * integral
@@ -709,14 +718,8 @@ def covariance_mc(t, k, n_samples, seed, dt=1e-3):
             sums, sqs = acc[key]
             sums.append(complex(np.sum(samples)))
             sqs.append(float(np.sum(np.abs(samples) ** 2)))
-        first += m
-    est = {}
-    for key, (sums, sqs) in acc.items():
-        mean = _pairwise_sum(sums) / n_samples
-        var = max(0.0, (_pairwise_sum(sqs) - n_samples * abs(mean) ** 2)
-                  / (n_samples - 1))
-        est[key] = McEstimate(mean=mean, std_error=math.sqrt(var / n_samples),
-                              n_samples=n_samples)
+    est = {key: _mc_estimate(sums, sqs, n_samples)
+           for key, (sums, sqs) in acc.items()}
     cov = est["e3"].mean - est["e2"].mean * est["e1"].mean
     se = (est["e3"].std_error
           + abs(est["e1"].mean) * est["e2"].std_error
@@ -793,54 +796,14 @@ def find_stochastic_zero(spec, k):
         raise ValueError("need k != 0")
     k2h = 0.5 * k * k
 
-    def drift(z):
-        return -k2h * z + spec._bp_field(z)
-
-    def accept(z):
-        return abs(z) < 1.0 - 1e-9 and abs(drift(z)) <= 1e-11
-
     def inv_kappa(w):
         s = cmath.sqrt(4.0 * w / k2h + 1.0)
         return (s - 1.0) / (s + 1.0)
 
-    z = 0.0 + 0.0j
-    try:
-        for _ in range(300):
-            z_next = inv_kappa(spec._value(z))
-            if not cmath.isfinite(z_next):
-                break
-            if abs(z_next - z) < 1e-15:
-                z = z_next
-                break
-            z = z_next
-        if accept(z):
-            return complex(z)
-    except (ZeroDivisionError, OverflowError):
-        pass
-
-    h = 1e-7
-    for r in (0.15, 0.35, 0.55, 0.75, 0.9):
-        for j in range(8):
-            z = r * cmath.exp(2j * math.pi * (j + 0.5) / 8.0)
-            try:
-                for _ in range(60):
-                    g = drift(z)
-                    if abs(g) <= 1e-13:
-                        break
-                    dg = (drift(z + h) - drift(z - h)) / (2.0 * h)
-                    if dg == 0.0:
-                        break
-                    z_next = z - g / dg
-                    if not cmath.isfinite(z_next) or abs(z_next) > 2.0:
-                        break
-                    if abs(z_next - z) < 1e-15:
-                        z = z_next
-                        break
-                    z = z_next
-            except (ZeroDivisionError, OverflowError):
-                continue
-            if accept(z):
-                return complex(z)
+    z = _interior_zero(lambda z: -k2h * z + spec._bp_field(z),
+                       lambda z: inv_kappa(spec._value(z)), 1e-9)
+    if z is not None:
+        return z
     raise ZeroNotFoundError("no interior drift zero found for %s at k=%r"
                             % (spec.text_form(), k))
 
@@ -861,6 +824,10 @@ def solve_moment_hierarchy(spec, k, z, t_end, M, truncation, closure="zero",
 
     Returns:
         MomentTable with orders 1..M.
+
+    Raises:
+        MomentTruncationError: a reported moment exceeds 1 in modulus,
+            which the true moments of a disk-valued process cannot.
     """
     M = int(M)
     truncation = int(truncation)
@@ -912,6 +879,11 @@ def solve_moment_hierarchy(spec, k, z, t_end, M, truncation, closure="zero",
                               rtol=1e-10, atol=1e-12)
         rows, _ = _integrate(field, y0, ts, cfg, contain=False)
     values = np.array(rows)[:, :M]
+    worst = float(np.max(np.abs(values)))
+    if worst > 1.0 + _MOMENT_TOL:
+        raise MomentTruncationError(
+            "hierarchy truncated at order %d gives |mu| = %.6g > 1; "
+            "raise the truncation" % (truncation, worst))
     return MomentTable(orders=tuple(range(1, M + 1)),
                        times=np.asarray(ts), values=values,
                        truncation=truncation, closure=closure)
@@ -1041,7 +1013,8 @@ def generator_annihilator(A, B, k, theta, c1, c2):
     cumulative per-segment quadrature in sorted order with compensated
     summation, so finite differences of neighboring outputs see
     quadrature noise near machine precision rather than independent
-    1e-10 relative errors.
+    1e-10 relative errors.  A scalar theta takes the same path as a
+    0-d array and returns a complex.
     """
     k = float(k)
     if k == 0.0:
@@ -1056,24 +1029,13 @@ def generator_annihilator(A, B, k, theta, c1, c2):
 
     c1 = complex(c1)
     c2 = complex(c2)
-    if np.ndim(theta) == 0:
-        if c2 == 0.0:
-            return c1
-        seg, _ = quad(w, 0.0, float(theta), epsabs=1e-13, epsrel=1e-11,
-                      limit=500)
-        return c1 + c2 * seg
-
     thetas = np.asarray(theta, dtype=float)
-    out = np.empty(thetas.shape, dtype=complex)
-    if c2 == 0.0:
-        out[...] = c1
-        return out
     flat = thetas.ravel()
-    order = np.argsort(flat, kind="stable")
+    out = np.full(len(flat), c1, dtype=complex)
     acc = c1
     comp = 0.0 + 0.0j
     prev = 0.0
-    flat_out = np.empty(len(flat), dtype=complex)
+    order = np.argsort(flat, kind="stable") if c2 != 0.0 else []
     for idx in order:
         th = float(flat[idx])
         if th != prev:
@@ -1084,9 +1046,9 @@ def generator_annihilator(A, B, k, theta, c1, c2):
             comp = (t_new - acc) - y
             acc = t_new
             prev = th
-        flat_out[idx] = acc
-    out.ravel()[:] = flat_out
-    return out
+        out[idx] = acc
+    out = out.reshape(thetas.shape)
+    return complex(out) if out.ndim == 0 else out
 
 
 # --------------------------------------------------------------------------
@@ -1102,8 +1064,8 @@ def backward_equation_residual(spec, k, f, t, z, n_samples, seed=0,
     with both values read off the same paths (common random numbers);
     A u comes from Cauchy-integral derivatives of u(t, .) sampled on a
     small circle around z, again on shared paths.  The estimate is
-    split into 8 batches to produce an honest error bar for the whole
-    pipeline.
+    split into 8 equal batches to produce an honest error bar for the
+    whole pipeline, so n_samples must be a multiple of 8 (at least 16).
 
     Returns:
         (residual, std_error): |d_t u - A u| and the combined standard
@@ -1119,8 +1081,9 @@ def backward_equation_residual(spec, k, f, t, z, n_samples, seed=0,
                          "(got t=%r, h=%r)" % (t, h))
     n_samples = int(n_samples)
     n_batches = 8
-    if n_samples < 2 * n_batches:
-        raise ValueError("need n_samples >= %d" % (2 * n_batches))
+    if n_samples < 2 * n_batches or n_samples % n_batches:
+        raise ValueError("need n_samples >= %d and a multiple of %d, got %r"
+                         % (2 * n_batches, n_batches, n_samples))
     k = float(k)
 
     n_plus = max(2, round((t + h) / dt))

@@ -238,6 +238,16 @@ def test_moments_first_moment_closed_form(capsys, tmp_path):
     assert abs(mu1 - want) < 1e-9
 
 
+def test_moments_truncation_failure_exits_one(capsys, tmp_path):
+    rc, _, err = run(capsys, [
+        "moments", "--spec", "cayley", "--k", "0.5184927882198025",
+        "--z0", "0.5370282164963841-0.1621848754225168i",
+        "--t-end", "1.9382732551314645", "--m", "1", "--truncation", "5",
+        "--closure", "frozen", "--out", str(tmp_path / "mom.csv")])
+    assert rc == 1
+    assert "truncated at order 5" in err
+
+
 # ---------------------------------------------------------------- bounds
 
 def test_bounds_linear_field_from_origin(capsys):
@@ -282,6 +292,32 @@ def test_disk_escape_exits_as_numerical_failure(capsys, tmp_path, args):
     rc, _, err = run(capsys, args)
     assert rc == 1
     assert "escapes the unit disk" in err
+
+
+@pytest.mark.parametrize("args, config", [
+    (["evolve", "--spec", "cayley", "--k", "1", "--t-end", "1", "--dt", "0"],
+     None),
+    (["evolve", "--spec", "cayley", "--k", "1", "--t-end", "1",
+      "--dt", "-0.1"], None),
+    (["bounds", "--spec", "cayley", "--r0", "0.3", "--t", "1",
+      "--paths", "4", "--dt", "0"], None),
+    (["boundary", "--what", "diffusion", "--A", "1", "--B", "0", "--k", "1",
+      "--t-end", "1", "--dt", "0"], None),
+    (["bounds", "--spec", "cayley", "--r0", "0.3", "--t", "1",
+      "--paths", "-3"], None),
+    (["evolve", "--spec", "cayley", "--k", "1", "--t-end", "1"],
+     "z0 = notacomplex\n"),
+    (["evolve", "--spec", "cayley", "--k", "1", "--t-end", "1"], "dt = 0\n"),
+])
+def test_bad_values_are_usage_errors(capsys, tmp_path, args, config):
+    if args[0] != "bounds":
+        args = args + ["--out", str(tmp_path / "x.csv")]
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        args = args + ["--config", str(cfg)]
+    rc, _, _ = run(capsys, args)
+    assert rc == 2
 
 
 # ---------------------------------------------------------------- boundary

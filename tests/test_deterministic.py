@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from loewnerkit import herglotz as hg
 from loewnerkit import deterministic as det
+from loewnerkit import stochastic as stoch
 
 
 def cfg(k, t_end, dt=0.01, rtol=1e-10, atol=1e-12):
@@ -326,6 +329,20 @@ def test_fixed_point_half_plane():
                 assert z0.imag >= -1e-9
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=hs.integers(0, 2**32 - 1),
+       k=hs.floats(-20.0, -0.1) | hs.floats(0.1, 20.0))
+def test_interior_zero_searches_keep_their_margins(seed, k):
+    spec = _random_taylor_spec(np.random.default_rng(seed))
+    z0 = det.find_fixed_point(spec, k)
+    if z0 is not None:
+        assert abs(z0) < 1.0 - 1e-6
+        assert abs(spec._bp_field(z0) - 1j * k * z0) <= 1e-11
+    z1 = stoch.find_stochastic_zero(spec, k)
+    assert abs(z1) < 1.0 - 1e-9
+    assert abs(-0.5 * k * k * z1 + spec._bp_field(z1)) <= 1e-11
+
+
 def test_fixed_point_approaches_origin_for_large_k():
     for spec in SPECS:
         k = 1.0
@@ -434,6 +451,18 @@ def test_boundary_image_automorphism_preserves_circle():
     pts = det.boundary_image(hg.Automorphism(1.0, 0.0), 0.0, 1.0, 64)
     for p in pts:
         assert abs(abs(p) - 1.0) < 2e-5
+
+
+def test_boundary_image_failure_keeps_time_reached():
+    class Outward:
+        # constant field: the phi-frame velocity tau(t) carries the
+        # near-boundary points out of the disk
+        def _bp_field(self, w):
+            return 1.0 + 0.0 * w
+
+    with pytest.raises(det.StiffnessError) as info:
+        det.boundary_image(Outward(), 1.0, 0.5, 16)
+    assert info.value.t_reached is not None
 
 
 def test_boundary_image_rejects_few_points():

@@ -320,6 +320,9 @@ def test_expectation_validates():
         st.expectation_Tt(spec, 1.0, 0.5, 0.2, lambda z: z, 1, 0)
     with pytest.raises(ValueError):
         st.expectation_Tt(spec, 1.0, -0.5, 0.2, lambda z: z, 100, 0)
+    for t in (0.5, 0.0):
+        with pytest.raises(hg.DomainError):
+            st.expectation_Tt(spec, 1.0, t, 1.5, lambda z: z, 100, 0)
     with pytest.raises(ValueError):
         st.McEstimate(mean=0j, std_error=-1.0, n_samples=10)
 
@@ -471,6 +474,10 @@ def test_backward_equation_validates():
     with pytest.raises(ValueError):
         st.backward_equation_residual(hg.Cayley(), 1.0, lambda w: w,
                                       0.005, 0.2, 1000)
+    # 8 equal batches: 20 paths would leave 4 unused
+    with pytest.raises(ValueError):
+        st.backward_equation_residual(hg.Cayley(), 1.0, lambda w: w,
+                                      0.5, 0.2, 20)
     with pytest.raises(hg.DomainError):
         st.backward_equation_residual(hg.Cayley(), 1.0, lambda w: w,
                                       0.5, 1.0 + 0j, 1000)
@@ -531,6 +538,20 @@ def test_moment_hierarchy_validates():
         st.solve_moment_hierarchy(spec, 1.0, 0.2, 1.0, 2, 8, closure="drop")
     with pytest.raises(hg.DomainError):
         st.solve_moment_hierarchy(spec, 1.0, 1.5, 1.0, 2, 8)
+
+
+def test_moment_hierarchy_truncation_is_numerical_failure():
+    args = (hg.Cayley(), 0.5184927882198025,
+            0.5370282164963841 - 0.1621848754225168j, 1.9382732551314645, 1)
+    with pytest.raises(st.MomentTruncationError, match="order 5") as info:
+        st.solve_moment_hierarchy(*args, 5, closure="frozen")
+    assert not isinstance(info.value, ValueError)
+    table = st.solve_moment_hierarchy(*args, 8, closure="frozen")
+    assert np.max(np.abs(table.values)) <= 1.0
+    # a table built directly still rejects such values as bad input
+    with pytest.raises(ValueError):
+        st.MomentTable(orders=(1,), times=[0.0], values=[[1.5]],
+                       truncation=5, closure="zero")
 
 
 def test_moment_table_vs_expectation():
@@ -652,12 +673,14 @@ def test_annihilator_quadrature_value():
 
 
 def test_annihilator_scalar_array_consistency():
-    pts = np.array([0.4, 1.1, 2.9])
-    vals = st.generator_annihilator(0.5, 0.3, 1.2, pts, 1.0 - 2.0j, 0.5j)
-    for p, v in zip(pts, vals):
-        scalar = st.generator_annihilator(0.5, 0.3, 1.2, float(p),
-                                          1.0 - 2.0j, 0.5j)
-        assert abs(scalar - v) <= 1e-9
+    pts = np.array([0.4, 0.0, 1.1, 2.9])
+    for c2 in (0.5j, 0.0):
+        vals = st.generator_annihilator(0.5, 0.3, 1.2, pts, 1.0 - 2.0j, c2)
+        for p, v in zip(pts, vals):
+            scalar = st.generator_annihilator(0.5, 0.3, 1.2, float(p),
+                                              1.0 - 2.0j, c2)
+            assert type(scalar) is complex
+            assert abs(scalar - v) <= 1e-9
 
 
 def test_annihilator_killed_by_generator():
