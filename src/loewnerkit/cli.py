@@ -193,8 +193,7 @@ def cmd_evolve(args, parser):
         traj = evolve_phi(spec, cfg, args.z0, grid)
         tau = cmath.exp(1j * args.k * t_end)
     else:
-        n_steps = max(1, round(t_end / dt)) if t_end > 0.0 else 0
-        dt_used = t_end / n_steps if n_steps else dt
+        n_steps, dt_used = stochastic._step_grid(t_end, dt)
         path = stochastic.sample_brownian(args.seed, dt_used, n_steps)
         if args.mode == "random":
             traj = stochastic.evolve_phi_pathwise(spec, args.k, args.z0,
@@ -298,8 +297,7 @@ def cmd_bounds(args, parser):
     code = 0
     if args.paths:
         spec_obj = _BOUND_SPECS[args.spec]()
-        n_steps = max(1, round(args.t / args.dt))
-        dt_used = args.t / n_steps
+        n_steps, dt_used = stochastic._step_grid(args.t, args.dt)
         seen_min, seen_max = 2.0, -1.0
         violations = 0
         for j in range(args.paths):
@@ -346,8 +344,7 @@ def cmd_boundary(args, parser):
                                      "out", "svg"))
     else:
         _require(args, parser, "A", "B", "k", "t_end")
-        n_steps = max(1, round(args.t_end / args.dt))
-        dt_used = args.t_end / n_steps
+        n_steps, dt_used = stochastic._step_grid(args.t_end, args.dt)
         path = stochastic.sample_brownian(args.seed, dt_used, n_steps)
         theta = stochastic.simulate_boundary_diffusion(
             args.A, args.B, args.k, args.theta0, path)

@@ -19,7 +19,9 @@ Reproducibility contract: every ensemble draws path j from the seed
 derived as ``derive_path_seed(root_seed, j)``, block sizes are a fixed
 function of the call arguments, and reductions combine block partials
 with a fixed-order pairwise sum, so repeated calls with the same
-arguments give bit-identical estimates.
+arguments give bit-identical estimates.  A block is a matrix of path
+values B, one row per path, each row bit-identical to
+``sample_brownian(...).values`` of that path.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ BROWNIAN_ALGORITHM_ID = "philox-gauss-cumsum-v1"
 _MOMENT_TOL = 1e-8
 
 # ensembles are processed in path blocks; the cap keeps the per-block
-# increment matrix around 160 MB worst case
+# path matrix around 160 MB worst case
 _BLOCK_PATHS = 8192
 _BLOCK_FLOATS = 20_000_000
 
@@ -249,8 +251,6 @@ _SS_MIX_L = np.uint32(0xca01f9dd)
 _SS_MIX_R = np.uint32(0x4973f715)
 _SS_POOL = 4
 _MASK32 = 0xFFFFFFFF
-# floats of the scratch buffer that post-processes increment rows
-_SCRATCH_FLOATS = 1 << 16
 
 
 def _seed_sequence_words(entropy, n_words):
@@ -330,11 +330,12 @@ def _philox_keys(seeds):
     return np.stack([_join64(key[0], key[1]), _join64(key[2], key[3])], axis=1)
 
 
-def _increment_rows(root_seed, first_index, n_rows, dt, n_steps):
-    """Increment matrix for paths first_index..first_index+n_rows-1.
+def _path_rows(root_seed, first_index, n_rows, dt, n_steps):
+    """Path matrix for paths first_index..first_index+n_rows-1.
 
-    Row i reproduces sample_brownian(derive_path_seed(root_seed,
-    first_index+i), dt, n_steps).increments() bit for bit.
+    Shape (n_rows, n_steps + 1); row i reproduces
+    sample_brownian(derive_path_seed(root_seed, first_index+i), dt,
+    n_steps).values bit for bit.
 
     The block's path seeds and Philox keys come from ``_path_seeds`` and
     ``_philox_keys``, which re-implement numpy.random.SeedSequence's hash
@@ -342,45 +343,51 @@ def _increment_rows(root_seed, first_index, n_rows, dt, n_steps):
     uint32 arrays; one Generator is then re-keyed for each row with
     counter 0 and an empty buffer.  This relies on NumPy keeping its
     SeedSequence hash and Philox seeding as they are; the tests compare
-    against the per-path recipe.  Scale, cumsum and diff run over row
-    chunks through one small scratch buffer, so the peak memory stays at
-    the returned matrix.
+    against the per-path recipe.  Scale and cumsum run in place, so the
+    peak memory stays at the returned matrix.
     """
-    out = np.empty((n_rows, n_steps))
+    out = np.empty((n_rows, n_steps + 1))
+    out[:, 0] = 0.0
     if n_rows == 0 or n_steps == 0:
         return out
-    root = math.sqrt(dt)
     keys = _philox_keys(_path_seeds(root_seed, first_index, n_rows))
     bitgen = np.random.Philox(key=keys[0])
     gen = np.random.Generator(bitgen)
     state = bitgen.state
-    chunk = max(1, _SCRATCH_FLOATS // n_steps)
-    scratch = np.empty((min(chunk, n_rows), n_steps))
-    for a in range(0, n_rows, chunk):
-        b = min(a + chunk, n_rows)
-        for i in range(a, b):
-            state["state"]["key"] = keys[i]
-            bitgen.state = state
-            gen.standard_normal(n_steps, out=out[i])
-        # values = cumsum(z * sqrt(dt)) after a leading 0, then their diff
-        values = scratch[:b - a]
-        np.multiply(out[a:b], root, out=values)
-        np.cumsum(values, axis=1, out=values)
-        out[a:b, 0] = values[:, 0]
-        np.subtract(values[:, 1:], values[:, :-1], out=out[a:b, 1:])
+    for i in range(n_rows):
+        state["state"]["key"] = keys[i]
+        bitgen.state = state
+        gen.standard_normal(n_steps, out=out[i, 1:])
+    values = out[:, 1:]
+    np.multiply(values, math.sqrt(dt), out=values)
+    np.cumsum(values, axis=1, out=values)
     return out
 
 
-def _increment_blocks(root_seed, n_samples, dt, n_steps):
-    """Increment matrices of paths 0..n_samples-1, block after block.
+def _path_blocks(root_seed, n_samples, dt, n_steps):
+    """Path matrices of paths 0..n_samples-1, block after block.
 
     Block sizes are a fixed function of (n_samples, n_steps): at most
-    _BLOCK_PATHS paths and _BLOCK_FLOATS increments per block.
+    _BLOCK_PATHS paths and _BLOCK_FLOATS steps per block (the cap counts
+    n_steps per path, not the n_steps + 1 values a row holds).
     """
     cap = max(1, min(_BLOCK_PATHS, _BLOCK_FLOATS // max(1, n_steps)))
     for first in range(0, n_samples, cap):
-        yield _increment_rows(root_seed, first, min(cap, n_samples - first),
-                              dt, n_steps)
+        yield _path_rows(root_seed, first, min(cap, n_samples - first),
+                         dt, n_steps)
+
+
+def _step_grid(t, dt):
+    """(n_steps, dt_used) of the uniform grid that lands exactly on t.
+
+    t == 0 takes no step and keeps dt; a negative t raises ValueError.
+    """
+    if t < 0.0:
+        raise ValueError("need t >= 0, got %r" % t)
+    if t == 0.0:
+        return 0, dt
+    n_steps = max(1, round(t / dt))
+    return n_steps, t / n_steps
 
 
 def _pairwise_sum(xs):
@@ -569,16 +576,16 @@ def evolve_psi_sde(spec, k, z0, path, scheme="milstein"):
                              "scheme": scheme})
 
 
-def _psi_sde_block(spec, k, psi0, increments, dt, scheme,
-                   record_cols=None):
+def _psi_sde_block(spec, k, psi0, paths, dt, scheme, record_cols=None):
     """Vectorized SDE stepping for a block of paths.
 
     Args:
         psi0: initial state, scalar or array broadcastable against a
             path-indexed first axis.
-        increments: (n_paths, n_steps) Brownian increments.
-        record_cols: optional sorted list of step indices (1-based
-            column counts) at which to snapshot the state.
+        paths: (n_paths, n_steps + 1) Brownian path values; step j uses
+            the increment paths[:, j+1] - paths[:, j].
+        record_cols: optional collection of path columns at which to
+            snapshot the state (column j: the state after j steps).
 
     Returns:
         (final_state, snapshots dict col->state, projections)
@@ -586,7 +593,7 @@ def _psi_sde_block(spec, k, psi0, increments, dt, scheme,
     k = float(k)
     k2h = 0.5 * k * k
     ik = 1j * k
-    n_paths, n_steps = increments.shape
+    n_paths, n_cols = paths.shape
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.ndim == 0:
         psi = np.full(n_paths, complex(psi0))
@@ -602,14 +609,14 @@ def _psi_sde_block(spec, k, psi0, increments, dt, scheme,
     noise = np.empty_like(psi)
     r = np.empty(psi.shape)
     mask = np.empty(psi.shape, dtype=bool)
-    dbsq = np.empty((n_paths,) + (1,) * (psi.ndim - 1))
+    increment = np.empty(n_paths)
+    db = increment[:, None] if psi.ndim == 2 else increment
+    dbsq = np.empty(db.shape)
     milstein = scheme == "milstein"
     snapshots = {}
     projections = 0
-    for j in range(n_steps):
-        db = increments[:, j]
-        if psi.ndim == 2:
-            db = db[:, None]
+    for j in range(n_cols - 1):
+        np.subtract(paths[:, j + 1], paths[:, j], out=increment)
         np.multiply(-k2h, psi, out=drift)
         np.add(drift, spec._bp_field(psi), out=drift)
         np.multiply(drift, dt, out=step)
@@ -668,16 +675,13 @@ def expectation_Tt(spec, k, t, z, f, n_samples, seed,
     if n_samples < 2:
         raise ValueError("need n_samples >= 2, got %r" % n_samples)
     t = float(t)
-    if t < 0.0:
-        raise ValueError("need t >= 0, got %r" % t)
-    if t == 0.0:
+    n_steps, dt_used = _step_grid(t, dt)
+    if n_steps == 0:
         return McEstimate(mean=complex(f(complex(z))), std_error=0.0,
                           n_samples=n_samples)
-    n_steps = max(1, round(t / dt))
-    dt_used = t / n_steps
     sums = []
     sq_sums = []
-    for rows in _increment_blocks(seed, n_samples, dt_used, n_steps):
+    for rows in _path_blocks(seed, n_samples, dt_used, n_steps):
         psi, _, _ = _psi_sde_block(spec, k, complex(z), rows, dt_used, scheme)
         vals = _apply_f(f, psi)
         sums.append(complex(np.sum(vals)))
@@ -702,14 +706,11 @@ def covariance_mc(t, k, n_samples, seed, dt=1e-3):
         raise ValueError("need n_samples >= 2, got %r" % n_samples)
     t = float(t)
     k = float(k)
-    n_steps = max(1, round(t / dt))
-    dt_used = t / n_steps
+    n_steps, dt_used = _step_grid(t, dt)
     grid = np.arange(n_steps + 1) * dt_used
     exp_grid = np.exp(grid)
     acc = {key: ([], []) for key in ("e1", "e2", "e3")}
-    for rows in _increment_blocks(seed, n_samples, dt_used, n_steps):
-        B = np.concatenate([np.zeros((len(rows), 1)), np.cumsum(rows, axis=1)],
-                           axis=1)
+    for B in _path_blocks(seed, n_samples, dt_used, n_steps):
         g = exp_grid[None, :] * np.exp(1j * k * B)
         integral = 0.5 * dt_used * (g[:, :-1] + g[:, 1:]).sum(axis=1)
         phi = math.exp(-t) * integral
@@ -1105,17 +1106,18 @@ def backward_equation_residual(spec, k, f, t, z, n_samples, seed=0,
     for b in range(n_batches):
         first = b * per_batch
         m = per_batch
-        rows = _increment_rows(seed, first, m, dt_used, n_plus)
+        rows = _path_rows(seed, first, m, dt_used, n_plus)
         # point ensemble: record f(Psi) at t-h and t+h on shared paths
         psi, snaps, _ = _psi_sde_block(spec, k, complex(z), rows, dt_used,
                                        "milstein",
                                        record_cols={col_minus})
         u_plus = complex(np.mean(_apply_f(f, psi)))
         u_minus = complex(np.mean(_apply_f(f, snaps[col_minus])))
-        # circle ensemble to time t on the same increments
+        # circle ensemble to time t on the same paths
         psi0 = np.broadcast_to(circle, (m, P)).copy()
-        psi_c, _, _ = _psi_sde_block(spec, k, psi0, rows[:, :col_mid],
-                                     dt_used, "milstein")
+        psi_c, _, _ = _psi_sde_block(spec, k, psi0,
+                                     rows[:, :col_mid + 1], dt_used,
+                                     "milstein")
         u_circle = np.mean(_apply_f(f, psi_c), axis=0)
         c1 = complex(np.mean(u_circle * np.exp(-1j * angles))) / fit_radius
         c2 = complex(np.mean(u_circle * np.exp(-2j * angles))) / fit_radius ** 2

@@ -56,10 +56,12 @@ def test_bad_mode_and_negative_duration(capsys, tmp_path):
                             "--z0", "0", "--t-end", "1", "--mode", "warp",
                             "--out", out])
     assert rc == 2
-    rc, _, _ = run(capsys, ["evolve", "--spec", "cayley", "--k", "1",
-                            "--z0", "0", "--t-end", "-1", "--mode", "det",
-                            "--out", out])
-    assert rc == 2
+    for mode in ("det", "random", "sde"):
+        rc, _, err = run(capsys, ["evolve", "--spec", "cayley", "--k", "1",
+                                  "--z0", "0", "--t-end", "-1", "--mode",
+                                  mode, "--out", out])
+        assert rc == 2, mode
+        assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------- evolve
@@ -308,6 +310,8 @@ def test_disk_escape_exits_as_numerical_failure(capsys, tmp_path, args):
     (["evolve", "--spec", "cayley", "--k", "1", "--t-end", "1"],
      "z0 = notacomplex\n"),
     (["evolve", "--spec", "cayley", "--k", "1", "--t-end", "1"], "dt = 0\n"),
+    (["boundary", "--what", "diffusion", "--A", "1", "--B", "0", "--k", "1",
+      "--t-end", "-1"], None),
 ])
 def test_bad_values_are_usage_errors(capsys, tmp_path, args, config):
     if args[0] != "bounds":
@@ -318,6 +322,23 @@ def test_bad_values_are_usage_errors(capsys, tmp_path, args, config):
         args = args + ["--config", str(cfg)]
     rc, _, _ = run(capsys, args)
     assert rc == 2
+
+
+def test_zero_time_simulations_run(capsys, tmp_path):
+    rc, out, _ = run(capsys, ["bounds", "--spec", "cayley", "--r0", "0.3",
+                              "--t", "0", "--paths", "4"])
+    assert rc == 0
+    data = json.loads(out)
+    assert data["lower"] == data["upper"] == 0.3
+    assert data["mc"]["min"] == data["mc"]["max"] == 0.3
+    assert data["mc"]["violations"] == 0
+    csv_path = tmp_path / "theta.csv"
+    rc, _, _ = run(capsys, ["boundary", "--what", "diffusion", "--A", "1",
+                            "--B", "0", "--k", "1", "--t-end", "0",
+                            "--theta0", "0.7", "--out", str(csv_path)])
+    assert rc == 0
+    assert read_rows(csv_path) == [["t", "theta"],
+                                   ["0", "0.69999999999999996"]]
 
 
 # ---------------------------------------------------------------- boundary

@@ -1,5 +1,6 @@
 """Block sampler: vectorized seed/key derivation against the per-path
-recipe, bit for bit, and the sampler's memory footprint."""
+recipe, path blocks against sample_brownian bit for bit, and the
+sampler's memory footprint."""
 
 import tracemalloc
 
@@ -16,9 +17,9 @@ roots = hs.sampled_from(NAMED_ROOTS) | hs.integers(0, 2**64 - 1)
 firsts = hs.integers(0, 2**20) | hs.integers(2**32 - 40, 2**32 + 8)
 
 
-def per_path_increments(root, first, n_rows, dt, n_steps):
+def per_path_values(root, first, n_rows, dt, n_steps):
     return [st.sample_brownian(st.derive_path_seed(root, first + i), dt,
-                               n_steps).increments()
+                               n_steps).values
             for i in range(n_rows)]
 
 
@@ -49,21 +50,24 @@ def test_path_seeds_and_keys_match_per_path_recipe(root, first, n_rows):
 @given(root=roots, first=firsts, n_rows=hs.integers(1, 6),
        n_steps=hs.integers(1, 64),
        dt=hs.sampled_from([1e-3, 0.01, 0.37, 2.0]))
-def test_increment_rows_equal_sample_brownian_bitwise(root, first, n_rows,
-                                                      n_steps, dt):
-    rows = st._increment_rows(root, first, n_rows, dt, n_steps)
-    assert rows.shape == (n_rows, n_steps)
-    for row, ref in zip(rows, per_path_increments(root, first, n_rows, dt,
-                                                  n_steps)):
+def test_path_rows_equal_sample_brownian_bitwise(root, first, n_rows,
+                                                  n_steps, dt):
+    rows = st._path_rows(root, first, n_rows, dt, n_steps)
+    assert rows.shape == (n_rows, n_steps + 1)
+    assert np.all(rows[:, 0] == 0.0)
+    for row, ref in zip(rows, per_path_values(root, first, n_rows, dt,
+                                              n_steps)):
         assert row.tobytes() == ref.tobytes()
 
 
-def test_increment_rows_span_several_scratch_chunks():
-    # 300 steps give 218-row chunks; 500 rows cover three of them
-    rows = st._increment_rows(11, 2**32 - 250, 500, 1e-3, 300)
+def test_path_rows_deep_inside_one_block():
+    # 500 rows across index 2**32, scaled and summed in one pass
+    rows = st._path_rows(11, 2**32 - 250, 500, 1e-3, 300)
+    assert rows.shape == (500, 301)
+    assert np.all(rows[:, 0] == 0.0)
     for i in (0, 217, 218, 249, 250, 436, 499):
         ref = st.sample_brownian(st.derive_path_seed(11, 2**32 - 250 + i),
-                                 1e-3, 300).increments()
+                                 1e-3, 300).values
         assert rows[i].tobytes() == ref.tobytes()
 
 
@@ -84,24 +88,28 @@ def test_entropy_beyond_64_bits_takes_the_per_path_seeds(monkeypatch, root,
 
     derive = st.derive_path_seed
     monkeypatch.setattr(st, "derive_path_seed", counting)
-    rows = st._increment_rows(root, first, 4, 0.01, 9)
+    rows = st._path_rows(root, first, 4, 0.01, 9)
     monkeypatch.undo()
     assert len(calls) == (4 if fallback else 0)
-    for row, ref in zip(rows, per_path_increments(root, first, 4, 0.01, 9)):
+    for row, ref in zip(rows, per_path_values(root, first, 4, 0.01, 9)):
         assert row.tobytes() == ref.tobytes()
 
 
-def test_increment_rows_empty_shapes():
-    assert st._increment_rows(1, 0, 0, 0.01, 5).shape == (0, 5)
-    assert st._increment_rows(1, 0, 3, 0.01, 0).shape == (3, 0)
+def test_path_rows_empty_shapes():
+    assert st._path_rows(1, 0, 0, 0.01, 5).shape == (0, 6)
+    rows = st._path_rows(1, 0, 3, 0.01, 0)
+    assert rows.shape == (3, 1)
+    assert rows.tobytes() == np.zeros((3, 1)).tobytes()
+    assert rows[1].tobytes() == st.sample_brownian(
+        st.derive_path_seed(1, 1), 0.01, 0).values.tobytes()
 
 
-def test_increment_rows_peak_memory_is_one_matrix():
+def test_path_rows_peak_memory_is_one_matrix():
     tracemalloc.start()
     try:
-        rows = st._increment_rows(3, 0, 2000, 1e-3, 1000)
+        rows = st._path_rows(3, 0, 2000, 1e-3, 1000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert rows.nbytes == 2000 * 1000 * 8
+    assert rows.nbytes == 2000 * 1001 * 8
     assert peak < 1.25 * rows.nbytes

@@ -55,13 +55,6 @@ def test_derive_path_seed_stable():
     assert len(seen) == 100
 
 
-def test_increment_rows_match_per_path_sampling():
-    rows = st._increment_rows(7, 3, 4, 0.01, 50)
-    for i in range(4):
-        ref = st.sample_brownian(st.derive_path_seed(7, 3 + i), 0.01, 50)
-        assert np.array_equal(rows[i], ref.increments())
-
-
 # --------------------------------------------------------------------------
 # pathwise random ODE
 # --------------------------------------------------------------------------
@@ -272,6 +265,27 @@ def test_sde_strong_order_comparison():
         assert rms(errs[dt]["milstein"]) <= rms(errs[dt]["euler"])
 
 
+@pytest.mark.parametrize("scheme", ["euler", "milstein"])
+@pytest.mark.parametrize("text", ["cayley-linear", "cayley",
+                                  "automorphism:1,0.5", "taylor:1,0.2+0.3i"])
+def test_block_kernel_steps_along_the_scalar_paths(text, scheme):
+    # a one-column shift of the increments keeps them i.i.d. and passes
+    # every statistical gate; only a pathwise comparison sees it.  The
+    # start near the circle makes both steppers project.
+    spec = hg.parse_spec(text)
+    k, z0, dt, n_steps, col = 1.3, 0.97 * cmath.exp(2j), 0.01, 60, 23
+    rows = st._path_rows(5, 0, 6, dt, n_steps)
+    psi, snaps, projections = st._psi_sde_block(spec, k, z0, rows, dt, scheme,
+                                                record_cols={col})
+    want = 0
+    for i, path in enumerate(brownian_ensemble(5, 6, dt, n_steps)):
+        traj = st.evolve_psi_sde(spec, k, z0, path, scheme=scheme)
+        assert abs(psi[i] - traj.values[-1]) <= 1e-13
+        assert abs(snaps[col][i] - traj.values[col]) <= 1e-13
+        want += traj.stats["projections"]
+    assert projections == want
+
+
 # --------------------------------------------------------------------------
 # Monte Carlo semigroup
 # --------------------------------------------------------------------------
@@ -362,6 +376,16 @@ def test_covariance_mc_agrees_with_reference():
                       ("e3", ref.e3), ("cov", ref.cov)):
         est = mc[key]
         assert abs(est.mean - want) <= 4.0 * est.std_error, key
+
+
+def test_covariance_mc_validates():
+    with pytest.raises(ValueError):
+        st.covariance_mc(0.5, 1.0, 1, 0)
+    with pytest.raises(ValueError, match="need t >= 0"):
+        st.covariance_mc(-0.5, 1.0, 100, 0)
+    at_zero = st.covariance_mc(0.0, 1.0, 8, 0)
+    assert at_zero["e1"].mean == 1.0 and at_zero["e2"].mean == 0.0
+    assert all(est.std_error == 0.0 for est in at_zero.values())
 
 
 # --------------------------------------------------------------------------
