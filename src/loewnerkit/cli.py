@@ -303,8 +303,13 @@ def cmd_bounds(args, parser):
         for j in range(args.paths):
             seed = stochastic.derive_path_seed(args.seed, j)
             path = stochastic.sample_brownian(seed, dt_used, n_steps)
-            traj = stochastic.evolve_phi_pathwise(spec_obj, args.k, args.r0,
-                                                  path, [args.t])
+            try:
+                traj = stochastic.evolve_phi_pathwise(spec_obj, args.k,
+                                                      args.r0, path, [args.t])
+            except stochastic.DiskEscapeError as exc:
+                raise stochastic.DiskEscapeError(
+                    "path %d (seed %d): %s" % (j, seed, exc),
+                    t_reached=exc.t_reached) from exc
             r = abs(traj.values[-1])
             seen_min = min(seen_min, r)
             seen_max = max(seen_max, r)

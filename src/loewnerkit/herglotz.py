@@ -20,6 +20,7 @@ config files and run manifests.  Complex literals in text forms use an
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -253,6 +254,10 @@ class Exponential(HerglotzSpec):
     variant = "exponential"
 
     def _value(self, z):
+        # cmath.exp equals np.exp bit for bit on complex arguments; on
+        # real ones np.exp can differ from it by an ulp
+        if isinstance(z, complex):
+            return cmath.exp((math.pi / 2.0) * z)
         return np.exp((math.pi / 2.0) * z)
 
     def _taylor(self, n):
@@ -297,6 +302,15 @@ class Taylor(HerglotzSpec):
                 "min Re p on the sample grid is %.3e" % worst)
 
     def _value(self, z):
+        if isinstance(z, (complex, float, int, np.number)):
+            # Horner in Python complex arithmetic, without allocating; it
+            # rounds like NumPy scalars (the array loop may fuse a
+            # multiply-add)
+            z = complex(z)
+            acc = 0j
+            for c in reversed(self.coefficients):
+                acc = acc * z + c
+            return acc
         acc = np.zeros_like(np.asarray(z, dtype=complex))
         for c in reversed(self.coefficients):
             acc = acc * z + c

@@ -5,7 +5,8 @@ import re
 
 import pytest
 
-from loewnerkit import Error, __version__, cli
+from loewnerkit import Error, __version__, cli, stochastic
+from loewnerkit.herglotz import Cayley
 
 
 def run(capsys, args):
@@ -293,6 +294,27 @@ def test_disk_escape_exits_as_numerical_failure(capsys, tmp_path, args):
         args = args + ["--out", str(tmp_path / "x.csv")]
     rc, _, err = run(capsys, args)
     assert rc == 1
+    assert "escapes the unit disk" in err
+
+
+def test_bounds_escape_names_the_path(capsys):
+    # the known escape case on a 2-step grid, where the first paths stay
+    # inside the disk, so the reported index is not trivially 0
+    n_steps, dt = stochastic._step_grid(0.4, 0.2)
+    for j in range(20):
+        seed = stochastic.derive_path_seed(0, j)
+        path = stochastic.sample_brownian(seed, dt, n_steps)
+        try:
+            stochastic.evolve_phi_pathwise(Cayley(), 30.0, 0.99, path, [0.4])
+        except stochastic.DiskEscapeError:
+            break
+    assert j > 0
+    rc, out, err = run(capsys, ["bounds", "--spec", "cayley", "--r0", "0.99",
+                                "--t", "0.4", "--k", "30", "--dt", "0.2",
+                                "--paths", "20", "--seed", "0"])
+    assert rc == 1
+    assert out == ""
+    assert "path %d (seed %d)" % (j, seed) in err
     assert "escapes the unit disk" in err
 
 

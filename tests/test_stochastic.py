@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from loewnerkit import deterministic as dm
 from loewnerkit import herglotz as hg
@@ -97,6 +99,111 @@ def test_pathwise_disk_escape_is_a_typed_numerical_failure():
     assert isinstance(err, hg.Error) and not isinstance(err, ValueError)
     assert err.t_reached == pytest.approx(0.8)
     assert "escapes the unit disk" in str(err)
+
+
+CATALOGUE = [hg.CayleyLinear(), hg.Cayley(), hg.ConstantImaginary(),
+             hg.Automorphism(1.0, 0.3), hg.Exponential(),
+             hg.Taylor([1.0, 0.3 - 0.2j, 0.1j])]
+
+
+def reference_pathwise(spec, k, z0, path, sample_times):
+    """RK4 on the path grid plus the sample times, tau recomputed at every
+    stage from the interpolated path with cmath.exp.  Returns the values
+    at 0 and the sample times, and the number of steps taken."""
+    B, dt, n = path.values, path.dt, path.n_steps
+
+    def field(t, y):
+        i = min(int(t / dt), n - 1) if n else 0
+        b = B[i] + (B[i + 1] - B[i]) * (t / dt - i) if n else 0.0
+        tau = cmath.exp(1j * k * float(b))
+        return tau * spec._bp_field(y / tau)
+
+    ts = sorted({0.0, *sample_times})
+    knots = sorted(set((np.arange(n + 1) * dt).tolist()) | set(ts))
+    y = complex(z0)
+    values = {0.0: y}
+    steps = 0
+    for t0, t1 in zip(knots, knots[1:]):
+        h = t1 - t0
+        if h > 1e-15:
+            k1 = field(t0, y)
+            k2 = field(t0 + 0.5 * h, y + 0.5 * h * k1)
+            k3 = field(t0 + 0.5 * h, y + 0.5 * h * k2)
+            k4 = field(t1, y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            steps += 1
+        values[t1] = y
+    return [values[t] for t in ts], steps
+
+
+@pytest.mark.parametrize("spec", CATALOGUE, ids=lambda s: s.text_form())
+def test_pathwise_matches_reference_rk4(spec):
+    k, z0 = 2.5, 0.5 + 0.2j
+    path = st.sample_brownian(31, 0.01, 100)
+    # off-grid sample times, the path end among them
+    times = [0.123456, 0.5005, 0.77777, 1.0]
+    traj = st.evolve_phi_pathwise(spec, k, z0, path, times)
+    want, steps = reference_pathwise(spec, k, z0, path, times)
+    assert traj.stats["steps"] == steps == 103
+    assert np.max(np.abs(traj.values - np.asarray(want))) <= 1e-14
+    # a path of zero steps returns its start
+    empty = st.sample_brownian(31, 0.01, 0)
+    traj = st.evolve_phi_pathwise(spec, k, z0, empty, [0.0])
+    assert traj.values.tolist() == [z0] and traj.stats["steps"] == 0
+
+
+@hs.composite
+def admissible_taylor(draw):
+    # a real a0 at least sum |a_n| keeps Re p >= 0 on the disk
+    tail = draw(hs.lists(hs.complex_numbers(max_magnitude=1.0), max_size=4))
+    a0 = sum(abs(c) for c in tail) + draw(hs.floats(0.0, 1.0))
+    return hg.Taylor([a0 + draw(hs.floats(-1.0, 1.0)) * 1j] + tail)
+
+
+def scalar_recipe(spec, z):
+    """p(z) in plain Python complex arithmetic, with the bound sup |p|."""
+    if isinstance(spec, hg.Exponential):
+        return cmath.exp((math.pi / 2.0) * z), math.exp(math.pi / 2.0)
+    acc = 0j
+    for c in reversed(spec.coefficients):
+        acc = acc * z + c
+    return acc, sum(abs(c) for c in spec.coefficients)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=hs.one_of(hs.just(hg.Exponential()), admissible_taylor()),
+       z=hs.complex_numbers(max_magnitude=1.0))
+def test_scalar_spec_evaluation_matches_array_path(spec, z):
+    # a scalar argument is evaluated in Python complex arithmetic, bit for
+    # bit; NumPy's complex-multiply loop fuses a multiply-add, so the
+    # 1-element array path may round differently by an ulp per product
+    value, bound = scalar_recipe(spec, z)
+    for method, want, scale in ((spec._value, value, bound),
+                                (spec._bp_field, (z - 1.0) ** 2 * value,
+                                 4.0 * bound)):
+        scalar = method(z)
+        assert type(scalar) is complex
+        assert np.array([scalar]).tobytes() == np.array([want]).tobytes()
+        array = method(np.array([z]))
+        assert array.shape == (1,)
+        assert abs(scalar - array[0]) <= 1e-14 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(sid=hs.sampled_from(sorted(st._BOUND_SPECS)),
+       seed=hs.integers(0, 2**32 - 1), dt=hs.floats(0.002, 0.02),
+       k=hs.floats(0.0, 2.0), r0=hs.floats(0.0, 0.99),
+       angle=hs.floats(0.0, 2.0 * math.pi), t=hs.floats(0.05, 1.5))
+def test_fine_grid_pathwise_stays_in_growth_bounds(sid, seed, dt, k, r0,
+                                                    angle, t):
+    n_steps, dt_used = st._step_grid(t, dt)
+    path = st.sample_brownian(seed, dt_used, n_steps)
+    traj = st.evolve_phi_pathwise(st._BOUND_SPECS[sid](), k,
+                                  r0 * cmath.exp(1j * angle), path,
+                                  [0.5 * t, t])
+    for time, value in zip(traj.times[1:], traj.values[1:]):
+        lo, hi = st.growth_bounds(sid, r0, time)
+        assert lo - 1e-6 <= abs(value) <= hi + 1e-6, time
 
 
 def test_pathwise_restart_invariance():
