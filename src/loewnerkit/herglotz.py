@@ -20,7 +20,6 @@ config files and run manifests.  Complex literals in text forms use an
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -254,10 +253,6 @@ class Exponential(HerglotzSpec):
     variant = "exponential"
 
     def _value(self, z):
-        # cmath.exp equals np.exp bit for bit on complex arguments; on
-        # real ones np.exp can differ from it by an ulp
-        if isinstance(z, complex):
-            return cmath.exp((math.pi / 2.0) * z)
         return np.exp((math.pi / 2.0) * z)
 
     def _taylor(self, n):
@@ -302,21 +297,12 @@ class Taylor(HerglotzSpec):
                 "min Re p on the sample grid is %.3e" % worst)
 
     def _value(self, z):
-        if isinstance(z, (complex, float, int, np.number)):
-            # Horner in Python complex arithmetic, without allocating; it
-            # rounds like NumPy scalars (the array loop may fuse a
-            # multiply-add)
-            z = complex(z)
-            acc = 0j
-            for c in reversed(self.coefficients):
-                acc = acc * z + c
-            return acc
-        acc = np.zeros_like(np.asarray(z, dtype=complex))
+        # Horner from a Python 0j: a scalar argument takes scalar arithmetic
+        # and allocates nothing, an array one the complex array loop
+        acc = 0j
         for c in reversed(self.coefficients):
             acc = acc * z + c
-        if np.ndim(z) == 0:
-            return complex(acc)
-        return acc
+        return acc if isinstance(acc, np.ndarray) else complex(acc)
 
     def _taylor(self, n):
         out = list(self.coefficients[:n + 1])

@@ -160,29 +160,21 @@ def admissible_taylor(draw):
     return hg.Taylor([a0 + draw(hs.floats(-1.0, 1.0)) * 1j] + tail)
 
 
-def scalar_recipe(spec, z):
-    """p(z) in plain Python complex arithmetic, with the bound sup |p|."""
-    if isinstance(spec, hg.Exponential):
-        return cmath.exp((math.pi / 2.0) * z), math.exp(math.pi / 2.0)
-    acc = 0j
-    for c in reversed(spec.coefficients):
-        acc = acc * z + c
-    return acc, sum(abs(c) for c in spec.coefficients)
-
-
 @settings(max_examples=200, deadline=None)
 @given(spec=hs.one_of(hs.just(hg.Exponential()), admissible_taylor()),
        z=hs.complex_numbers(max_magnitude=1.0))
 def test_scalar_spec_evaluation_matches_array_path(spec, z):
-    # a scalar argument is evaluated in Python complex arithmetic, bit for
-    # bit; NumPy's complex-multiply loop fuses a multiply-add, so the
-    # 1-element array path may round differently by an ulp per product
-    value, bound = scalar_recipe(spec, z)
-    for method, want, scale in ((spec._value, value, bound),
-                                (spec._bp_field, (z - 1.0) ** 2 * value,
-                                 4.0 * bound)):
+    # a Python complex rounds bit for bit like a NumPy scalar; NumPy's
+    # complex-multiply loop may fuse a multiply-add, so the 1-element array
+    # path can round differently by an ulp per product
+    if isinstance(spec, hg.Exponential):
+        bound = math.exp(math.pi / 2.0)
+    else:
+        bound = sum(abs(c) for c in spec.coefficients)
+    for method, scale in ((spec._value, bound), (spec._bp_field, 4.0 * bound)):
         scalar = method(z)
-        assert type(scalar) is complex
+        assert isinstance(scalar, complex)
+        want = method(np.complex128(z))
         assert np.array([scalar]).tobytes() == np.array([want]).tobytes()
         array = method(np.array([z]))
         assert array.shape == (1,)
