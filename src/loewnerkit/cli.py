@@ -79,9 +79,19 @@ class RunManifest:
 
 def _complex_flag(text):
     try:
-        return parse_complex(text)
+        value = parse_complex(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
+    if not cmath.isfinite(value):
+        raise argparse.ArgumentTypeError("need a finite value, got %r" % text)
+    return value
+
+
+def _finite_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("need a finite value, got %r" % text)
+    return value
 
 
 def _positive_float(text):
@@ -92,11 +102,16 @@ def _positive_float(text):
     return value
 
 
-def _count_flag(text):
+def _count_flag(text, least=0):
     value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("need a count >= 0, got %r" % text)
+    if value < least:
+        raise argparse.ArgumentTypeError("need a count >= %d, got %r"
+                                         % (least, text))
     return value
+
+
+def _positive_count(text):
+    return _count_flag(text, least=1)
 
 
 def _jsonable(value):
@@ -421,10 +436,11 @@ def build_parser():
         epilog="CSV schema: t,re,im,frame (one row per sample time).")
     p.add_argument("--spec", help="driving spec, e.g. cayley or "
                    "automorphism:1,0.5 or taylor:1,0.2i")
-    p.add_argument("--k", type=float, help="rotation rate / noise amplitude")
+    p.add_argument("--k", type=_finite_float,
+                   help="rotation rate / noise amplitude")
     p.add_argument("--z0", type=_complex_flag, default=0j,
                    help="start point (complex literal, i suffix)")
-    p.add_argument("--t-end", type=float, dest="t_end")
+    p.add_argument("--t-end", type=_finite_float, dest="t_end")
     p.add_argument("--dt", type=_positive_float, default=0.01,
                    help="sample spacing (and SDE step)")
     p.add_argument("--mode", choices=("det", "random", "sde"), default="det")
@@ -441,9 +457,9 @@ def build_parser():
         help="phase portrait of the two-parameter boundary family",
         epilog="JSON fields: kind, D, fixed_point?, closed?, ratio?, "
                "ratio_fraction?, period?")
-    p.add_argument("--A", type=float)
-    p.add_argument("--B", type=float)
-    p.add_argument("--k", type=float)
+    p.add_argument("--A", type=_finite_float)
+    p.add_argument("--B", type=_finite_float)
+    p.add_argument("--k", type=_finite_float)
     p.add_argument("--spec", help="alternative to --A/--B")
     p.add_argument("--closed-check", action="store_true",
                    dest="closed_check")
@@ -456,13 +472,13 @@ def build_parser():
         help="solve the moment hierarchy",
         epilog="CSV schema: t,re_mu1,im_mu1,...,re_muM,im_muM.")
     p.add_argument("--spec")
-    p.add_argument("--k", type=float)
+    p.add_argument("--k", type=_finite_float)
     p.add_argument("--z0", type=_complex_flag, default=0j)
-    p.add_argument("--t-end", type=float, default=1.0, dest="t_end")
+    p.add_argument("--t-end", type=_finite_float, default=1.0, dest="t_end")
     p.add_argument("--m", type=int, default=1, help="highest reported order")
     p.add_argument("--truncation", type=int, default=12)
     p.add_argument("--closure", choices=("zero", "frozen"), default="zero")
-    p.add_argument("--points", type=int, default=65)
+    p.add_argument("--points", type=_positive_count, default=65)
     p.add_argument("--out", default="moments.csv")
     _add_common(p)
     registry["moments"] = (p, cmd_moments)
@@ -472,11 +488,11 @@ def build_parser():
         help="radial growth envelope, optionally checked by simulation",
         epilog="JSON fields: spec, r0, t, lower, upper, mc?")
     p.add_argument("--spec", choices=tuple(_BOUND_SPECS))
-    p.add_argument("--r0", type=float)
-    p.add_argument("--t", type=float)
+    p.add_argument("--r0", type=_finite_float)
+    p.add_argument("--t", type=_finite_float)
     p.add_argument("--paths", type=_count_flag, default=0,
                    help="simulate this many paths against the envelope")
-    p.add_argument("--k", type=float, default=1.0)
+    p.add_argument("--k", type=_finite_float, default=1.0)
     p.add_argument("--dt", type=_positive_float, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
     _add_common(p)
@@ -488,13 +504,13 @@ def build_parser():
         epilog="CSV schema: image -> angle,re,im; diffusion -> t,theta.")
     p.add_argument("--what", choices=("image", "diffusion"), default="image")
     p.add_argument("--spec")
-    p.add_argument("--k", type=float)
-    p.add_argument("--t", type=float, help="image time")
+    p.add_argument("--k", type=_finite_float)
+    p.add_argument("--t", type=_finite_float, help="image time")
     p.add_argument("--points", type=int, default=256)
-    p.add_argument("--A", type=float)
-    p.add_argument("--B", type=float)
-    p.add_argument("--theta0", type=float, default=1.0)
-    p.add_argument("--t-end", type=float, dest="t_end")
+    p.add_argument("--A", type=_finite_float)
+    p.add_argument("--B", type=_finite_float)
+    p.add_argument("--theta0", type=_finite_float, default=1.0)
+    p.add_argument("--t-end", type=_finite_float, dest="t_end")
     p.add_argument("--dt", type=_positive_float, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="boundary.csv")

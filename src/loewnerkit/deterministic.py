@@ -217,11 +217,11 @@ def _dp_step(field, t, y, h):
     return y5, err
 
 
-def _integrate(field, y0, sample_times, cfg, contain=True):
+def _integrate(field, y0, sample_times, cfg):
     """Drive the DP 5(4) pair through ``sample_times``.
 
-    ``y0`` may be a complex scalar or a complex ndarray; the error test
-    and the containment test are elementwise with a max reduction.
+    ``y0`` is a complex scalar or ndarray; the error test and the
+    containment test (always enforced) reduce elementwise by max.
     Returns (values_at_sample_times, stats).
     """
     y = np.asarray(y0, dtype=complex) if np.ndim(y0) else complex(y0)
@@ -254,7 +254,7 @@ def _integrate(field, y0, sample_times, cfg, contain=True):
                 rejections += 1
                 h = h_use * 0.25
                 continue
-            if contain and _absmax(y_new) > 1.0 + CONTAINMENT_TOL:
+            if _absmax(y_new) > 1.0 + CONTAINMENT_TOL:
                 rejections += 1
                 h = h_use * 0.5
                 continue

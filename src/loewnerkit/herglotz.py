@@ -221,8 +221,9 @@ class Automorphism(HerglotzSpec):
     def __init__(self, A, B):
         A = float(A)
         B = float(B)
-        if A < 0.0:
-            raise ValueError("automorphism spec needs A >= 0, got A = %r" % A)
+        if not (0.0 <= A < math.inf and math.isfinite(B)):
+            raise ValueError("automorphism spec needs finite A >= 0 and "
+                             "finite B, got A = %r, B = %r" % (A, B))
         self.A = A
         self.B = B
         self._pole_at_one = A != 0.0
@@ -282,6 +283,9 @@ class Taylor(HerglotzSpec):
         coeffs = tuple(complex(c) for c in coefficients)
         if not coeffs:
             raise ValueError("taylor spec needs at least one coefficient")
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError("taylor coefficients must be finite, got %r"
+                             % (coeffs,))
         self.coefficients = coeffs
         self._check_admissible()
 

@@ -33,13 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import expm
 
 from .deterministic import (
     CONTAINMENT_TOL,
-    EvolutionConfig,
     Trajectory,
     _driven_field,
-    _integrate,
     _interior_zero,
     _normalize_sample_times,
 )
@@ -836,7 +835,7 @@ def find_stochastic_zero(spec, k):
 
 def solve_moment_hierarchy(spec, k, z, t_end, M, truncation, closure="zero",
                            sample_times=None):
-    """Integrate the coupled moment system for mu_m(t) = E Psi_t(z)^m.
+    """Solve the coupled moment system for mu_m(t) = E Psi_t(z)^m.
 
     d mu_m/dt = a_0 m mu_{m-1} + (a_1 - 2a_0 - m k^2/2) m mu_m
                 + sum_{n>=1} (a_{n-1} - 2a_n + a_{n+1}) m mu_{m+n},
@@ -844,12 +843,16 @@ def solve_moment_hierarchy(spec, k, z, t_end, M, truncation, closure="zero",
     moments above the cut; "frozen" holds them at their initial values
     z^j (tail coefficients through order truncation+1).
 
+    The cut system d mu/dt = L mu + c is linear and is solved exactly:
+    exp(gap [[L, c], [0, 0]]) (Van Loan) carries the state between sample
+    times, one ``scipy.linalg.expm`` per distinct gap, no step control.
+
     Returns:
         MomentTable with orders 1..M.
 
     Raises:
-        MomentTruncationError: a reported moment exceeds 1 in modulus,
-            which the true moments of a disk-valued process cannot.
+        MomentTruncationError: a reported moment is not finite or exceeds
+            1 in modulus, which the moments of a disk-valued process cannot.
     """
     M = int(M)
     truncation = int(truncation)
@@ -868,44 +871,39 @@ def solve_moment_hierarchy(spec, k, z, t_end, M, truncation, closure="zero",
     a = taylor_coefficients(spec, truncation + 1)
     d = [0.0] + [a[n - 1] - 2.0 * a[n] + a[n + 1] for n in range(1, truncation + 1)]
 
+    # state (mu_1, ..., mu_T, mu_0 = 1): column j - 1 holds mu_j, so mu_0
+    # sits at column -1 == T, which also takes the frozen tail
     T = truncation
-    L = np.zeros((T, T), dtype=complex)
-    const = np.zeros(T, dtype=complex)
-    frozen_tail = np.zeros(T, dtype=complex)
+    G = np.zeros((T + 1, T + 1), dtype=complex)
     for m in range(1, T + 1):
         i = m - 1
-        if m == 1:
-            const[i] += a[0] * m
-        else:
-            L[i, i - 1] += a[0] * m
-        L[i, i] += (a[1] - 2.0 * a[0] - 0.5 * m * k * k) * m
+        G[i, i - 1] = a[0] * m
+        G[i, i] = (a[1] - 2.0 * a[0] - 0.5 * m * k * k) * m
         for n in range(1, T - m + 1):
-            L[i, i + n] += d[n] * m
+            G[i, i + n] = d[n] * m
         if closure == "frozen":
             for n in range(T - m + 1, T + 1):
-                frozen_tail[i] += d[n] * m * z ** (m + n)
-    const = const + frozen_tail
-
-    def field(t, y):
-        return L @ y + const
+                G[i, T] += d[n] * m * z ** (m + n)
 
     if sample_times is None:
-        count = 65 if t_end > 0.0 else 1
-        sample_times = np.linspace(0.0, t_end, count)
+        sample_times = np.linspace(0.0, t_end, 65)
     ts = _normalize_sample_times(sample_times, t_end)
-    y0 = np.array([z ** m for m in range(1, T + 1)], dtype=complex)
-    if t_end == 0.0 or len(ts) == 1:
-        rows = [y0]
-    else:
-        cfg = EvolutionConfig(k=k, t_end=t_end, dt=min(0.01, t_end),
-                              rtol=1e-10, atol=1e-12)
-        rows, _ = _integrate(field, y0, ts, cfg, contain=False)
+    state = np.array([z ** m for m in range(1, T + 1)] + [1.0], dtype=complex)
+    rows = [state]
+    propagators = {}
+    for t0, t1 in zip(ts, ts[1:]):
+        gap = t1 - t0
+        if gap not in propagators:
+            propagators[gap] = expm(gap * G)
+        state = propagators[gap] @ state
+        rows.append(state)
     values = np.array(rows)[:, :M]
     worst = float(np.max(np.abs(values)))
-    if worst > 1.0 + _MOMENT_TOL:
-        raise MomentTruncationError(
-            "hierarchy truncated at order %d gives |mu| = %.6g > 1; "
-            "raise the truncation" % (truncation, worst))
+    if not worst <= 1.0 + _MOMENT_TOL:
+        what = ("|mu| = %.6g > 1; raise the truncation" % worst
+                if math.isfinite(worst) else "a non-finite moment")
+        raise MomentTruncationError("hierarchy truncated at order %d gives %s"
+                                    % (truncation, what))
     return MomentTable(orders=tuple(range(1, M + 1)),
                        times=np.asarray(ts), values=values,
                        truncation=truncation, closure=closure)

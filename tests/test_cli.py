@@ -251,6 +251,15 @@ def test_moments_truncation_failure_exits_one(capsys, tmp_path):
     assert "truncated at order 5" in err
 
 
+def test_moments_non_finite_failure_exits_one(capsys, tmp_path):
+    out = tmp_path / "mom.csv"
+    rc, _, err = run(capsys, ["moments", "--spec", "cayley", "--k", "1e20",
+                              "--out", str(out)])
+    assert rc == 1
+    assert "non-finite moment" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- bounds
 
 def test_bounds_linear_field_from_origin(capsys):
@@ -334,9 +343,17 @@ def test_bounds_escape_names_the_path(capsys):
     (["evolve", "--spec", "cayley", "--k", "1", "--t-end", "1"], "dt = 0\n"),
     (["boundary", "--what", "diffusion", "--A", "1", "--B", "0", "--k", "1",
       "--t-end", "-1"], None),
+    (["classify", "--A", "nan", "--B", "0", "--k", "1"], None),
+    (["bounds", "--spec", "cayley", "--r0", "0.3", "--t", "nan"], None),
+    (["evolve", "--spec", "cayley", "--k", "1", "--t-end", "nan"], None),
+    (["evolve", "--spec", "cayley", "--k", "1", "--t-end", "1",
+      "--z0", "nan"], None),
+    (["evolve", "--spec", "taylor:nan", "--k", "1", "--t-end", "1"], None),
+    (["moments", "--spec", "cayley", "--k", "1", "--points", "0"], None),
+    (["classify", "--A", "1", "--B", "0"], "k = inf\n"),
 ])
 def test_bad_values_are_usage_errors(capsys, tmp_path, args, config):
-    if args[0] != "bounds":
+    if args[0] not in ("bounds", "classify"):
         args = args + ["--out", str(tmp_path / "x.csv")]
     if config is not None:
         cfg = tmp_path / "run.cfg"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from loewnerkit import herglotz as hg
 
@@ -163,6 +165,51 @@ def test_text_form_round_trip():
         again = hg.parse_spec(spec.text_form())
         assert again == spec
         assert hash(again) == hash(spec)
+
+
+finite = hs.floats(allow_nan=False, allow_infinity=False)
+
+
+@hs.composite
+def admissible_taylor(draw):
+    # Re a0 >= sum |a_n| keeps Re p >= 0 on the disk; Im a0 is any finite
+    # float, since only the text form is under test
+    tail = draw(hs.lists(hs.complex_numbers(max_magnitude=1.0), max_size=5))
+    a0 = sum(abs(c) for c in tail) + draw(hs.floats(0.0, 10.0))
+    return hg.Taylor([complex(a0, draw(finite))] + tail)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=hs.one_of(hs.builds(hg.Automorphism, hs.floats(0.0, 1e300),
+                                finite),
+                      admissible_taylor()))
+def test_text_form_round_trip_property(spec):
+    again = hg.parse_spec(spec.text_form())
+    assert again == spec and hash(again) == hash(spec)
+    assert type(again) is type(spec)
+    if isinstance(spec, hg.Automorphism):
+        assert (again.A, again.B) == (spec.A, spec.B)
+    else:
+        assert again.coefficients == spec.coefficients
+
+
+@settings(max_examples=100, deadline=None)
+@given(bad=hs.sampled_from([math.nan, math.inf, -math.inf]),
+       good=hs.floats(0.0, 10.0), slot=hs.integers(0, 1))
+def test_non_finite_spec_parameters_are_rejected(bad, good, slot):
+    params = [good, good]
+    params[slot] = bad
+    with pytest.raises(ValueError):
+        hg.Automorphism(*params)
+    with pytest.raises(ValueError):
+        hg.parse_spec("automorphism:%r,%r" % tuple(params))
+    coefficients = [1.0 + good, 0.5]
+    coefficients[slot] = complex(bad, 0.0) if slot else complex(1.0, bad)
+    with pytest.raises(ValueError):
+        hg.Taylor(coefficients)
+    with pytest.raises(ValueError):
+        hg.parse_spec("taylor:" + ",".join(map(hg.format_complex,
+                                               coefficients)))
 
 
 def test_parse_spec_accepts_plain_forms():

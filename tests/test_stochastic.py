@@ -677,6 +677,71 @@ def test_moment_hierarchy_truncation_is_numerical_failure():
                        truncation=5, closure="zero")
 
 
+def test_moment_hierarchy_non_finite_is_numerical_failure():
+    # at k = 1e20 the generator's entries reach 1e41 and expm returns NaN
+    with pytest.raises(st.MomentTruncationError, match="non-finite") as info:
+        st.solve_moment_hierarchy(hg.Cayley(), 1e20, 0.3, 1.0, 2, 6)
+    assert not isinstance(info.value, ValueError)
+    with pytest.raises(st.MomentTruncationError, match="non-finite"):
+        st.solve_moment_hierarchy(hg.Cayley(), math.nan, 0.3, 1.0, 2, 6)
+
+
+@hs.composite
+def moment_sample_times(draw, t_end):
+    # None (the default grid), a lone time, a uniform grid (repeated gaps)
+    # or sorted draws (non-uniform gaps)
+    kind = draw(hs.sampled_from(["default", "lone", "uniform", "random"]))
+    if kind == "default":
+        return None
+    if kind == "lone":
+        return [draw(hs.floats(0.0, t_end))]
+    if kind == "uniform":
+        return np.linspace(0.0, t_end, draw(hs.integers(1, 130)))
+    return sorted(draw(hs.lists(hs.floats(0.0, t_end), min_size=1,
+                                max_size=12)))
+
+
+@hs.composite
+def moment_case(draw):
+    t_end = draw(hs.floats(0.0, 3.0))
+    truncation = draw(hs.integers(1, 16))
+    return dict(k=draw(hs.floats(0.0, 2.5)),
+                z=draw(hs.complex_numbers(max_magnitude=0.95)),
+                t_end=t_end, M=draw(hs.integers(1, min(4, truncation))),
+                truncation=truncation,
+                closure=draw(hs.sampled_from(["zero", "frozen"])),
+                sample_times=draw(moment_sample_times(t_end)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=moment_case())
+def test_cayley_linear_first_moment_matches_closed_form(case):
+    # the cayley-linear hierarchy is triangular: mu_1 solves its own
+    # linear ODE whatever the truncation and closure
+    table = st.solve_moment_hierarchy(hg.CayleyLinear(), **case)
+    lam = 1.0 + 0.5 * case["k"] ** 2
+    for t, mu1 in zip(table.times, table.moment(1)):
+        want = 1.0 / lam + (case["z"] - 1.0 / lam) * math.exp(-lam * t)
+        assert abs(mu1 - want) <= 1e-10, t
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=hs.one_of(
+           hs.sampled_from([hg.CayleyLinear(), hg.Cayley(),
+                            hg.ConstantImaginary(), hg.Exponential()]),
+           hs.builds(hg.Automorphism, hs.floats(0.0, 2.0),
+                     hs.floats(-2.0, 2.0)),
+           admissible_taylor()),
+       case=moment_case())
+def test_moment_tables_stay_in_the_disk(spec, case):
+    try:
+        table = st.solve_moment_hierarchy(spec, **case)
+    except st.MomentTruncationError:
+        return
+    assert table.values.shape == (len(table.times), case["M"])
+    assert np.max(np.abs(table.values)) <= 1.0 + 1e-8
+
+
 def test_moment_table_vs_expectation():
     spec = hg.CayleyLinear()
     z, k, t = 0.2 + 0.1j, 1.0, 0.5
