@@ -133,7 +133,7 @@ class Trajectory:
             raise ValueError("frame must be 'phi' or 'psi', got %r" % self.frame)
         if len(times) > 1 and not np.all(np.diff(times) > 0.0):
             raise ValueError("times must be strictly increasing")
-        if len(values) and np.max(np.abs(values)) > 1.0 + CONTAINMENT_TOL:
+        if not (np.abs(values) <= 1.0 + CONTAINMENT_TOL).all():
             raise ValueError("trajectory escapes the unit disk")
         times.setflags(write=False)
         values.setflags(write=False)

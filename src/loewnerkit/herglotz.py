@@ -70,8 +70,11 @@ class SingularPointError(Error, ArithmeticError):
 def parse_complex(text):
     """Parse a complex literal like ``1``, ``-0.5i`` or ``1+2i``."""
     s = str(text).strip()
+    # only the imaginary suffix: the i of inf stays
+    if s.endswith("i"):
+        s = s[:-1] + "j"
     try:
-        return complex(s.replace("i", "j"))
+        return complex(s)
     except ValueError:
         raise ValueError("bad complex literal: %r" % text) from None
 

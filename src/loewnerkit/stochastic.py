@@ -82,7 +82,7 @@ _MOMENT_TOL = 1e-8
 # path matrix around 160 MB worst case
 _BLOCK_PATHS = 8192
 _BLOCK_FLOATS = 20_000_000
-# covariance_mc integrates a block this many path values at a time
+# _exp_trapezoid integrates a block this many path values at a time
 _CHUNK_VALUES = 1 << 16
 
 
@@ -91,7 +91,7 @@ class ZeroNotFoundError(Error):
 
 
 class DiskEscapeError(Error):
-    """A pathwise solution left the closed unit disk.
+    """A pathwise solution left the closed unit disk or is not finite.
 
     ``t_reached`` is the first recorded time at which the solution lies
     outside the disk by more than the containment tolerance.
@@ -365,14 +365,15 @@ def _path_rows(root_seed, first_index, n_rows, dt, n_steps):
     return out
 
 
-def _path_blocks(root_seed, n_samples, dt, n_steps):
+def _path_blocks(root_seed, n_samples, dt, n_steps, width=1):
     """Path matrices of paths 0..n_samples-1, block after block.
 
-    Block sizes are a fixed function of (n_samples, n_steps): at most
-    _BLOCK_PATHS paths and _BLOCK_FLOATS steps per block (the cap counts
-    n_steps per path, not the n_steps + 1 values a row holds).
+    Block sizes are a fixed function of (n_samples, n_steps, width): at
+    most _BLOCK_PATHS states, ``width`` of them per path, and
+    _BLOCK_FLOATS steps per block (the cap counts n_steps per path, not
+    the n_steps + 1 values a row holds).
     """
-    cap = max(1, min(_BLOCK_PATHS, _BLOCK_FLOATS // max(1, n_steps)))
+    cap = max(1, min(_BLOCK_PATHS // width, _BLOCK_FLOATS // max(1, n_steps)))
     for first in range(0, n_samples, cap):
         yield _path_rows(root_seed, first, min(cap, n_samples - first),
                          dt, n_steps)
@@ -402,8 +403,15 @@ def _pairwise_sum(xs):
     return _pairwise_sum(xs[:mid]) + _pairwise_sum(xs[mid:])
 
 
-def _mc_estimate(sums, sq_sums, n):
-    """McEstimate of n samples from per-block sums of f and of |f|^2."""
+def _mc_estimate(parts):
+    """McEstimate of the iid samples in ``parts``, one array per block."""
+    sums = []
+    sq_sums = []
+    n = 0
+    for samples in parts:
+        sums.append(complex(np.sum(samples)))
+        sq_sums.append(float(np.sum(np.abs(samples) ** 2)))
+        n += len(samples)
     mean = _pairwise_sum(sums) / n
     var = max(0.0, (_pairwise_sum(sq_sums) - n * abs(mean) ** 2) / (n - 1))
     return McEstimate(mean=mean, std_error=math.sqrt(var / n), n_samples=n)
@@ -482,13 +490,35 @@ def evolve_phi_pathwise(spec, k, z0, path, sample_times):
             idx += 1
         if idx == len(remaining) and t_next >= ts[-1] - 1e-12:
             break
-    radii = np.abs(out)
-    if np.max(radii) > 1.0 + CONTAINMENT_TOL:
-        t_out = float(ts[np.argmax(radii > 1.0 + CONTAINMENT_TOL)])
+    # written so that a NaN modulus counts as outside
+    outside = ~(np.abs(out) <= 1.0 + CONTAINMENT_TOL)
+    if outside.any():
+        t_out = float(ts[np.argmax(outside)])
         raise DiskEscapeError("pathwise RK4 solution escapes the unit disk "
                               "at t=%.6g" % t_out, t_reached=t_out)
     return Trajectory(times=np.asarray(ts), values=np.asarray(out),
                       frame="phi", config=None, stats={"steps": steps})
+
+
+def _exp_trapezoid(B, k, dt):
+    """Trapezoid integral of e^s e^{ikB_s} ds along each row of B (grid dt).
+
+    A few rows at a time, so the complex temporaries stay small; cos +
+    i sin of kB has the bits of np.exp(1j * k * B).
+    """
+    exp_grid = np.exp(np.arange(B.shape[1]) * dt)
+    integral = np.empty(len(B), dtype=complex)
+    rows = max(1, _CHUNK_VALUES // B.shape[1])
+    for first in range(0, len(B), rows):
+        part = B[first:first + rows]
+        g = np.empty(part.shape, dtype=complex)
+        np.multiply(part, k, out=g.real)
+        np.sin(g.real, out=g.imag)
+        np.cos(g.real, out=g.real)
+        np.multiply(g, exp_grid, out=g)
+        integral[first:first + rows] = (g[:, :-1] + g[:, 1:]).sum(axis=1)
+    integral *= 0.5 * dt
+    return integral
 
 
 def example1_pathwise(z, k, path, t):
@@ -499,22 +529,20 @@ def example1_pathwise(z, k, path, t):
     interpolated partial cell when t falls inside one).
     """
     t = float(t)
+    k = float(k)
     dt = path.dt
     B = path.values
     if t < 0.0 or t > path.duration + 1e-12:
         raise ValueError("t must lie within the path duration")
     n_full = min(int(t / dt + 1e-9), path.n_steps)
-    grid = np.arange(n_full + 1) * dt
-    g = np.exp(grid + 1j * float(k) * B[:n_full + 1])
-    integral = 0.0 + 0.0j
-    if n_full > 0:
-        integral = np.sum((g[:-1] + g[1:])) * (0.5 * dt)
+    integral = complex(_exp_trapezoid(B[None, :n_full + 1], k, dt)[0])
     t_rem = t - n_full * dt
     if t_rem > 1e-15:
         frac = t_rem / dt
         b_t = B[n_full] + (B[n_full + 1] - B[n_full]) * frac
-        g_t = cmath.exp(t + 1j * float(k) * b_t)
-        integral += 0.5 * t_rem * (g[-1] + g_t)
+        g_n = cmath.exp(n_full * dt + 1j * k * B[n_full])
+        g_t = cmath.exp(t + 1j * k * b_t)
+        integral += 0.5 * t_rem * (g_n + g_t)
     return cmath.exp(-t) * (complex(z) + integral)
 
 
@@ -573,7 +601,9 @@ def evolve_psi_sde(spec, k, z0, path, scheme="milstein"):
             step = step - k2h * psi * (db * db - dt)
         psi = psi + step
         r = abs(psi)
-        if r >= 1.0:
+        if not r < 1.0:
+            if not math.isfinite(r):
+                _raise_non_finite(scheme, len(values) * dt)
             psi *= (1.0 - 1e-12) / r
             projections += 1
         values.append(psi)
@@ -582,6 +612,12 @@ def evolve_psi_sde(spec, k, z0, path, scheme="milstein"):
                       stats={"steps": path.n_steps,
                              "projections": projections,
                              "scheme": scheme})
+
+
+def _raise_non_finite(scheme, t):
+    raise DiskEscapeError("the %s step escapes the unit disk to a "
+                          "non-finite state by t=%.6g" % (scheme, t),
+                          t_reached=t)
 
 
 def _psi_sde_block(spec, k, psi0, paths, dt, scheme, record_cols=None):
@@ -597,6 +633,10 @@ def _psi_sde_block(spec, k, psi0, paths, dt, scheme, record_cols=None):
 
     Returns:
         (final_state, snapshots dict col->state, projections)
+
+    Raises:
+        DiskEscapeError: the final state is not finite; a NaN state
+            stays NaN to the end, as projection skips it.
     """
     k = float(k)
     k2h = 0.5 * k * k
@@ -645,6 +685,8 @@ def _psi_sde_block(spec, k, psi0, paths, dt, scheme, record_cols=None):
             psi[mask] *= (1.0 - 1e-12) / r[mask]
         if record_cols is not None and (j + 1) in record_cols:
             snapshots[j + 1] = psi.copy()
+    if not np.isfinite(psi).all():
+        _raise_non_finite(scheme, (n_cols - 1) * dt)
     return psi, snapshots, projections
 
 
@@ -687,14 +729,10 @@ def expectation_Tt(spec, k, t, z, f, n_samples, seed,
     if n_steps == 0:
         return McEstimate(mean=complex(f(complex(z))), std_error=0.0,
                           n_samples=n_samples)
-    sums = []
-    sq_sums = []
-    for rows in _path_blocks(seed, n_samples, dt_used, n_steps):
-        psi, _, _ = _psi_sde_block(spec, k, complex(z), rows, dt_used, scheme)
-        vals = _apply_f(f, psi)
-        sums.append(complex(np.sum(vals)))
-        sq_sums.append(float(np.sum(np.abs(vals) ** 2)))
-    return _mc_estimate(sums, sq_sums, n_samples)
+    return _mc_estimate(
+        _apply_f(f, _psi_sde_block(spec, k, complex(z), rows, dt_used,
+                                   scheme)[0])
+        for rows in _path_blocks(seed, n_samples, dt_used, n_steps))
 
 
 def covariance_mc(t, k, n_samples, seed, dt=1e-3):
@@ -715,32 +753,13 @@ def covariance_mc(t, k, n_samples, seed, dt=1e-3):
     t = float(t)
     k = float(k)
     n_steps, dt_used = _step_grid(t, dt)
-    grid = np.arange(n_steps + 1) * dt_used
-    exp_grid = np.exp(grid)
-    acc = {key: ([], []) for key in ("e1", "e2", "e3")}
+    blocks = []
     for B in _path_blocks(seed, n_samples, dt_used, n_steps):
-        # the trapezoid sums of e^s exp(ikB_s), a few rows at a time so
-        # the complex temporaries stay small; cos + i sin of kB has the
-        # bits of np.exp(1j * k * B)
-        integral = np.empty(len(B), dtype=complex)
-        rows = max(1, _CHUNK_VALUES // B.shape[1])
-        for first in range(0, len(B), rows):
-            part = B[first:first + rows]
-            g = np.empty(part.shape, dtype=complex)
-            np.multiply(part, k, out=g.real)
-            np.sin(g.real, out=g.imag)
-            np.cos(g.real, out=g.real)
-            np.multiply(g, exp_grid, out=g)
-            integral[first:first + rows] = (g[:, :-1] + g[:, 1:]).sum(axis=1)
-        integral *= 0.5 * dt_used
-        phi = math.exp(-t) * integral
+        phi = math.exp(-t) * _exp_trapezoid(B, k, dt_used)
         zeta = np.exp(-1j * k * B[:, -1])
-        for key, samples in (("e1", zeta), ("e2", phi), ("e3", phi * zeta)):
-            sums, sqs = acc[key]
-            sums.append(complex(np.sum(samples)))
-            sqs.append(float(np.sum(np.abs(samples) ** 2)))
-    est = {key: _mc_estimate(sums, sqs, n_samples)
-           for key, (sums, sqs) in acc.items()}
+        blocks.append((zeta, phi, phi * zeta))
+    est = {key: _mc_estimate(parts)
+           for key, parts in zip(("e1", "e2", "e3"), zip(*blocks))}
     cov = est["e3"].mean - est["e2"].mean * est["e1"].mean
     se = (est["e3"].std_error
           + abs(est["e1"].mean) * est["e2"].std_error
@@ -1083,13 +1102,14 @@ def backward_equation_residual(spec, k, f, t, z, n_samples, seed=0,
     The time derivative is a central difference (u(t+h) - u(t-h))/2h
     with both values read off the same paths (common random numbers);
     A u comes from Cauchy-integral derivatives of u(t, .) sampled on a
-    small circle around z, again on shared paths.  The estimate is
-    split into 8 equal batches to produce an honest error bar for the
-    whole pipeline, so n_samples must be a multiple of 8 (at least 16).
+    small circle around z, again on shared paths.  Both are linear in
+    the per-path values of f, so each path gives one residual sample
+    and the error bar is the standard error of those iid samples; any
+    n_samples >= 2 is accepted.
 
     Returns:
-        (residual, std_error): |d_t u - A u| and the combined standard
-        error of the underlying complex batch means.
+        (residual, std_error): |d_t u - A u| and the combined
+        real+imaginary standard error of the per-path samples.
     """
     z = complex(z)
     if abs(z) >= 1.0:
@@ -1100,10 +1120,8 @@ def backward_equation_residual(spec, k, f, t, z, n_samples, seed=0,
         raise ValueError("need t >= h for the central difference "
                          "(got t=%r, h=%r)" % (t, h))
     n_samples = int(n_samples)
-    n_batches = 8
-    if n_samples < 2 * n_batches or n_samples % n_batches:
-        raise ValueError("need n_samples >= %d and a multiple of %d, got %r"
-                         % (2 * n_batches, n_batches, n_samples))
+    if n_samples < 2:
+        raise ValueError("need n_samples >= 2, got %r" % n_samples)
     k = float(k)
 
     n_plus = max(2, round((t + h) / dt))
@@ -1117,33 +1135,23 @@ def backward_equation_residual(spec, k, f, t, z, n_samples, seed=0,
         fit_radius = 0.15 * (1.0 - abs(z))
     P = int(fit_points)
     angles = 2.0 * math.pi * np.arange(P) / P
-    circle = z + fit_radius * np.exp(1j * angles)
-
+    # column 0 of a block's state is the point z, columns 1..P the circle
+    start = np.concatenate(([z], z + fit_radius * np.exp(1j * angles)))
+    # A u = drift(z) c1 - k^2 z^2 c2 with the Cauchy coefficients
+    # c_m = mean(u_circle e^{-im angle}) / r^m, as one weight per point
     drift_z = -0.5 * k * k * z + spec._bp_field(z)
-    per_batch = n_samples // n_batches
-    residuals = []
-    for b in range(n_batches):
-        first = b * per_batch
-        m = per_batch
-        rows = _path_rows(seed, first, m, dt_used, n_plus)
-        # point ensemble: record f(Psi) at t-h and t+h on shared paths
-        psi, snaps, _ = _psi_sde_block(spec, k, complex(z), rows, dt_used,
-                                       "milstein",
-                                       record_cols={col_minus})
-        u_plus = complex(np.mean(_apply_f(f, psi)))
-        u_minus = complex(np.mean(_apply_f(f, snaps[col_minus])))
-        # circle ensemble to time t on the same paths
-        psi0 = np.broadcast_to(circle, (m, P)).copy()
-        psi_c, _, _ = _psi_sde_block(spec, k, psi0,
-                                     rows[:, :col_mid + 1], dt_used,
-                                     "milstein")
-        u_circle = np.mean(_apply_f(f, psi_c), axis=0)
-        c1 = complex(np.mean(u_circle * np.exp(-1j * angles))) / fit_radius
-        c2 = complex(np.mean(u_circle * np.exp(-2j * angles))) / fit_radius ** 2
-        au = drift_z * c1 - 0.5 * k * k * z * z * (2.0 * c2)
-        du = (u_plus - u_minus) / (2.0 * h)
-        residuals.append(du - au)
-    res = np.asarray(residuals)
-    mean = complex(np.mean(res))
-    var = (np.var(res.real, ddof=1) + np.var(res.imag, ddof=1)) / n_batches
-    return abs(mean), math.sqrt(var)
+    weights = (drift_z / (P * fit_radius) * np.exp(-1j * angles)
+               - k * k * z * z / (P * fit_radius ** 2) * np.exp(-2j * angles))
+
+    def samples():
+        for rows in _path_blocks(seed, n_samples, dt_used, n_plus,
+                                 width=P + 1):
+            psi, snaps, _ = _psi_sde_block(
+                spec, k, np.broadcast_to(start, (len(rows), P + 1)), rows,
+                dt_used, "milstein", record_cols={col_minus, col_mid})
+            du = (_apply_f(f, psi[:, 0])
+                  - _apply_f(f, snaps[col_minus][:, 0])) / (2.0 * h)
+            yield du - _apply_f(f, snaps[col_mid][:, 1:]) @ weights
+
+    est = _mc_estimate(samples())
+    return abs(est.mean), est.std_error

@@ -292,11 +292,19 @@ def test_bounds_monte_carlo_check(capsys):
     assert d["mc"]["max"] <= d["upper"] + 1e-9
 
 
+# these runs overflow to NaN, which counts as leaving the disk
+_OVERFLOWS = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
+
 @pytest.mark.parametrize("args", [
     ["evolve", "--spec", "cayley", "--k", "30", "--z0", "0.99", "--t-end",
      "2", "--dt", "0.2", "--mode", "random", "--seed", "0"],
     ["bounds", "--spec", "cayley", "--r0", "0.99", "--t", "2", "--k", "30",
      "--dt", "0.2", "--paths", "20", "--seed", "0"],
+    pytest.param(["evolve", "--spec", "taylor:1e308", "--k", "1",
+                  "--t-end", "1", "--mode", "random"], marks=_OVERFLOWS),
+    pytest.param(["evolve", "--spec", "cayley", "--k", "1e200", "--t-end",
+                  "1", "--mode", "sde"], marks=_OVERFLOWS),
 ])
 def test_disk_escape_exits_as_numerical_failure(capsys, tmp_path, args):
     if args[0] == "evolve":
@@ -304,6 +312,7 @@ def test_disk_escape_exits_as_numerical_failure(capsys, tmp_path, args):
     rc, _, err = run(capsys, args)
     assert rc == 1
     assert "escapes the unit disk" in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_bounds_escape_names_the_path(capsys):
@@ -361,6 +370,14 @@ def test_bad_values_are_usage_errors(capsys, tmp_path, args, config):
         args = args + ["--config", str(cfg)]
     rc, _, _ = run(capsys, args)
     assert rc == 2
+
+
+def test_infinite_complex_flag_is_not_finite(capsys, tmp_path):
+    rc, _, err = run(capsys, ["evolve", "--spec", "cayley", "--k", "1",
+                              "--t-end", "1", "--z0", "inf",
+                              "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert "need a finite value" in err
 
 
 def test_zero_time_simulations_run(capsys, tmp_path):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hs
 
 from loewnerkit import herglotz as hg
@@ -48,6 +48,9 @@ def test_trajectory_validation():
         det.Trajectory(times=[0.0, 0.0], values=[0.0, 0.1], frame="phi")
     with pytest.raises(ValueError):
         det.Trajectory(times=[0.0], values=[0.0], frame="bogus")
+    with pytest.raises(ValueError):
+        det.Trajectory(times=[0.0, 1.0], values=[0.0, complex("nan")],
+                       frame="phi")
     tr = det.Trajectory(times=[0.0, 1.0], values=[0.0, 0.5j], frame="psi")
     with pytest.raises(ValueError):
         tr.values[0] = 1.0
@@ -114,6 +117,20 @@ def test_containment_everywhere():
     for spec in SPECS:
         tr = det.evolve_phi(spec, cfg(1.0, 2.0), 0.95, ts)
         assert np.max(np.abs(tr.values)) <= 1.0 + 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=hs.sampled_from(SPECS), k=hs.floats(-10.0, 10.0),
+       radius=hs.floats(0.0, 1.0) | hs.just(1.0),
+       angle=hs.floats(0.0, 2.0 * math.pi), t_end=hs.floats(0.05, 2.0))
+def test_evolve_phi_stays_in_closed_disk(spec, k, radius, angle, t_end):
+    z0 = radius * cmath.exp(1j * angle)
+    assume(abs(z0) <= 1.0)
+    ts = np.linspace(0.0, t_end, 9)
+    tr = det.evolve_phi(spec, det.EvolutionConfig(k=k, t_end=t_end,
+                                                  dt=min(0.01, t_end)),
+                        z0, ts)
+    assert np.all(np.abs(tr.values) <= 1.0 + det.CONTAINMENT_TOL)
 
 
 def test_semigroup_property_autonomous():

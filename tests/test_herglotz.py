@@ -233,6 +233,10 @@ def test_parse_complex_literals():
     assert hg.parse_complex("-2.5i") == -2.5j
     assert hg.parse_complex("1-2i") == 1.0 - 2.0j
     assert hg.parse_complex(hg.format_complex(0.125 - 3.5j)) == 0.125 - 3.5j
+    inf = math.inf
+    for z in (complex(inf, 0.0), complex(-inf, 0.0), complex(0.0, inf),
+              complex(1.5, -inf), complex(-inf, 2.0), complex(inf, inf)):
+        assert hg.parse_complex(hg.format_complex(z)) == z
     with pytest.raises(ValueError):
         hg.parse_complex("one")
 

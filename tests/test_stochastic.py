@@ -101,6 +101,20 @@ def test_pathwise_disk_escape_is_a_typed_numerical_failure():
     assert "escapes the unit disk" in str(err)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_sde_state_is_a_disk_escape():
+    # k^2 overflows: the drift turns the state into NaN at the first step
+    path = st.sample_brownian(0, 0.01, 10)
+    for scheme in ("euler", "milstein"):
+        with pytest.raises(st.DiskEscapeError) as info:
+            st.evolve_psi_sde(hg.Cayley(), 1e200, 0.2, path, scheme=scheme)
+        assert info.value.t_reached == pytest.approx(0.01)
+    with pytest.raises(st.DiskEscapeError) as info:
+        st.expectation_Tt(hg.Cayley(), 1e200, 0.1, 0.2, lambda w: w, 10, 0,
+                          dt=0.01)
+    assert info.value.t_reached == pytest.approx(0.1)
+
+
 CATALOGUE = [hg.CayleyLinear(), hg.Cayley(), hg.ConstantImaginary(),
              hg.Automorphism(1.0, 0.3), hg.Exponential(),
              hg.Taylor([1.0, 0.3 - 0.2j, 0.1j])]
@@ -477,6 +491,17 @@ def test_covariance_mc_agrees_with_reference():
         assert abs(est.mean - want) <= 4.0 * est.std_error, key
 
 
+def test_covariance_mc_e2_is_the_mean_of_example1_pathwise(monkeypatch):
+    t, k, n, seed, dt = 0.5, 1.3, 40, 9, 0.01
+    n_steps, dt_used = st._step_grid(t, dt)
+    want = np.mean([st.example1_pathwise(0.0, k, path, t) for path in
+                    brownian_ensemble(seed, n, dt_used, n_steps)])
+    for block_paths in (st._BLOCK_PATHS, 16):
+        monkeypatch.setattr(st, "_BLOCK_PATHS", block_paths)
+        est = st.covariance_mc(t, k, n, seed, dt=dt)["e2"]
+        assert abs(est.mean - want) <= 1e-14, block_paths
+
+
 def test_covariance_mc_validates():
     with pytest.raises(ValueError):
         st.covariance_mc(0.5, 1.0, 1, 0)
@@ -593,14 +618,56 @@ def test_backward_equation_residual_zero():
     assert res2 <= 3.0 * se2
 
 
+def reference_residual(spec, k, f, t, z, n_samples, seed, dt, h=1e-2,
+                       fit_points=16):
+    """One residual sample per path from scalar SDE runs: the point to
+    t - h and t + h, each circle point to t; then |mean| and its SE."""
+    n_plus = max(2, round((t + h) / dt))
+    dt_used = (t + h) / n_plus
+    col_minus = round((t - h) / dt_used)
+    col_mid = round(t / dt_used)
+    radius = 0.15 * (1.0 - abs(z))
+    angles = 2.0 * math.pi * np.arange(fit_points) / fit_points
+    drift_z = -0.5 * k * k * z + spec._bp_field(z)
+    samples = []
+    for path in brownian_ensemble(seed, n_samples, dt_used, n_plus):
+        point = st.evolve_psi_sde(spec, k, z, path).values
+        to_mid = st.BrownianPath(dt_used, path.values[:col_mid + 1], 0)
+        u = np.array([f(st.evolve_psi_sde(spec, k, w, to_mid).values[-1])
+                      for w in z + radius * np.exp(1j * angles)])
+        c1 = np.mean(u * np.exp(-1j * angles)) / radius
+        c2 = np.mean(u * np.exp(-2j * angles)) / radius ** 2
+        au = drift_z * c1 - k * k * z * z * c2
+        samples.append((f(point[-1]) - f(point[col_minus])) / (2.0 * h) - au)
+    samples = np.array(samples)
+    mean = np.mean(samples)
+    var = np.sum(np.abs(samples - mean) ** 2) / (n_samples - 1)
+    return abs(mean), math.sqrt(var / n_samples)
+
+
+def test_backward_residual_is_a_mean_of_per_path_samples(monkeypatch):
+    spec, k, f, t, z = hg.Cayley(), 1.0, lambda w: w * w, 0.1, 0.2 + 0.1j
+    res, se = st.backward_equation_residual(spec, k, f, t, z, 200, seed=5,
+                                            dt=0.005)
+    # blocks of 64 states hold 3 paths of 17 states: 67 blocks
+    monkeypatch.setattr(st, "_BLOCK_PATHS", 64)
+    res64, se64 = st.backward_equation_residual(spec, k, f, t, z, 200,
+                                                seed=5, dt=0.005)
+    assert abs(res64 - res) <= 1e-12 and abs(se64 - se) <= 1e-12
+    # any n_samples >= 2 counts every path
+    got = st.backward_equation_residual(spec, k, f, t, z, 20, seed=5,
+                                        dt=0.005)
+    want = reference_residual(spec, k, f, t, z, 20, 5, 0.005)
+    assert got == pytest.approx(want, rel=0.0, abs=1e-12)
+
+
 def test_backward_equation_validates():
     with pytest.raises(ValueError):
         st.backward_equation_residual(hg.Cayley(), 1.0, lambda w: w,
                                       0.005, 0.2, 1000)
-    # 8 equal batches: 20 paths would leave 4 unused
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n_samples >= 2"):
         st.backward_equation_residual(hg.Cayley(), 1.0, lambda w: w,
-                                      0.5, 0.2, 20)
+                                      0.5, 0.2, 1)
     with pytest.raises(hg.DomainError):
         st.backward_equation_residual(hg.Cayley(), 1.0, lambda w: w,
                                       0.5, 1.0 + 0j, 1000)
