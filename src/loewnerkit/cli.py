@@ -45,7 +45,12 @@ MANIFEST_SCHEMA = "loewnerkit/manifest-v1"
 
 @dataclass
 class RunManifest:
-    """Record of one file-producing command invocation."""
+    """Record of one file-producing command invocation.
+
+    ``stats`` is what the run reports about itself (evolve: the
+    trajectory's steps, rejections or boundary projections); the key is
+    written only when set.
+    """
 
     command: str
     config: dict
@@ -54,6 +59,7 @@ class RunManifest:
     wall_time_s: float = 0.0
     schema: str = MANIFEST_SCHEMA
     seed: int | None = None
+    stats: dict | None = None
 
     def write(self, path):
         for out in self.outputs:
@@ -68,6 +74,8 @@ class RunManifest:
             "version": self.version,
             "wall_time_s": self.wall_time_s,
         }
+        if self.stats is not None:
+            record["stats"] = self.stats
         with open(path, "w") as fh:
             json.dump(record, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -230,7 +238,7 @@ def cmd_evolve(args, parser):
                                  "scheme", "seed", "out", "svg"))
     config["dt_used"] = dt_used
     manifest = RunManifest(command="evolve", config=config, outputs=outputs,
-                           seed=args.seed,
+                           seed=args.seed, stats=traj.stats,
                            wall_time_s=time.monotonic() - started)
     manifest.write(args.manifest or args.out + ".manifest.json")
     return 0

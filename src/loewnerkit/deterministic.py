@@ -17,7 +17,12 @@ rates, and interior fixed-point location via the inverse Koebe map.
 Numerics are a hand-rolled adaptive Dormand-Prince 5(4) pair.  It is
 kept local (rather than delegating to a library solver) because the
 step-acceptance rule enforces disk containment on top of the local
-error test, and failure must report the exact time reached.
+error test, and failure must report the exact time reached.  The step
+is written out stage by stage and reuses its last stage as the next
+step's first (six field evaluations per attempt).  Its sums keep the
+order of the tableau loop it replaced, so outputs and step counts are
+bit-identical to that loop; the error norm keeps ``np.abs`` because
+CPython's complex ``abs`` rounds differently and would move results.
 """
 
 from __future__ import annotations
@@ -87,6 +92,9 @@ class EvolutionConfig:
         integrator (and the literal step of the fixed-step SDE schemes).
     rtol, atol : float
         Local error control, accepted when err <= rtol*|phi| + atol.
+
+    Every field must be finite; a NaN or infinite value is a
+    ValueError, never a numerical failure of the integrator.
     """
 
     k: float
@@ -96,6 +104,10 @@ class EvolutionConfig:
     atol: float = 1e-12
 
     def __post_init__(self):
+        for name in ("k", "t_end", "dt"):
+            v = getattr(self, name)
+            if not math.isfinite(v):
+                raise ValueError("%s must be finite, got %r" % (name, v))
         if self.t_end < 0.0:
             raise ValueError("t_end must be >= 0, got %r" % self.t_end)
         if self.dt <= 0.0:
@@ -175,61 +187,90 @@ Example1Reference = namedtuple("Example1Reference", ["phi", "psi", "dw"])
 # adaptive Dormand-Prince 5(4)
 # --------------------------------------------------------------------------
 
-_DP_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
-_DP_A = (
-    (),
-    (1.0 / 5.0,),
-    (3.0 / 40.0, 9.0 / 40.0),
-    (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
-    (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
-    (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0,
-     -5103.0 / 18656.0),
-    (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0,
-     11.0 / 84.0),
-)
-_DP_B5 = (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0,
-          11.0 / 84.0, 0.0)
-_DP_B4 = (5179.0 / 57600.0, 0.0, 7571.0 / 16695.0, 393.0 / 640.0,
-          -92097.0 / 339200.0, 187.0 / 2100.0, 1.0 / 40.0)
+# Dormand & Prince (1980) tableau.  The seventh stage is f(t + h, y5),
+# which is the next step's first stage ("first same as last").
+_C2, _C3, _C4, _C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0
+_A21 = 1.0 / 5.0
+_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
+_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
+_A51, _A52, _A53, _A54 = (19372.0 / 6561.0, -25360.0 / 2187.0,
+                          64448.0 / 6561.0, -212.0 / 729.0)
+_A61, _A62, _A63, _A64, _A65 = (9017.0 / 3168.0, -355.0 / 33.0,
+                                46732.0 / 5247.0, 49.0 / 176.0,
+                                -5103.0 / 18656.0)
+# fifth-order weights (b2 = b7 = 0); they are also the seventh stage's row
+_B1, _B3, _B4, _B5, _B6 = (35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0,
+                           -2187.0 / 6784.0, 11.0 / 84.0)
+# error weights e = b5 - b4 against the fourth-order weights (e2 = 0)
+_E1 = _B1 - 5179.0 / 57600.0
+_E3 = _B3 - 7571.0 / 16695.0
+_E4 = _B4 - 393.0 / 640.0
+_E5 = _B5 + 92097.0 / 339200.0
+_E6 = _B6 - 187.0 / 2100.0
+_E7 = -1.0 / 40.0
 
 
-def _absmax(x):
-    return float(np.max(np.abs(x)))
+def _dp_step(field, t, y, h, k1):
+    """One Dormand-Prince step from (t, y) with k1 = field(t, y).
 
-
-def _dp_step(field, t, y, h):
-    """One Dormand-Prince step; returns (y5, error_estimate_array)."""
-    ks = []
-    for i in range(7):
-        yi = y
-        for a, kj in zip(_DP_A[i], ks):
-            if a != 0.0:
-                yi = yi + (h * a) * kj
-        ks.append(field(t + _DP_C[i] * h, yi))
-    y5 = y
-    err = 0.0 * y
-    for b5, b4, kj in zip(_DP_B5, _DP_B4, ks):
-        if b5 != 0.0:
-            y5 = y5 + (h * b5) * kj
-        d = b5 - b4
-        if d != 0.0:
-            err = err + (h * d) * kj
-    return y5, err
+    Returns (y5, error_estimate, k7) where k7 = field(t + h, y5) is the
+    first stage of the next step from there.  Each sum runs left to
+    right with zero coefficients left out.
+    """
+    k2 = field(t + _C2 * h, y + (h * _A21) * k1)
+    k3 = field(t + _C3 * h, y + (h * _A31) * k1 + (h * _A32) * k2)
+    k4 = field(t + _C4 * h,
+               y + (h * _A41) * k1 + (h * _A42) * k2 + (h * _A43) * k3)
+    k5 = field(t + _C5 * h,
+               y + (h * _A51) * k1 + (h * _A52) * k2 + (h * _A53) * k3
+               + (h * _A54) * k4)
+    k6 = field(t + h,
+               y + (h * _A61) * k1 + (h * _A62) * k2 + (h * _A63) * k3
+               + (h * _A64) * k4 + (h * _A65) * k5)
+    y5 = (y + (h * _B1) * k1 + (h * _B3) * k3 + (h * _B4) * k4
+          + (h * _B5) * k5 + (h * _B6) * k6)
+    k7 = field(t + h, y5)
+    err = ((h * _E1) * k1 + (h * _E3) * k3 + (h * _E4) * k4
+           + (h * _E5) * k5 + (h * _E6) * k6 + (h * _E7) * k7)
+    return y5, err, k7
 
 
 def _integrate(field, y0, sample_times, cfg):
     """Drive the DP 5(4) pair through ``sample_times``.
 
     ``y0`` is a complex scalar or ndarray; the error test and the
-    containment test (always enforced) reduce elementwise by max.
+    containment test (always enforced) reduce elementwise by max.  An
+    accepted step hands its last stage on as the next first stage; a
+    rejected one keeps its first stage, since t and y are unchanged.
     Returns (values_at_sample_times, stats).
     """
-    y = np.asarray(y0, dtype=complex) if np.ndim(y0) else complex(y0)
+    atol, rtol = cfg.atol, cfg.rtol
+    if np.ndim(y0):
+        y = np.asarray(y0, dtype=complex)
+
+        def finite(v):
+            return bool(np.isfinite(v).all())
+
+        def modulus(v):
+            return float(np.max(np.abs(v)))
+
+        def error_ratio(v, e):
+            return float(np.max(np.abs(e) / (atol + rtol * np.abs(v))))
+    else:
+        y = complex(y0)
+        finite = cmath.isfinite
+        modulus = abs
+
+        # np.abs, not abs: CPython's complex abs rounds differently, and
+        # this ratio feeds the step size of every later step
+        def error_ratio(v, e):
+            return float(np.abs(e) / (atol + rtol * np.abs(v)))
     t = float(sample_times[0])
     out = [y]
     steps = 0
     rejections = 0
     h = cfg.dt
+    k1 = None
     for target in sample_times[1:]:
         target = float(target)
         while t < target - 1e-15 * max(1.0, abs(target)):
@@ -239,28 +280,29 @@ def _integrate(field, y0, sample_times, cfg):
                 # resolve; the state is already at the target to within
                 # every tolerance in play, so record it as arrived.
                 t = target
+                k1 = None
                 break
             h_use = min(h, gap)
             if h_use < MIN_STEP:
                 raise StiffnessError(
                     "step size underflow (h=%.3e) at t=%.12g" % (h_use, t),
                     t_reached=t)
-            y_new, err = _dp_step(field, t, y, h_use)
-            bad = not np.all(np.isfinite(np.atleast_1d(np.asarray(y_new))))
-            if not bad:
-                scale = cfg.atol + cfg.rtol * np.abs(y_new)
-                ratio = float(np.max(np.abs(err) / scale))
-            if bad:
+            if k1 is None:
+                k1 = field(t, y)
+            y_new, err, k7 = _dp_step(field, t, y, h_use, k1)
+            if not finite(y_new):
                 rejections += 1
                 h = h_use * 0.25
                 continue
-            if _absmax(y_new) > 1.0 + CONTAINMENT_TOL:
+            if modulus(y_new) > 1.0 + CONTAINMENT_TOL:
                 rejections += 1
                 h = h_use * 0.5
                 continue
+            ratio = error_ratio(y_new, err)
             if ratio <= 1.0:
                 t += h_use
                 y = y_new
+                k1 = k7
                 steps += 1
                 grow = 5.0 if ratio == 0.0 else min(5.0, max(0.2, 0.9 * ratio ** -0.2))
                 h = min(cfg.dt, h_use * grow)

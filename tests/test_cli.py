@@ -97,6 +97,8 @@ def test_evolve_det_closed_orbit(capsys, tmp_path):
     assert manifest["config"]["spec"] == "cayley"
     assert manifest["config"]["dt_used"] > 0
     assert manifest["wall_time_s"] >= 0
+    assert manifest["stats"]["steps"] > 0
+    assert manifest["stats"]["rejections"] >= 0
 
 
 def test_evolve_zero_duration(capsys, tmp_path):
@@ -139,6 +141,7 @@ def test_evolve_random_manifest_records_seed(capsys, tmp_path):
     assert rc == 0
     manifest = json.loads((tmp_path / "r.csv.manifest.json").read_text())
     assert manifest["seed"] == 42
+    assert manifest["stats"]["steps"] > 0
 
 
 def test_evolve_sde_mode(capsys, tmp_path):
@@ -151,6 +154,21 @@ def test_evolve_sde_mode(capsys, tmp_path):
     rows = read_rows(out)
     assert rows[1][3] == "psi"
     assert len(rows) == 52        # header + 51 samples
+
+
+def test_evolve_sde_manifest_reports_projections(capsys, tmp_path):
+    # k = 30 on a 0.2 grid is far too coarse: every step lands outside
+    # the disk and is projected back, and the manifest says so
+    out = tmp_path / "coarse.csv"
+    rc, _, _ = run(capsys, [
+        "evolve", "--spec", "cayley", "--k", "30", "--z0", "0.5",
+        "--t-end", "2", "--dt", "0.2", "--mode", "sde", "--seed", "0",
+        "--out", str(out)])
+    assert rc == 0
+    manifest = json.loads((tmp_path / "coarse.csv.manifest.json").read_text())
+    assert manifest["schema"] == "loewnerkit/manifest-v1"
+    assert manifest["stats"]["steps"] == 10
+    assert manifest["stats"]["projections"] == 10
 
 
 def test_evolve_manifest_path_override(capsys, tmp_path):

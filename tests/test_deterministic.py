@@ -41,6 +41,15 @@ def test_config_validation():
         cfg(1.0, 1.0, atol=0.0)
 
 
+@pytest.mark.parametrize("field", ["k", "t_end", "dt"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite(field, value):
+    args = {"k": 1.0, "t_end": 1.0, "dt": 0.01}
+    args[field] = value
+    with pytest.raises(ValueError, match="%s must be finite" % field):
+        det.EvolutionConfig(**args)
+
+
 def test_trajectory_validation():
     with pytest.raises(ValueError):
         det.Trajectory(times=[0.0, 1.0], values=[0.0, 2.0], frame="phi")
