@@ -414,7 +414,8 @@ def cmd_figures(args, parser):
     config = _config_dict(args, ("which", "points", "out_dir"))
     manifest = RunManifest(command="figures", config=config, outputs=outputs,
                            wall_time_s=time.monotonic() - started)
-    manifest.write(os.path.join(args.out_dir, "fig1.manifest.json"))
+    manifest.write(args.manifest
+                   or os.path.join(args.out_dir, "fig1.manifest.json"))
     return 0
 
 
@@ -422,10 +423,13 @@ def cmd_figures(args, parser):
 # parser assembly
 # --------------------------------------------------------------------------
 
-def _add_common(sub):
+def _add_config(sub):
     sub.add_argument("--config", help="key=value file; explicit flags win")
-    sub.add_argument("--manifest", help="manifest path (default: <out>"
-                     ".manifest.json)")
+
+
+def _add_manifest(sub, default="<out>.manifest.json"):
+    sub.add_argument("--manifest", help="manifest path (default: %s)"
+                     % default)
 
 
 def build_parser():
@@ -457,7 +461,8 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="evolve.csv")
     p.add_argument("--svg", help="also draw the trajectory to this file")
-    _add_common(p)
+    _add_config(p)
+    _add_manifest(p)
     registry["evolve"] = (p, cmd_evolve)
 
     p = subs.add_parser(
@@ -472,7 +477,7 @@ def build_parser():
     p.add_argument("--closed-check", action="store_true",
                    dest="closed_check")
     p.add_argument("--max-den", type=int, default=64, dest="max_den")
-    _add_common(p)
+    _add_config(p)
     registry["classify"] = (p, cmd_classify)
 
     p = subs.add_parser(
@@ -488,7 +493,8 @@ def build_parser():
     p.add_argument("--closure", choices=("zero", "frozen"), default="zero")
     p.add_argument("--points", type=_positive_count, default=65)
     p.add_argument("--out", default="moments.csv")
-    _add_common(p)
+    _add_config(p)
+    _add_manifest(p)
     registry["moments"] = (p, cmd_moments)
 
     p = subs.add_parser(
@@ -503,7 +509,7 @@ def build_parser():
     p.add_argument("--k", type=_finite_float, default=1.0)
     p.add_argument("--dt", type=_positive_float, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
+    _add_config(p)
     registry["bounds"] = (p, cmd_bounds)
 
     p = subs.add_parser(
@@ -523,7 +529,8 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="boundary.csv")
     p.add_argument("--svg", help="draw the image curve (image mode)")
-    _add_common(p)
+    _add_config(p)
+    _add_manifest(p)
     registry["boundary"] = (p, cmd_boundary)
 
     p = subs.add_parser(
@@ -534,7 +541,8 @@ def build_parser():
     p.add_argument("--which", default="fig1")
     p.add_argument("--points", type=int, default=256)
     p.add_argument("--out-dir", default=".", dest="out_dir")
-    _add_common(p)
+    _add_config(p)
+    _add_manifest(p, default="<out-dir>/fig1.manifest.json")
     registry["figures"] = (p, cmd_figures)
 
     return parser, registry

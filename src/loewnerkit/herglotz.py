@@ -117,8 +117,11 @@ class HerglotzSpec:
         raise NotImplementedError
 
     def _bp_field(self, w):
-        # generic fallback, fine away from w = 1
-        return (w - 1.0) ** 2 * self._value(w)
+        # generic fallback, fine away from w = 1; d * d, not d ** 2: on a
+        # Python complex, ** also multiplies by 1 + 0j, which can turn a
+        # -0.0 part into +0.0 where NumPy keeps it
+        d = w - 1.0
+        return d * d * self._value(w)
 
     def _taylor(self, n):
         raise NotImplementedError

@@ -128,8 +128,8 @@ class BrownianPath:
     algorithm_id: str = BROWNIAN_ALGORITHM_ID
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError("dt must be > 0, got %r" % self.dt)
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError("dt must be finite and > 0, got %r" % self.dt)
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1 or len(values) < 1:
             raise ValueError("values must be a nonempty 1-d array")
@@ -230,8 +230,8 @@ def sample_brownian(seed, dt, n_steps):
         A BrownianPath with independent N(0, dt) increments.
     """
     dt = float(dt)
-    if dt <= 0.0:
-        raise ValueError("dt must be > 0, got %r" % dt)
+    if not 0.0 < dt < math.inf:
+        raise ValueError("dt must be finite and > 0, got %r" % dt)
     n_steps = int(n_steps)
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
@@ -382,10 +382,13 @@ def _path_blocks(root_seed, n_samples, dt, n_steps, width=1):
 def _step_grid(t, dt):
     """(n_steps, dt_used) of the uniform grid that lands exactly on t.
 
-    t == 0 takes no step and keeps dt; a negative t raises ValueError.
+    t == 0 takes no step and keeps dt.  A negative or non-finite t and a
+    non-finite or non-positive dt raise ValueError.
     """
-    if t < 0.0:
-        raise ValueError("need t >= 0, got %r" % t)
+    if not 0.0 < dt < math.inf:
+        raise ValueError("dt must be finite and > 0, got %r" % dt)
+    if not 0.0 <= t < math.inf:
+        raise ValueError("need t >= 0 and finite, got %r" % t)
     if t == 0.0:
         return 0, dt
     n_steps = max(1, round(t / dt))
@@ -563,6 +566,41 @@ def mean_phi_example1(z, t, k):
 # Ito SDE for the rotating-frame process
 # --------------------------------------------------------------------------
 
+def _sde_stepper(spec, k, dt, scheme):
+    """The scheme's step of the rotating-frame SDE, as step(psi, db).
+
+    step(psi, db) = psi + ((-k^2/2 psi + b(psi)) dt - ik psi db
+    [- k^2/2 psi (db^2 - dt)]), the bracket for milstein only, evaluated
+    in that order; b is the spec's drift field.  psi is a Python complex
+    or an array, db a float or an array that broadcasts against psi.
+    The augmented assignments rebind a scalar and update the step's own
+    array in place; either way the rounding is that of the plain
+    expression.
+
+    Raises:
+        ValueError: ``scheme`` is neither "euler" nor "milstein".
+    """
+    if scheme not in ("euler", "milstein"):
+        raise ValueError("scheme must be 'euler' or 'milstein', got %r" % scheme)
+    k = float(k)
+    k2h = 0.5 * k * k
+    ik = 1j * k
+    milstein = scheme == "milstein"
+    field = spec._bp_field
+
+    def step(psi, db):
+        out = -k2h * psi
+        out += field(psi)
+        out *= dt
+        out -= ik * psi * db
+        if milstein:
+            out -= k2h * psi * (db * db - dt)
+        out += psi
+        return out
+
+    return step
+
+
 def evolve_psi_sde(spec, k, z0, path, scheme="milstein"):
     """Discretize the rotating-frame Ito SDE along one Brownian path.
 
@@ -584,22 +622,16 @@ def evolve_psi_sde(spec, k, z0, path, scheme="milstein"):
     """
     if abs(z0) >= 1.0:
         raise DomainError("need |z0| < 1, got %r" % abs(z0))
-    if scheme not in ("euler", "milstein"):
-        raise ValueError("scheme must be 'euler' or 'milstein', got %r" % scheme)
-    k = float(k)
     dt = path.dt
-    k2h = 0.5 * k * k
+    step = _sde_stepper(spec, k, dt, scheme)
     psi = complex(z0)
     values = [psi]
     projections = 0
-    # scalar on purpose: one path through _psi_sde_block costs 17-24x
-    # more per step (18-28 us against 0.8-1.3 us, six catalogue specs)
+    # scalar on purpose: one path through _psi_sde_block costs 13-23x
+    # more per step (18-39 us against 0.8-2.7 us, six catalogue specs,
+    # 2-core x86-64 VM)
     for db in path.increments().tolist():
-        drift = -k2h * psi + spec._bp_field(psi)
-        step = drift * dt - 1j * k * psi * db
-        if scheme == "milstein":
-            step = step - k2h * psi * (db * db - dt)
-        psi = psi + step
+        psi = step(psi, db)
         r = abs(psi)
         if not r < 1.0:
             if not math.isfinite(r):
@@ -624,8 +656,8 @@ def _psi_sde_block(spec, k, psi0, paths, dt, scheme, record_cols=None):
     """Vectorized SDE stepping for a block of paths.
 
     Args:
-        psi0: initial state, scalar or array broadcastable against a
-            path-indexed first axis.
+        psi0: initial state, a scalar or an array with one row per path
+            (a 2-d array steps each row's columns along that path).
         paths: (n_paths, n_steps + 1) Brownian path values; step j uses
             the increment paths[:, j+1] - paths[:, j].
         record_cols: optional collection of path columns at which to
@@ -638,48 +670,18 @@ def _psi_sde_block(spec, k, psi0, paths, dt, scheme, record_cols=None):
         DiskEscapeError: the final state is not finite; a NaN state
             stays NaN to the end, as projection skips it.
     """
-    k = float(k)
-    k2h = 0.5 * k * k
-    ik = 1j * k
+    step = _sde_stepper(spec, k, dt, scheme)
     n_paths, n_cols = paths.shape
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.ndim == 0:
-        psi = np.full(n_paths, complex(psi0))
-    else:
-        if psi0.shape[0] != n_paths:
-            raise ValueError("psi0 must have one row per path")
-        psi = psi0.copy()
-    # step = (-k2h psi + b(psi)) dt - ik psi db [- k2h psi (db^2 - dt)],
-    # one ufunc per operation in that order, so the rounding is that of
-    # the plain expression, with every intermediate in a reused buffer
-    drift = np.empty_like(psi)
-    step = np.empty_like(psi)
-    noise = np.empty_like(psi)
-    r = np.empty(psi.shape)
-    mask = np.empty(psi.shape, dtype=bool)
-    increment = np.empty(n_paths)
-    db = increment[:, None] if psi.ndim == 2 else increment
-    dbsq = np.empty(db.shape)
-    milstein = scheme == "milstein"
+    psi = np.array(np.broadcast_to(psi0, (n_paths,) + np.shape(psi0)[1:]),
+                   dtype=complex)
+    # one increment per row, a column of them for a 2-d state
+    B = paths if psi.ndim == 1 else paths[:, :, None]
     snapshots = {}
     projections = 0
     for j in range(n_cols - 1):
-        np.subtract(paths[:, j + 1], paths[:, j], out=increment)
-        np.multiply(-k2h, psi, out=drift)
-        np.add(drift, spec._bp_field(psi), out=drift)
-        np.multiply(drift, dt, out=step)
-        np.multiply(ik, psi, out=noise)
-        np.multiply(noise, db, out=noise)
-        np.subtract(step, noise, out=step)
-        if milstein:
-            np.multiply(db, db, out=dbsq)
-            np.subtract(dbsq, dt, out=dbsq)
-            np.multiply(k2h, psi, out=noise)
-            np.multiply(noise, dbsq, out=noise)
-            np.subtract(step, noise, out=step)
-        np.add(psi, step, out=psi)
-        np.abs(psi, out=r)
-        np.greater_equal(r, 1.0, out=mask)
+        psi = step(psi, B[:, j + 1] - B[:, j])
+        r = np.abs(psi)
+        mask = r >= 1.0
         if mask.any():
             projections += int(np.count_nonzero(mask))
             psi[mask] *= (1.0 - 1e-12) / r[mask]
@@ -727,6 +729,7 @@ def expectation_Tt(spec, k, t, z, f, n_samples, seed,
     t = float(t)
     n_steps, dt_used = _step_grid(t, dt)
     if n_steps == 0:
+        _sde_stepper(spec, k, dt_used, scheme)  # rejects an unknown scheme
         return McEstimate(mean=complex(f(complex(z))), std_error=0.0,
                           n_samples=n_samples)
     return _mc_estimate(
@@ -1124,8 +1127,7 @@ def backward_equation_residual(spec, k, f, t, z, n_samples, seed=0,
         raise ValueError("need n_samples >= 2, got %r" % n_samples)
     k = float(k)
 
-    n_plus = max(2, round((t + h) / dt))
-    dt_used = (t + h) / n_plus
+    n_plus, dt_used = _step_grid(t + h, dt)
     col_minus = round((t - h) / dt_used)
     col_mid = round(t / dt_used)
     if not (0 < col_minus < col_mid < n_plus):

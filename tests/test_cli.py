@@ -182,6 +182,30 @@ def test_evolve_manifest_path_override(capsys, tmp_path):
     assert json.loads(man.read_text())["command"] == "evolve"
 
 
+def test_figures_manifest_path_override(capsys, tmp_path):
+    man = tmp_path / "custom.json"
+    rc, _, _ = run(capsys, ["figures", "--points", "32",
+                            "--out-dir", str(tmp_path / "figs"),
+                            "--manifest", str(man)])
+    assert rc == 0
+    assert json.loads(man.read_text())["command"] == "figures"
+    assert not (tmp_path / "figs" / "fig1.manifest.json").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["classify", "--spec", "automorphism:1,0", "--k", "2"],
+    ["bounds", "--spec", "cayley", "--r0", "0.3", "--t", "0.5"],
+], ids=["classify", "bounds"])
+def test_manifest_flag_only_where_a_manifest_is_written(capsys, tmp_path,
+                                                         args):
+    # classify and bounds print JSON and write no file
+    man = tmp_path / "m.json"
+    rc, _, err = run(capsys, args + ["--manifest", str(man)])
+    assert rc == 2
+    assert "--manifest" in err
+    assert not man.exists()
+
+
 # ---------------------------------------------------------------- classify
 
 def test_classify_parabolic(capsys):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from loewnerkit import deterministic as dm
@@ -41,8 +41,11 @@ def test_sample_brownian_shape_and_start():
 
 
 def test_sample_brownian_validates():
-    with pytest.raises(ValueError):
-        st.sample_brownian(1, 0.0, 10)
+    for dt in (0.0, -1e-3, math.nan, math.inf):
+        with pytest.raises(ValueError, match="dt must be finite and > 0"):
+            st.sample_brownian(1, dt, 10)
+        with pytest.raises(ValueError, match="dt must be finite and > 0"):
+            st.BrownianPath(dt=dt, values=np.array([0.0, 0.1]), seed=0)
     with pytest.raises(ValueError):
         st.sample_brownian(1, 0.01, -1)
     with pytest.raises(ValueError):
@@ -177,6 +180,9 @@ def admissible_taylor(draw):
 @settings(max_examples=200, deadline=None)
 @given(spec=hs.one_of(hs.just(hg.Exponential()), admissible_taylor()),
        z=hs.complex_numbers(max_magnitude=1.0))
+# (w - 1) ** 2 on a Python complex turned the -0.0 real part into +0.0
+@example(spec=hg.Exponential(), z=1 - 1.1125369292536007e-308j)
+@example(spec=hg.Taylor([1.0, 0.5]), z=1 - 1.1125369292536007e-308j)
 def test_scalar_spec_evaluation_matches_array_path(spec, z):
     # a Python complex rounds bit for bit like a NumPy scalar; NumPy's
     # complex-multiply loop may fuse a multiply-add, so the 1-element array
@@ -450,6 +456,17 @@ def test_expectation_validates():
     for t in (0.5, 0.0):
         with pytest.raises(hg.DomainError):
             st.expectation_Tt(spec, 1.0, t, 1.5, lambda z: z, 100, 0)
+        # an unknown scheme is rejected, not run as euler
+        with pytest.raises(ValueError, match="scheme must be"):
+            st.expectation_Tt(spec, 1.0, t, 0.2, lambda z: z, 100, 0,
+                              scheme="Milstein")
+    for dt in (-1e-3, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="dt must be finite and > 0"):
+            st.expectation_Tt(spec, 1.0, 0.5, 0.2, lambda z: z, 100, 0,
+                              dt=dt)
+    for t in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="need t >= 0"):
+            st.expectation_Tt(spec, 1.0, t, 0.2, lambda z: z, 100, 0)
     with pytest.raises(ValueError):
         st.McEstimate(mean=0j, std_error=-1.0, n_samples=10)
 
@@ -507,6 +524,9 @@ def test_covariance_mc_validates():
         st.covariance_mc(0.5, 1.0, 1, 0)
     with pytest.raises(ValueError, match="need t >= 0"):
         st.covariance_mc(-0.5, 1.0, 100, 0)
+    for dt in (-1e-3, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="dt must be finite and > 0"):
+            st.covariance_mc(0.5, 1.0, 100, 0, dt=dt)
     at_zero = st.covariance_mc(0.0, 1.0, 8, 0)
     assert at_zero["e1"].mean == 1.0 and at_zero["e2"].mean == 0.0
     assert all(est.std_error == 0.0 for est in at_zero.values())
@@ -671,6 +691,10 @@ def test_backward_equation_validates():
     with pytest.raises(hg.DomainError):
         st.backward_equation_residual(hg.Cayley(), 1.0, lambda w: w,
                                       0.5, 1.0 + 0j, 1000)
+    for dt in (-1e-3, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="dt must be finite and > 0"):
+            st.backward_equation_residual(hg.Cayley(), 1.0, lambda w: w,
+                                          0.5, 0.2, 100, dt=dt)
 
 
 # --------------------------------------------------------------------------
