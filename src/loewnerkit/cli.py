@@ -2,9 +2,12 @@
 
 Exit codes: 0 success, 1 numerical failure, 2 usage error.  Every
 command is deterministic given its full flag set (seeds included).
-File-producing commands write a JSON run manifest alongside their
-outputs; re-running with the manifest's config reproduces the same
-bytes.
+File-producing commands (evolve, moments, boundary, figures) write a
+JSON run manifest to --manifest or to a default path by their outputs;
+its ``config`` records every option of the subcommand, so re-running
+with it reproduces the same bytes.  A ``--config`` file may set any
+option of its subcommand, ``manifest`` included; an unknown key is a
+usage error.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,44 +44,41 @@ from .herglotz import (
 from .stochastic import _BOUND_SPECS
 
 MANIFEST_SCHEMA = "loewnerkit/manifest-v1"
+# options that steer a run rather than describe it; no manifest records them
+_UNRECORDED = ("help", "config", "manifest")
 
 
-@dataclass
-class RunManifest:
-    """Record of one file-producing command invocation.
+class Written(NamedTuple):
+    """What a file-producing command wrote: its outputs, the default
+    manifest path, what the run reports about itself (evolve: steps,
+    rejections or projections) and computed config entries (dt_used)."""
 
-    ``stats`` is what the run reports about itself (evolve: the
-    trajectory's steps, rejections or boundary projections); the key is
-    written only when set.
-    """
-
-    command: str
-    config: dict
     outputs: list
-    version: str = __version__
-    wall_time_s: float = 0.0
-    schema: str = MANIFEST_SCHEMA
-    seed: int | None = None
+    manifest: str
     stats: dict | None = None
+    extra: dict | None = None
 
-    def write(self, path):
-        for out in self.outputs:
-            if not os.path.exists(out) or os.path.getsize(out) == 0:
-                raise Error("output file missing or empty: %s" % out)
-        record = {
-            "schema": self.schema,
-            "command": self.command,
-            "config": self.config,
-            "seed": self.seed,
-            "outputs": list(self.outputs),
-            "version": self.version,
-            "wall_time_s": self.wall_time_s,
-        }
-        if self.stats is not None:
-            record["stats"] = self.stats
-        with open(path, "w") as fh:
-            json.dump(record, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+
+def write_manifest(args, sub, written, wall_time_s):
+    """Write the manifest of one run of subcommand ``sub`` to
+    --manifest, else to ``written.manifest``; Error if an output is
+    missing or empty.  ``config`` is every option of ``sub`` (less
+    _UNRECORDED) plus ``written.extra``."""
+    for out in written.outputs:
+        if not os.path.exists(out) or os.path.getsize(out) == 0:
+            raise Error("output file missing or empty: %s" % out)
+    config = {a.dest: _jsonable(getattr(args, a.dest)) for a in sub._actions
+              if a.dest not in _UNRECORDED}
+    config.update(written.extra or {})
+    record = {"schema": MANIFEST_SCHEMA, "command": args.command,
+              "config": config, "seed": getattr(args, "seed", None),
+              "outputs": list(written.outputs), "version": __version__,
+              "wall_time_s": wall_time_s}
+    if written.stats is not None:
+        record["stats"] = written.stats
+    with open(args.manifest or written.manifest, "w") as fh:
+        json.dump(record, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 # --------------------------------------------------------------------------
@@ -125,18 +125,20 @@ def _positive_count(text):
 def _jsonable(value):
     if isinstance(value, complex):
         return format_complex(value)
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
     return value
-
-
-def _config_dict(args, keys):
-    return {key: _jsonable(getattr(args, key)) for key in keys}
 
 
 def _write_text(path, text):
     with open(path, "w") as fh:
         fh.write(text)
+
+
+def _write_csv(path, header, columns):
+    """Header line, then one row per entry of the equal-length columns;
+    every number as %.17g, which round-trips a double."""
+    rows = np.column_stack(columns).tolist()
+    _write_text(path, "\n".join([header] + [",".join("%.17g" % x for x in row)
+                                           for row in rows]) + "\n")
 
 
 def _sample_grid(t_end, dt):
@@ -206,7 +208,6 @@ def render_disk_svg(curves, tau=None, title=None, size=480):
 def cmd_evolve(args, parser):
     _require(args, parser, "spec", "k", "t_end")
     spec = parse_spec(args.spec)
-    started = time.monotonic()
     t_end, dt = args.t_end, args.dt
     grid = _sample_grid(t_end, dt)
     dt_used = dt
@@ -234,14 +235,8 @@ def cmd_evolve(args, parser):
                               % (spec.text_form(), args.k, traj.frame))
         _write_text(args.svg, svg)
         outputs.append(args.svg)
-    config = _config_dict(args, ("spec", "k", "z0", "t_end", "dt", "mode",
-                                 "scheme", "seed", "out", "svg"))
-    config["dt_used"] = dt_used
-    manifest = RunManifest(command="evolve", config=config, outputs=outputs,
-                           seed=args.seed, stats=traj.stats,
-                           wall_time_s=time.monotonic() - started)
-    manifest.write(args.manifest or args.out + ".manifest.json")
-    return 0
+    return Written(outputs, args.out + ".manifest.json", stats=traj.stats,
+                   extra={"dt_used": dt_used})
 
 
 def _classify_params(args, parser):
@@ -288,28 +283,15 @@ def cmd_classify(args, parser):
 def cmd_moments(args, parser):
     _require(args, parser, "spec", "k")
     spec = parse_spec(args.spec)
-    started = time.monotonic()
     times = np.linspace(0.0, args.t_end, args.points)
     table = stochastic.solve_moment_hierarchy(
         spec, args.k, args.z0, args.t_end, args.m, args.truncation,
         closure=args.closure, sample_times=times)
     header = "t" + "".join(",re_mu%d,im_mu%d" % (m, m) for m in table.orders)
-    lines = [header]
-    for i, t in enumerate(table.times):
-        row = ["%.17g" % t]
-        for j in range(len(table.orders)):
-            v = table.values[i, j]
-            row.append("%.17g" % v.real)
-            row.append("%.17g" % v.imag)
-        lines.append(",".join(row))
-    _write_text(args.out, "\n".join(lines) + "\n")
-    config = _config_dict(args, ("spec", "k", "z0", "t_end", "m",
-                                 "truncation", "closure", "points", "out"))
-    manifest = RunManifest(command="moments", config=config,
-                           outputs=[args.out],
-                           wall_time_s=time.monotonic() - started)
-    manifest.write(args.manifest or args.out + ".manifest.json")
-    return 0
+    _write_csv(args.out, header,
+               [table.times] + [part for mu in table.values.T
+                                for part in (mu.real, mu.imag)])
+    return Written([args.out], args.out + ".manifest.json")
 
 
 def cmd_bounds(args, parser):
@@ -348,17 +330,15 @@ def cmd_bounds(args, parser):
 
 
 def cmd_boundary(args, parser):
-    started = time.monotonic()
     outputs = []
+    extra = None
     if args.what == "image":
         _require(args, parser, "spec", "k", "t")
         spec = parse_spec(args.spec)
         points = boundary_image(spec, args.k, args.t, args.points)
         angles = 2.0 * math.pi * np.arange(len(points)) / len(points)
-        lines = ["angle,re,im"]
-        for a, z in zip(angles, points):
-            lines.append("%.17g,%.17g,%.17g" % (a, z.real, z.imag))
-        _write_text(args.out, "\n".join(lines) + "\n")
+        _write_csv(args.out, "angle,re,im",
+                   [angles, np.real(points), np.imag(points)])
         outputs.append(args.out)
         if args.svg:
             closed = list(points) + [points[0]]
@@ -368,27 +348,16 @@ def cmd_boundary(args, parser):
                                   % (spec.text_form(), args.k, args.t))
             _write_text(args.svg, svg)
             outputs.append(args.svg)
-        config = _config_dict(args, ("what", "spec", "k", "t", "points",
-                                     "out", "svg"))
     else:
         _require(args, parser, "A", "B", "k", "t_end")
         n_steps, dt_used = stochastic._step_grid(args.t_end, args.dt)
         path = stochastic.sample_brownian(args.seed, dt_used, n_steps)
         theta = stochastic.simulate_boundary_diffusion(
             args.A, args.B, args.k, args.theta0, path)
-        lines = ["t,theta"]
-        for t, th in zip(path.time_grid(), theta):
-            lines.append("%.17g,%.17g" % (t, th))
-        _write_text(args.out, "\n".join(lines) + "\n")
+        _write_csv(args.out, "t,theta", [path.time_grid(), theta])
         outputs.append(args.out)
-        config = _config_dict(args, ("what", "A", "B", "k", "theta0",
-                                     "t_end", "dt", "seed", "out"))
-        config["dt_used"] = dt_used
-    manifest = RunManifest(command="boundary", config=config,
-                           outputs=outputs, seed=args.seed,
-                           wall_time_s=time.monotonic() - started)
-    manifest.write(args.manifest or args.out + ".manifest.json")
-    return 0
+        extra = {"dt_used": dt_used}
+    return Written(outputs, args.out + ".manifest.json", extra=extra)
 
 
 _FIG1_TIMES = (("a", math.pi / 4.0, "t = pi/4"),
@@ -399,7 +368,6 @@ _FIG1_TIMES = (("a", math.pi / 4.0, "t = pi/4"),
 def cmd_figures(args, parser):
     if args.which != "fig1":
         parser.error("unknown figure %r (available: fig1)" % args.which)
-    started = time.monotonic()
     os.makedirs(args.out_dir, exist_ok=True)
     spec = Exponential()
     outputs = []
@@ -411,12 +379,7 @@ def cmd_figures(args, parser):
         out_path = os.path.join(args.out_dir, "fig1_%s.svg" % tag)
         _write_text(out_path, svg)
         outputs.append(out_path)
-    config = _config_dict(args, ("which", "points", "out_dir"))
-    manifest = RunManifest(command="figures", config=config, outputs=outputs,
-                           wall_time_s=time.monotonic() - started)
-    manifest.write(args.manifest
-                   or os.path.join(args.out_dir, "fig1.manifest.json"))
-    return 0
+    return Written(outputs, os.path.join(args.out_dir, "fig1.manifest.json"))
 
 
 # --------------------------------------------------------------------------
@@ -570,7 +533,7 @@ def _load_config(path):
 
 def _apply_config(args, sub, values, argv):
     for dest, raw in values.items():
-        if dest in ("config", "manifest"):
+        if dest == "config":
             continue
         action = next((a for a in sub._actions if a.dest == dest), None)
         if action is None:
@@ -599,7 +562,12 @@ def main(argv=None):
     try:
         if args.config:
             _apply_config(args, sub, _load_config(args.config), argv)
-        return run(args, sub)
+        started = time.monotonic()
+        result = run(args, sub)
+        if isinstance(result, Written):
+            write_manifest(args, sub, result, time.monotonic() - started)
+            return 0
+        return result
     except SystemExit as exc:
         return int(exc.code or 0)
     except (ValueError, argparse.ArgumentTypeError) as exc:

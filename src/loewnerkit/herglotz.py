@@ -101,7 +101,8 @@ def format_complex(z):
 class HerglotzSpec:
     """Abstract base for Herglotz function specs.
 
-    Subclasses set ``variant`` to their text-form token, implement
+    Subclasses set ``variant`` to their text-form token (the whole text
+    form unless ``text_form`` adds parameters), implement
     ``_value`` and ``_taylor``, and override ``_bp_field`` whenever the
     product ``(w - 1)^2 p(w)`` simplifies to something polynomial (the
     Cayley-type specs have a simple pole at ``w = 1`` that cancels).
@@ -127,7 +128,7 @@ class HerglotzSpec:
         raise NotImplementedError
 
     def text_form(self):
-        raise NotImplementedError
+        return self.variant
 
     def __repr__(self):
         return "%s(%r)" % (type(self).__name__, self.text_form())
@@ -160,9 +161,6 @@ class CayleyLinear(HerglotzSpec):
     def _taylor(self, n):
         return [1.0 + 0.0j] * (n + 1)
 
-    def text_form(self):
-        return "cayley-linear"
-
 
 class Cayley(HerglotzSpec):
     """p(z) = (1 + z) / (1 - z), the Cayley map of the disk onto the
@@ -182,9 +180,6 @@ class Cayley(HerglotzSpec):
         out[0] = 1.0 + 0.0j
         return out
 
-    def text_form(self):
-        return "cayley"
-
 
 class ConstantImaginary(HerglotzSpec):
     """p(z) = i, the degenerate purely imaginary constant."""
@@ -201,9 +196,6 @@ class ConstantImaginary(HerglotzSpec):
         out = [0.0 + 0.0j] * (n + 1)
         out[0] = 1j
         return out
-
-    def text_form(self):
-        return "const-i"
 
 
 class Automorphism(HerglotzSpec):
@@ -265,9 +257,6 @@ class Exponential(HerglotzSpec):
     def _taylor(self, n):
         half_pi = math.pi / 2.0
         return [complex(half_pi ** m / math.factorial(m)) for m in range(n + 1)]
-
-    def text_form(self):
-        return "exponential"
 
 
 class Taylor(HerglotzSpec):
@@ -403,17 +392,16 @@ def berkson_porta_p0(spec, k, tau0, z):
     return complex(num / den)
 
 
+# the specs without parameters, by text form
+_PLAIN_SPECS = {cls.variant: cls
+                for cls in (CayleyLinear, Cayley, ConstantImaginary, Exponential)}
+
+
 def parse_spec(text):
     """Parse a spec text form; inverse of ``spec.text_form()``."""
     s = str(text).strip()
-    if s == "cayley-linear":
-        return CayleyLinear()
-    if s == "cayley":
-        return Cayley()
-    if s == "const-i":
-        return ConstantImaginary()
-    if s == "exponential":
-        return Exponential()
+    if s in _PLAIN_SPECS:
+        return _PLAIN_SPECS[s]()
     if s.startswith("automorphism:"):
         body = s.split(":", 1)[1]
         parts = body.split(",")

@@ -173,9 +173,7 @@ class MomentTable:
         values = np.asarray(self.values, dtype=complex)
         if values.shape != (len(times), len(self.orders)):
             raise ValueError("values must have shape (len(times), len(orders))")
-        if self.closure not in ("zero", "frozen"):
-            raise ValueError("closure must be 'zero' or 'frozen', got %r"
-                             % self.closure)
+        _check_closure(self.closure)
         if values.size and np.max(np.abs(values)) > 1.0 + _MOMENT_TOL:
             raise ValueError("moments of a disk-valued process cannot "
                              "exceed 1 in modulus")
@@ -379,6 +377,14 @@ def _path_blocks(root_seed, n_samples, dt, n_steps, width=1):
                          dt, n_steps)
 
 
+def _finite(name, value):
+    """float(value); ValueError if it is NaN or infinite."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError("%s must be finite, got %r" % (name, value))
+    return value
+
+
 def _step_grid(t, dt):
     """(n_steps, dt_used) of the uniform grid that lands exactly on t.
 
@@ -447,9 +453,9 @@ def evolve_phi_pathwise(spec, k, z0, path, sample_times):
             (fixed-step RK4 has no error control; coarse grids at high k
             can leave the disk).
     """
-    if abs(z0) > 1.0:
+    if not abs(z0) <= 1.0:
         raise DomainError("need |z0| <= 1, got %r" % abs(z0))
-    k = float(k)
+    k = _finite("k", k)
     B = path.values
     dt = path.dt
     n = path.n_steps
@@ -578,11 +584,12 @@ def _sde_stepper(spec, k, dt, scheme):
     expression.
 
     Raises:
-        ValueError: ``scheme`` is neither "euler" nor "milstein".
+        ValueError: ``scheme`` is neither "euler" nor "milstein", or
+            ``k`` is not finite.
     """
     if scheme not in ("euler", "milstein"):
         raise ValueError("scheme must be 'euler' or 'milstein', got %r" % scheme)
-    k = float(k)
+    k = _finite("k", k)
     k2h = 0.5 * k * k
     ik = 1j * k
     milstein = scheme == "milstein"
@@ -620,7 +627,7 @@ def evolve_psi_sde(spec, k, z0, path, scheme="milstein"):
     Returns:
         Trajectory in the psi frame sampled on the full path grid.
     """
-    if abs(z0) >= 1.0:
+    if not abs(z0) < 1.0:
         raise DomainError("need |z0| < 1, got %r" % abs(z0))
     dt = path.dt
     step = _sde_stepper(spec, k, dt, scheme)
@@ -721,15 +728,16 @@ def expectation_Tt(spec, k, t, z, f, n_samples, seed,
     Returns:
         McEstimate with the combined real+imaginary standard error.
     """
-    if abs(z) >= 1.0:
+    if not abs(z) < 1.0:
         raise DomainError("need |z| < 1, got %r" % abs(z))
     n_samples = int(n_samples)
     if n_samples < 2:
         raise ValueError("need n_samples >= 2, got %r" % n_samples)
     t = float(t)
     n_steps, dt_used = _step_grid(t, dt)
+    # rejects an unknown scheme or a non-finite k before any path is drawn
+    _sde_stepper(spec, k, dt_used, scheme)
     if n_steps == 0:
-        _sde_stepper(spec, k, dt_used, scheme)  # rejects an unknown scheme
         return McEstimate(mean=complex(f(complex(z))), std_error=0.0,
                           n_samples=n_samples)
     return _mc_estimate(
@@ -754,7 +762,7 @@ def covariance_mc(t, k, n_samples, seed, dt=1e-3):
     if n_samples < 2:
         raise ValueError("need n_samples >= 2, got %r" % n_samples)
     t = float(t)
-    k = float(k)
+    k = _finite("k", k)
     n_steps, dt_used = _step_grid(t, dt)
     blocks = []
     for B in _path_blocks(seed, n_samples, dt_used, n_steps):
@@ -883,13 +891,14 @@ def solve_moment_hierarchy(spec, k, z, t_end, M, truncation, closure="zero",
     if truncation < M:
         raise ValueError("truncation must be >= M (got %r < %r)"
                          % (truncation, M))
+    _check_closure(closure)
     z = complex(z)
-    if abs(z) > 1.0:
+    if not abs(z) <= 1.0:
         raise DomainError("need |z| <= 1, got %r" % abs(z))
     t_end = float(t_end)
-    if t_end < 0.0:
-        raise ValueError("need t_end >= 0")
-    k = float(k)
+    if not 0.0 <= t_end < math.inf:
+        raise ValueError("need t_end >= 0 and finite, got %r" % t_end)
+    k = _finite("k", k)
     a = taylor_coefficients(spec, truncation + 1)
     d = [0.0] + [a[n - 1] - 2.0 * a[n] + a[n + 1] for n in range(1, truncation + 1)]
 
@@ -929,6 +938,11 @@ def solve_moment_hierarchy(spec, k, z, t_end, M, truncation, closure="zero",
     return MomentTable(orders=tuple(range(1, M + 1)),
                        times=np.asarray(ts), values=values,
                        truncation=truncation, closure=closure)
+
+
+def _check_closure(closure):
+    if closure not in ("zero", "frozen"):
+        raise ValueError("closure must be 'zero' or 'frozen', got %r" % closure)
 
 
 def covariance_reference(t, k):
@@ -1005,8 +1019,8 @@ def growth_bounds(spec_id, r0, t):
     if not 0.0 <= r0 <= 1.0:
         raise DomainError("need r0 in [0, 1], got %r" % r0)
     t = float(t)
-    if t < 0.0:
-        raise ValueError("need t >= 0, got %r" % t)
+    if not 0.0 <= t < math.inf:
+        raise ValueError("need t >= 0 and finite, got %r" % t)
     if t == 0.0:
         return r0, r0
     if spec_id == "cayley":
@@ -1115,7 +1129,7 @@ def backward_equation_residual(spec, k, f, t, z, n_samples, seed=0,
         real+imaginary standard error of the per-path samples.
     """
     z = complex(z)
-    if abs(z) >= 1.0:
+    if not abs(z) < 1.0:
         raise DomainError("need |z| < 1, got %r" % abs(z))
     t = float(t)
     h = float(h)
@@ -1125,7 +1139,7 @@ def backward_equation_residual(spec, k, f, t, z, n_samples, seed=0,
     n_samples = int(n_samples)
     if n_samples < 2:
         raise ValueError("need n_samples >= 2, got %r" % n_samples)
-    k = float(k)
+    k = _finite("k", k)
 
     n_plus, dt_used = _step_grid(t + h, dt)
     col_minus = round((t - h) / dt_used)

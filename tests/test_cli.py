@@ -20,6 +20,27 @@ def read_rows(path):
         return list(csv.reader(fh))
 
 
+# one small run of each file-producing command, writing under tmp
+def file_command(command, tmp):
+    return {
+        "evolve": ["evolve", "--spec", "cayley", "--k", "1", "--t-end", "0.1",
+                   "--out", str(tmp / "e.csv")],
+        "moments": ["moments", "--spec", "cayley", "--k", "1", "--points", "3",
+                    "--out", str(tmp / "m.csv")],
+        "boundary": ["boundary", "--spec", "cayley", "--k", "1", "--t", "0.1",
+                     "--points", "16", "--out", str(tmp / "b.csv")],
+        "figures": ["figures", "--points", "16", "--out-dir", str(tmp / "f")],
+    }[command]
+
+
+FILE_COMMANDS = ("evolve", "moments", "boundary", "figures")
+# the commands that print JSON and write no file
+NO_FILE_COMMANDS = [
+    ["classify", "--spec", "automorphism:1,0", "--k", "2"],
+    ["bounds", "--spec", "cayley", "--r0", "0.3", "--t", "0.5"],
+]
+
+
 # ---------------------------------------------------------------- usage
 
 def test_help_exits_zero(capsys):
@@ -192,13 +213,9 @@ def test_figures_manifest_path_override(capsys, tmp_path):
     assert not (tmp_path / "figs" / "fig1.manifest.json").exists()
 
 
-@pytest.mark.parametrize("args", [
-    ["classify", "--spec", "automorphism:1,0", "--k", "2"],
-    ["bounds", "--spec", "cayley", "--r0", "0.3", "--t", "0.5"],
-], ids=["classify", "bounds"])
+@pytest.mark.parametrize("args", NO_FILE_COMMANDS, ids=["classify", "bounds"])
 def test_manifest_flag_only_where_a_manifest_is_written(capsys, tmp_path,
                                                          args):
-    # classify and bounds print JSON and write no file
     man = tmp_path / "m.json"
     rc, _, err = run(capsys, args + ["--manifest", str(man)])
     assert rc == 2
@@ -526,6 +543,30 @@ def test_config_unknown_key(capsys, tmp_path):
     assert "nonsense" in err
 
 
+@pytest.mark.parametrize("command", FILE_COMMANDS)
+def test_config_file_sets_manifest_path(capsys, tmp_path, command):
+    man = tmp_path / "from-config.json"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("manifest = %s\n" % man)
+    rc, _, _ = run(capsys, file_command(command, tmp_path)
+                   + ["--config", str(cfg)])
+    assert rc == 0
+    assert json.loads(man.read_text())["command"] == command
+    assert not list(tmp_path.rglob("*.manifest.json"))
+
+
+@pytest.mark.parametrize("args", NO_FILE_COMMANDS, ids=["classify", "bounds"])
+def test_config_manifest_key_unknown_where_no_manifest(capsys, tmp_path,
+                                                        args):
+    man = tmp_path / "m.json"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("manifest = %s\n" % man)
+    rc, _, err = run(capsys, args + ["--config", str(cfg)])
+    assert rc == 2
+    assert "unknown config key 'manifest'" in err
+    assert not man.exists()
+
+
 def test_config_missing_file(capsys, tmp_path):
     rc, _, err = run(capsys, ["classify", "--k", "1",
                               "--config", str(tmp_path / "none.cfg")])
@@ -543,17 +584,42 @@ def test_config_malformed_line(capsys, tmp_path):
 
 # ---------------------------------------------------------------- manifest
 
+def parsed(argv):
+    parser, registry = cli.build_parser()
+    args = parser.parse_args(argv)
+    return args, registry[args.command][0]
+
+
 def test_manifest_refuses_missing_output(tmp_path):
-    manifest = cli.RunManifest(command="evolve", config={},
-                               outputs=[str(tmp_path / "ghost.csv")])
-    with pytest.raises(Error):
-        manifest.write(str(tmp_path / "m.json"))
+    args, sub = parsed(file_command("evolve", tmp_path))
+    written = cli.Written([str(tmp_path / "ghost.csv")],
+                          str(tmp_path / "m.json"))
+    with pytest.raises(Error, match="missing or empty"):
+        cli.write_manifest(args, sub, written, 0.0)
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_manifest_refuses_empty_output(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
-    manifest = cli.RunManifest(command="evolve", config={},
-                               outputs=[str(empty)])
-    with pytest.raises(Error):
-        manifest.write(str(tmp_path / "m.json"))
+    args, sub = parsed(file_command("evolve", tmp_path))
+    with pytest.raises(Error, match="missing or empty"):
+        cli.write_manifest(args, sub, cli.Written([str(empty)],
+                                                  str(tmp_path / "m.json")),
+                           0.0)
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("command", FILE_COMMANDS)
+def test_manifest_config_records_every_option(capsys, tmp_path, command):
+    # every option the subcommand's parser defines, --config and
+    # --manifest aside, plus computed entries such as dt_used
+    _, sub = parsed(file_command(command, tmp_path))
+    options = {a.dest for a in sub._actions} - {"help", "config", "manifest"}
+    man = tmp_path / "m.json"
+    rc, _, _ = run(capsys, file_command(command, tmp_path)
+                   + ["--manifest", str(man)])
+    assert rc == 0
+    config = json.loads(man.read_text())["config"]
+    assert set(config) - {"dt_used"} == options
+

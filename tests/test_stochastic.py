@@ -259,6 +259,70 @@ def test_pathwise_rejects_outside_start():
         st.evolve_phi_pathwise(hg.CayleyLinear(), 1.0, 1.5, path, [0.1])
 
 
+_NAN, _INF, _ZNAN = math.nan, math.inf, complex(math.nan, 0.0)
+_PATH = st.sample_brownian(1, 0.01, 20)
+
+
+def _identity(w):
+    return w
+
+
+# a non-finite k, z or time is a usage error, never a disk escape, a
+# truncation failure or a NaN estimate
+NON_FINITE_INPUTS = {
+    "covariance_mc-k-nan": lambda: st.covariance_mc(0.5, _NAN, 10, 0),
+    "covariance_mc-k-inf": lambda: st.covariance_mc(0.5, _INF, 10, 0),
+    "expectation_Tt-k-nan": lambda: st.expectation_Tt(
+        hg.Cayley(), _NAN, 0.1, 0.2, _identity, 10, 0),
+    "expectation_Tt-k-inf": lambda: st.expectation_Tt(
+        hg.Cayley(), _INF, 0.1, 0.2, _identity, 10, 0),
+    "expectation_Tt-z-nan": lambda: st.expectation_Tt(
+        hg.Cayley(), 1.0, 0.1, _ZNAN, _identity, 10, 0),
+    "evolve_psi_sde-k-nan": lambda: st.evolve_psi_sde(
+        hg.Cayley(), _NAN, 0.2, _PATH),
+    "evolve_psi_sde-k-inf": lambda: st.evolve_psi_sde(
+        hg.Cayley(), _INF, 0.2, _PATH),
+    "evolve_psi_sde-z-nan": lambda: st.evolve_psi_sde(
+        hg.Cayley(), 1.0, _ZNAN, _PATH),
+    "evolve_phi_pathwise-k-nan": lambda: st.evolve_phi_pathwise(
+        hg.Cayley(), _NAN, 0.2, _PATH, [0.2]),
+    "evolve_phi_pathwise-k-inf": lambda: st.evolve_phi_pathwise(
+        hg.Cayley(), _INF, 0.2, _PATH, [0.2]),
+    "evolve_phi_pathwise-z-nan": lambda: st.evolve_phi_pathwise(
+        hg.Cayley(), 1.0, _ZNAN, _PATH, [0.2]),
+    "backward_residual-k-nan": lambda: st.backward_equation_residual(
+        hg.Cayley(), _NAN, _identity, 0.1, 0.2, 10, dt=0.01),
+    "backward_residual-k-inf": lambda: st.backward_equation_residual(
+        hg.Cayley(), _INF, _identity, 0.1, 0.2, 10, dt=0.01),
+    "backward_residual-z-nan": lambda: st.backward_equation_residual(
+        hg.Cayley(), 1.0, _identity, 0.1, _ZNAN, 10, dt=0.01),
+    "moments-t_end-inf": lambda: st.solve_moment_hierarchy(
+        hg.Cayley(), 1.0, 0.2, _INF, 1, 6),
+    "moments-k-nan": lambda: st.solve_moment_hierarchy(
+        hg.Cayley(), _NAN, 0.2, 1.0, 1, 6),
+    "moments-z-nan": lambda: st.solve_moment_hierarchy(
+        hg.Cayley(), 1.0, _ZNAN, 1.0, 1, 6),
+    "moments-closure-bogus": lambda: st.solve_moment_hierarchy(
+        hg.Cayley(), 1.0, 0.2, 1.0, 1, 6, closure="bogus"),
+    "growth_bounds-t-nan": lambda: st.growth_bounds("cayley", 0.5, _NAN),
+    "growth_bounds-t-inf": lambda: st.growth_bounds("one", 0.5, _INF),
+    "growth_bounds-r0-nan": lambda: st.growth_bounds("cayley", _NAN, 1.0),
+}
+
+
+@pytest.mark.parametrize("call", NON_FINITE_INPUTS.values(),
+                         ids=NON_FINITE_INPUTS.keys())
+def test_non_finite_inputs_are_usage_errors(call, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the inputs were checked")
+
+    # rejected before any path is drawn or any propagator is formed
+    monkeypatch.setattr(st, "_path_rows", refuse)
+    monkeypatch.setattr(st, "expm", refuse)
+    with pytest.raises(ValueError):  # DomainError is a ValueError
+        call()
+
+
 def test_example1_pathwise_k0_closed_form():
     path = st.sample_brownian(1, 1e-3, 1000)
     got = st.example1_pathwise(0.3, 0.0, path, 1.0)
@@ -773,8 +837,6 @@ def test_moment_hierarchy_non_finite_is_numerical_failure():
     with pytest.raises(st.MomentTruncationError, match="non-finite") as info:
         st.solve_moment_hierarchy(hg.Cayley(), 1e20, 0.3, 1.0, 2, 6)
     assert not isinstance(info.value, ValueError)
-    with pytest.raises(st.MomentTruncationError, match="non-finite"):
-        st.solve_moment_hierarchy(hg.Cayley(), math.nan, 0.3, 1.0, 2, 6)
 
 
 @hs.composite
