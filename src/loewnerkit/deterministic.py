@@ -73,6 +73,14 @@ class StiffnessError(Error):
         self.t_reached = t_reached
 
 
+def _finite(name, value):
+    """float(value); ValueError if it is NaN or infinite."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError("%s must be finite, got %r" % (name, value))
+    return value
+
+
 # --------------------------------------------------------------------------
 # domain types
 # --------------------------------------------------------------------------
@@ -105,9 +113,7 @@ class EvolutionConfig:
 
     def __post_init__(self):
         for name in ("k", "t_end", "dt"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError("%s must be finite, got %r" % (name, v))
+            _finite(name, getattr(self, name))
         if self.t_end < 0.0:
             raise ValueError("t_end must be >= 0, got %r" % self.t_end)
         if self.dt <= 0.0:
@@ -412,9 +418,9 @@ def classify_semigroup(A, B, k):
     floating-point tolerance band tol_D around D = 0 for the parabolic
     case.  Elliptic results carry the interior fixed point.
     """
-    A = float(A)
-    B = float(B)
-    k = float(k)
+    A = _finite("A", A)
+    B = _finite("B", B)
+    k = _finite("k", k)
     if A < 0.0:
         raise ValueError("need A >= 0, got %r" % A)
     if A == 0.0 and B == 0.0:

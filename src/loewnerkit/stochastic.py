@@ -39,6 +39,7 @@ from .deterministic import (
     CONTAINMENT_TOL,
     Trajectory,
     _driven_field,
+    _finite,
     _interior_zero,
     _normalize_sample_times,
 )
@@ -82,7 +83,8 @@ _MOMENT_TOL = 1e-8
 # path matrix around 160 MB worst case
 _BLOCK_PATHS = 8192
 _BLOCK_FLOATS = 20_000_000
-# _exp_trapezoid integrates a block this many path values at a time
+# _exp_trapezoid integrates a block this many path values at a time, and
+# _psi_sde_block makes about this many step multipliers at a time
 _CHUNK_VALUES = 1 << 16
 
 
@@ -352,11 +354,16 @@ def _path_rows(root_seed, first_index, n_rows, dt, n_steps):
     keys = _philox_keys(_path_seeds(root_seed, first_index, n_rows))
     bitgen = np.random.Philox(key=keys[0])
     gen = np.random.Generator(bitgen)
-    state = bitgen.state
-    for i in range(n_rows):
-        state["state"]["key"] = keys[i]
+    # a fresh stream (counter 0, empty buffer) in Python ints and lists,
+    # which the state setter takes faster than uint64 arrays
+    state = {"bit_generator": "Philox",
+             "state": {"counter": [0, 0, 0, 0], "key": None},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    for key, row in zip(keys.tolist(), out[:, 1:]):
+        state["state"]["key"] = key
         bitgen.state = state
-        gen.standard_normal(n_steps, out=out[i, 1:])
+        gen.standard_normal(n_steps, out=row)
     values = out[:, 1:]
     np.multiply(values, math.sqrt(dt), out=values)
     np.cumsum(values, axis=1, out=values)
@@ -375,14 +382,6 @@ def _path_blocks(root_seed, n_samples, dt, n_steps, width=1):
     for first in range(0, n_samples, cap):
         yield _path_rows(root_seed, first, min(cap, n_samples - first),
                          dt, n_steps)
-
-
-def _finite(name, value):
-    """float(value); ValueError if it is NaN or infinite."""
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError("%s must be finite, got %r" % (name, value))
-    return value
 
 
 def _step_grid(t, dt):
@@ -538,7 +537,7 @@ def example1_pathwise(z, k, path, t):
     interpolated partial cell when t falls inside one).
     """
     t = float(t)
-    k = float(k)
+    k = _finite("k", k)
     dt = path.dt
     B = path.values
     if t < 0.0 or t > path.duration + 1e-12:
@@ -561,7 +560,7 @@ def mean_phi_example1(z, t, k):
     t = float(t)
     if t < 0.0:
         raise ValueError("need t >= 0, got %r" % t)
-    k2 = float(k) ** 2
+    k2 = _finite("k", k) ** 2
     if abs(k2 - 2.0) <= 1e-12:
         return cmath.exp(-t) * (z + t)
     half = 0.5 * k2
@@ -573,15 +572,27 @@ def mean_phi_example1(z, t, k):
 # --------------------------------------------------------------------------
 
 def _sde_stepper(spec, k, dt, scheme):
-    """The scheme's step of the rotating-frame SDE, as step(psi, db).
+    """The scheme's step of the rotating-frame SDE, as (multipliers, step).
 
-    step(psi, db) = psi + ((-k^2/2 psi + b(psi)) dt - ik psi db
-    [- k^2/2 psi (db^2 - dt)]), the bracket for milstein only, evaluated
-    in that order; b is the spec's drift field.  psi is a Python complex
-    or an array, db a float or an array that broadcasts against psi.
-    The augmented assignments rebind a scalar and update the step's own
-    array in place; either way the rounding is that of the plain
-    expression.
+    The noise is linear in psi, so a step is psi times a function of the
+    increment db plus the drift field b:
+
+        step(psi, c) = psi c + b(psi) dt,
+        c = 1 - k^2/2 db^2 - ik db          (milstein),
+        c = (1 - k^2/2 dt) - ik db          (euler).
+
+    This is the Euler/Milstein step psi + (-k^2/2 psi + b(psi)) dt
+    - ik psi db [- k^2/2 psi (db^2 - dt)] with its terms regrouped: in
+    the milstein step the -k^2/2 psi dt drift cancels the correction's
+    +k^2/2 psi dt.  The regrouping moves results at the ulp level.
+
+    ``multipliers(db, out)`` writes the multipliers of the float array
+    db to the complex array out, one ufunc per operation (real part
+    1 - (db db) k^2/2, imaginary part db (-k)), and overwrites db.
+    ``step(psi, c)`` takes a Python complex or an array (c broadcasts
+    against it); its augmented assignments rebind a scalar and update
+    the step's own array in place, with the rounding of the plain
+    expression either way.
 
     Raises:
         ValueError: ``scheme`` is neither "euler" nor "milstein", or
@@ -591,21 +602,25 @@ def _sde_stepper(spec, k, dt, scheme):
         raise ValueError("scheme must be 'euler' or 'milstein', got %r" % scheme)
     k = _finite("k", k)
     k2h = 0.5 * k * k
-    ik = 1j * k
-    milstein = scheme == "milstein"
     field = spec._bp_field
 
-    def step(psi, db):
-        out = -k2h * psi
-        out += field(psi)
-        out *= dt
-        out -= ik * psi * db
-        if milstein:
-            out -= k2h * psi * (db * db - dt)
-        out += psi
-        return out
+    def multipliers(db, out):
+        np.multiply(db, -k, out=out.imag)
+        if scheme == "milstein":
+            np.multiply(db, db, out=db)
+            np.multiply(db, k2h, out=db)
+            np.subtract(1.0, db, out=out.real)
+        else:
+            out.real = 1.0 - k2h * dt
 
-    return step
+    def step(psi, c):
+        f = field(psi)
+        f *= dt
+        psi *= c
+        psi += f
+        return psi
+
+    return multipliers, step
 
 
 def evolve_psi_sde(spec, k, z0, path, scheme="milstein"):
@@ -613,9 +628,12 @@ def evolve_psi_sde(spec, k, z0, path, scheme="milstein"):
 
     dPsi = -ik Psi dB + (-k^2/2 Psi + (Psi-1)^2 p(Psi)) dt.  The
     milstein scheme adds -k^2/2 Psi (dB^2 - dt), which is the exact
-    second-order term for the linear multiplicative noise.  Steps that
-    exit the closed disk are radially projected back to |Psi| =
-    1 - 1e-12; the projection count lands in Trajectory.stats.
+    second-order term for the linear multiplicative noise.  Each step is
+    taken in the multiplicative form of ``_sde_stepper``, Psi c + b(Psi)
+    dt with c from the increment, which rounds differently from the
+    additive form at the ulp level.  Steps that exit the closed disk are
+    radially projected back to |Psi| = 1 - 1e-12; the projection count
+    lands in Trajectory.stats.
 
     Args:
         spec: Herglotz spec of the drift field.
@@ -630,15 +648,17 @@ def evolve_psi_sde(spec, k, z0, path, scheme="milstein"):
     if not abs(z0) < 1.0:
         raise DomainError("need |z0| < 1, got %r" % abs(z0))
     dt = path.dt
-    step = _sde_stepper(spec, k, dt, scheme)
+    multipliers, step = _sde_stepper(spec, k, dt, scheme)
+    c = np.empty(path.n_steps, dtype=complex)
+    multipliers(path.increments(), c)
     psi = complex(z0)
     values = [psi]
     projections = 0
-    # scalar on purpose: one path through _psi_sde_block costs 13-23x
-    # more per step (18-39 us against 0.8-2.7 us, six catalogue specs,
+    # scalar on purpose: one path through _psi_sde_block costs 9-16x
+    # more per step (5.8-10 us against 0.4-0.8 us, six catalogue specs,
     # 2-core x86-64 VM)
-    for db in path.increments().tolist():
-        psi = step(psi, db)
+    for c_j in c.tolist():
+        psi = step(psi, c_j)
         r = abs(psi)
         if not r < 1.0:
             if not math.isfinite(r):
@@ -659,8 +679,16 @@ def _raise_non_finite(scheme, t):
                           t_reached=t)
 
 
-def _psi_sde_block(spec, k, psi0, paths, dt, scheme, record_cols=None):
+def _psi_sde_block(spec, k, psi0, paths, dt, scheme, record_cols=None,
+                   width=None):
     """Vectorized SDE stepping for a block of paths.
+
+    The step multipliers of ``_sde_stepper`` are made for a chunk of
+    ``width`` steps at a time: the chunk's increments go time-major into
+    one reused buffer, 1024 rows at a time so that a tall block is read
+    a few pages at a time, and their multipliers into one reused complex
+    buffer, one row per step.  A step is then the field and four ufuncs,
+    and the chunk width changes no bit of the result.
 
     Args:
         psi0: initial state, a scalar or an array with one row per path
@@ -669,6 +697,8 @@ def _psi_sde_block(spec, k, psi0, paths, dt, scheme, record_cols=None):
             the increment paths[:, j+1] - paths[:, j].
         record_cols: optional collection of path columns at which to
             snapshot the state (column j: the state after j steps).
+        width: steps per chunk; by default about _CHUNK_VALUES
+            multipliers per chunk, and at least 16 steps.
 
     Returns:
         (final_state, snapshots dict col->state, projections)
@@ -677,25 +707,41 @@ def _psi_sde_block(spec, k, psi0, paths, dt, scheme, record_cols=None):
         DiskEscapeError: the final state is not finite; a NaN state
             stays NaN to the end, as projection skips it.
     """
-    step = _sde_stepper(spec, k, dt, scheme)
+    multipliers, step = _sde_stepper(spec, k, dt, scheme)
     n_paths, n_cols = paths.shape
+    n_steps = n_cols - 1
     psi = np.array(np.broadcast_to(psi0, (n_paths,) + np.shape(psi0)[1:]),
                    dtype=complex)
-    # one increment per row, a column of them for a 2-d state
-    B = paths if psi.ndim == 1 else paths[:, :, None]
+    if width is None:
+        width = max(16, _CHUNK_VALUES // max(1, n_paths))
+    width = max(1, min(width, n_steps))
+    tile = 1024
+    db = np.empty((width, min(tile, n_paths)))
+    chunk = np.empty((width, n_paths), dtype=complex)
+    # one multiplier per row, a column of them for a 2-d state
+    rows_c = chunk if psi.ndim == 1 else chunk[:, :, None]
+    r = np.empty(psi.shape)
     snapshots = {}
     projections = 0
-    for j in range(n_cols - 1):
-        psi = step(psi, B[:, j + 1] - B[:, j])
-        r = np.abs(psi)
-        mask = r >= 1.0
-        if mask.any():
-            projections += int(np.count_nonzero(mask))
-            psi[mask] *= (1.0 - 1e-12) / r[mask]
-        if record_cols is not None and (j + 1) in record_cols:
-            snapshots[j + 1] = psi.copy()
+    for first in range(0, n_steps, width):
+        w = min(width, n_steps - first)
+        for top in range(0, n_paths, tile):
+            part = paths[top:top + tile, first:first + w + 1].T
+            inc = db[:w, :part.shape[1]]
+            np.subtract(part[1:], part[:-1], out=inc)
+            multipliers(inc, chunk[:w, top:top + tile])
+        for j in range(w):
+            psi = step(psi, rows_c[j])
+            np.abs(psi, out=r)
+            # a NaN maximum skips projection; the state is NaN to the end
+            if r.max() >= 1.0:
+                mask = r >= 1.0
+                projections += int(np.count_nonzero(mask))
+                psi[mask] *= (1.0 - 1e-12) / r[mask]
+            if record_cols is not None and first + j + 1 in record_cols:
+                snapshots[first + j + 1] = psi.copy()
     if not np.isfinite(psi).all():
-        _raise_non_finite(scheme, (n_cols - 1) * dt)
+        _raise_non_finite(scheme, n_steps * dt)
     return psi, snapshots, projections
 
 
@@ -794,7 +840,7 @@ def apply_generator(spec, k, z, f, fprime=None, fsecond=None):
     z = complex(z)
     if abs(z) >= 1.0:
         raise DomainError("need |z| < 1, got %r" % abs(z))
-    k = float(k)
+    k = _finite("k", k)
     if fprime is not None:
         d1 = complex(fprime(z))
     else:
@@ -823,6 +869,7 @@ def virasoro_coefficients(spec, k, N):
     N = int(N)
     if N < -1:
         raise ValueError("need N >= -1")
+    k = _finite("k", k)
     a = taylor_coefficients(spec, N + 1)
 
     def coeff(m):
@@ -831,7 +878,7 @@ def virasoro_coefficients(spec, k, N):
     c = {}
     for n in range(-1, N + 1):
         c[n] = -(coeff(n + 1) - 2.0 * coeff(n) + coeff(n - 1))
-    return c, 0.5 * float(k) ** 2
+    return c, 0.5 * k ** 2
 
 
 def find_stochastic_zero(spec, k):
@@ -842,7 +889,7 @@ def find_stochastic_zero(spec, k):
     composed with p, then Newton from a 5x8 polar grid.  Unlike the
     deterministic case the zero always exists, so failure raises.
     """
-    k = float(k)
+    k = _finite("k", k)
     if k == 0.0:
         raise ValueError("need k != 0")
     k2h = 0.5 * k * k
@@ -955,7 +1002,7 @@ def covariance_reference(t, k):
     t = float(t)
     if t < 0.0:
         raise ValueError("need t >= 0, got %r" % t)
-    k2 = float(k) ** 2
+    k2 = _finite("k", k) ** 2
     e1 = math.exp(-0.5 * k2 * t)
     e2 = complex(mean_phi_example1(0.0, t, k)).real
     half = 0.5 * k2
@@ -1044,8 +1091,9 @@ def simulate_boundary_diffusion(A, B, k, theta0, path):
     A=1, B=0 is the noisy North-South flow d Theta = -2 sin Theta dt
     - k dB.  Values are reduced mod 2 pi for reporting.
     """
-    A = float(A)
-    B = float(B)
+    A = _finite("A", A)
+    B = _finite("B", B)
+    k = _finite("k", k)
     if A == 0.0 and B == 0.0:
         raise ValueError("need (A, B) != (0, 0)")
     if A < 0.0:
@@ -1056,7 +1104,7 @@ def simulate_boundary_diffusion(A, B, k, theta0, path):
     out = np.empty(path.n_steps + 1)
     out[0] = theta % (2.0 * math.pi)
     for j, db in enumerate(path.increments().tolist()):
-        theta = theta - 2.0 * (B + amp * math.sin(theta)) * dt - float(k) * db
+        theta = theta - 2.0 * (B + amp * math.sin(theta)) * dt - k * db
         out[j + 1] = theta % (2.0 * math.pi)
     return out
 
@@ -1072,7 +1120,7 @@ def generator_annihilator(A, B, k, theta, c1, c2):
     1e-10 relative errors.  A scalar theta takes the same path as a
     0-d array and returns a complex.
     """
-    k = float(k)
+    k = _finite("k", k)
     if k == 0.0:
         raise ValueError("need k != 0")
     A = float(A)

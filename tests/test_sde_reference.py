@@ -1,11 +1,17 @@
-"""The one Euler/Milstein step against the two hand-written SDE loops.
+"""The one Euler/Milstein step against hand-written SDE loops.
 
-``_ref_evolve_psi_sde`` and ``_ref_psi_sde_block`` are the steppers as
-they were before the step was written once in ``_sde_stepper``: a scalar
-loop with the step as one plain expression, and a block kernel that
-runs the same expression as one ufunc per operation into reused
-buffers.  The library's steppers must give the same bits, the same
-projection counts and the same failure time.
+``_ref_evolve_psi_sde`` and ``_ref_psi_sde_block`` take the step in its
+multiplicative form psi c + b(psi) dt, with the multiplier c of the
+increment db: a scalar loop with the step as one plain expression, and
+a block kernel that runs one ufunc per operation, one step at a time.
+The library's steppers must give the same bits, the same projection
+counts and the same failure time.
+
+``_additive_evolve_psi_sde`` and ``_additive_psi_sde_block`` are the
+steppers in the additive form psi + (-k^2/2 psi + b(psi)) dt - ik psi db
+[- k^2/2 psi (db^2 - dt)], which the library used before.  The two forms
+are equal in exact arithmetic; the library must stay within 1e-14 of
+the additive loops with the same projection counts.
 """
 
 import cmath
@@ -13,6 +19,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from loewnerkit import herglotz as hg
 from loewnerkit import stochastic as st
@@ -32,6 +40,8 @@ KS = (0.7, 3.0, 30.0)
 Z0 = 0.97 * cmath.exp(2j)
 DT = 0.01
 N_STEPS = 80
+# largest distance allowed from the additive form
+ADDITIVE_TOL = 1e-14
 
 # ---------------------------------------------------------------- reference
 
@@ -46,11 +56,11 @@ def _ref_evolve_psi_sde(spec, k, z0, path, scheme):
     values = [psi]
     projections = 0
     for db in path.increments().tolist():
-        drift = -k2h * psi + spec._bp_field(psi)
-        step = drift * dt - 1j * k * psi * db
         if scheme == "milstein":
-            step = step - k2h * psi * (db * db - dt)
-        psi = psi + step
+            c = complex(1.0 - db * db * k2h, db * -k)
+        else:
+            c = complex(1.0 - k2h * dt, db * -k)
+        psi = psi * c + spec._bp_field(psi) * dt
         r = abs(psi)
         if not r < 1.0:
             if not math.isfinite(r):
@@ -62,10 +72,9 @@ def _ref_evolve_psi_sde(spec, k, z0, path, scheme):
 
 
 def _ref_psi_sde_block(spec, k, psi0, paths, dt, scheme, record_cols=None):
-    """(final_state, snapshots, projections) of the buffered block kernel."""
+    """(final_state, snapshots, projections), one step at a time."""
     k = float(k)
     k2h = 0.5 * k * k
-    ik = 1j * k
     n_paths, n_cols = paths.shape
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.ndim == 0:
@@ -73,31 +82,25 @@ def _ref_psi_sde_block(spec, k, psi0, paths, dt, scheme, record_cols=None):
     else:
         psi = psi0.copy()
     drift = np.empty_like(psi)
-    step = np.empty_like(psi)
-    noise = np.empty_like(psi)
     r = np.empty(psi.shape)
     mask = np.empty(psi.shape, dtype=bool)
     increment = np.empty(n_paths)
-    db = increment[:, None] if psi.ndim == 2 else increment
-    dbsq = np.empty(db.shape)
-    milstein = scheme == "milstein"
+    c = np.empty(n_paths, dtype=complex)
+    c_rows = c[:, None] if psi.ndim == 2 else c
     snapshots = {}
     projections = 0
     for j in range(n_cols - 1):
         np.subtract(paths[:, j + 1], paths[:, j], out=increment)
-        np.multiply(-k2h, psi, out=drift)
-        np.add(drift, spec._bp_field(psi), out=drift)
-        np.multiply(drift, dt, out=step)
-        np.multiply(ik, psi, out=noise)
-        np.multiply(noise, db, out=noise)
-        np.subtract(step, noise, out=step)
-        if milstein:
-            np.multiply(db, db, out=dbsq)
-            np.subtract(dbsq, dt, out=dbsq)
-            np.multiply(k2h, psi, out=noise)
-            np.multiply(noise, dbsq, out=noise)
-            np.subtract(step, noise, out=step)
-        np.add(psi, step, out=psi)
+        np.multiply(increment, -k, out=c.imag)
+        if scheme == "milstein":
+            np.multiply(increment, increment, out=c.real)
+            np.multiply(c.real, k2h, out=c.real)
+            np.subtract(1.0, c.real, out=c.real)
+        else:
+            c.real = 1.0 - k2h * dt
+        np.multiply(spec._bp_field(psi), dt, out=drift)
+        np.multiply(psi, c_rows, out=psi)
+        np.add(psi, drift, out=psi)
         np.abs(psi, out=r)
         np.greater_equal(r, 1.0, out=mask)
         if mask.any():
@@ -110,6 +113,53 @@ def _ref_psi_sde_block(spec, k, psi0, paths, dt, scheme, record_cols=None):
     return psi, snapshots, projections
 
 
+def _additive_evolve_psi_sde(spec, k, z0, path, scheme):
+    """(values, projections) of the scalar loop in the additive form."""
+    k = float(k)
+    dt = path.dt
+    k2h = 0.5 * k * k
+    psi = complex(z0)
+    values = [psi]
+    projections = 0
+    for db in path.increments().tolist():
+        drift = -k2h * psi + spec._bp_field(psi)
+        step = drift * dt - 1j * k * psi * db
+        if scheme == "milstein":
+            step = step - k2h * psi * (db * db - dt)
+        psi = psi + step
+        r = abs(psi)
+        if not r < 1.0:
+            psi *= (1.0 - 1e-12) / r
+            projections += 1
+        values.append(psi)
+    return np.asarray(values), projections
+
+
+def _additive_psi_sde_block(spec, k, psi0, paths, dt, scheme,
+                            record_cols=None):
+    """(final_state, snapshots, projections) in the additive form."""
+    k = float(k)
+    k2h = 0.5 * k * k
+    psi = np.array(np.broadcast_to(psi0, (len(paths),) + np.shape(psi0)[1:]),
+                   dtype=complex)
+    B = paths if psi.ndim == 1 else paths[:, :, None]
+    snapshots = {}
+    projections = 0
+    for j in range(paths.shape[1] - 1):
+        db = B[:, j + 1] - B[:, j]
+        step = (-k2h * psi + spec._bp_field(psi)) * dt - 1j * k * psi * db
+        if scheme == "milstein":
+            step = step - k2h * psi * (db * db - dt)
+        psi = psi + step
+        r = np.abs(psi)
+        mask = r >= 1.0
+        projections += int(np.count_nonzero(mask))
+        psi[mask] *= (1.0 - 1e-12) / r[mask]
+        if record_cols is not None and (j + 1) in record_cols:
+            snapshots[j + 1] = psi.copy()
+    return psi, snapshots, projections
+
+
 def _bits(x):
     return np.asarray(x, dtype=complex).tobytes()
 
@@ -119,6 +169,14 @@ def _assert_same_block(got, want):
     assert sorted(got[1]) == sorted(want[1])
     for col in want[1]:
         assert _bits(got[1][col]) == _bits(want[1][col]), col
+    assert got[2] == want[2]
+
+
+def _assert_near_block(got, want):
+    assert np.max(np.abs(got[0] - want[0])) <= ADDITIVE_TOL
+    assert sorted(got[1]) == sorted(want[1])
+    for col in want[1]:
+        assert np.max(np.abs(got[1][col] - want[1][col])) <= ADDITIVE_TOL
     assert got[2] == want[2]
 
 
@@ -136,6 +194,10 @@ def test_scalar_stepper_matches_reference(spec, scheme):
             values, projections = _ref_evolve_psi_sde(spec, k, Z0, path,
                                                       scheme)
             assert _bits(traj.values) == _bits(values), (k, seed)
+            assert traj.stats["projections"] == projections, (k, seed)
+            values, projections = _additive_evolve_psi_sde(spec, k, Z0, path,
+                                                           scheme)
+            assert np.max(np.abs(traj.values - values)) <= ADDITIVE_TOL
             assert traj.stats["projections"] == projections, (k, seed)
             projected += projections
     assert projected > 0
@@ -160,6 +222,8 @@ def test_block_kernel_matches_reference(spec, scheme):
                                       record_cols=cols)
             assert got[0].shape == (len(rows),)
             _assert_same_block(got, want)
+            _assert_near_block(got, _additive_psi_sde_block(
+                spec, k, psi0, rows, DT, scheme, record_cols=cols))
             projected += want[2]
     assert projected > 0
 
@@ -181,6 +245,55 @@ def test_circle_block_matches_reference(spec, scheme):
                                   record_cols={29, 31})
         assert got[0].shape == (5, 17)
         _assert_same_block(got, want)
+        _assert_near_block(got, _additive_psi_sde_block(
+            spec, k, psi0, rows, 0.005, scheme, record_cols={29, 31}))
+
+
+# ---------------------------------------------------------------- chunks
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("circle", [False, True], ids=["point", "circle"])
+# below and above one tile of rows copied at a time
+@pytest.mark.parametrize("n_paths", [9, 1100])
+def test_chunk_width_changes_no_bit(n_paths, circle, scheme):
+    n_steps = 100
+    rows = st._path_rows(8, 0, n_paths, DT, n_steps)
+    if circle:
+        # a point near the circle and 16 points around it, as 17 columns
+        z = 0.9 * cmath.exp(2j)
+        ring = z + 0.05 * np.exp(2j * math.pi * np.arange(16) / 16)
+        psi0 = np.broadcast_to(np.concatenate(([z], ring)), (n_paths, 17))
+    else:
+        psi0 = Z0 * np.exp(0.1j * np.arange(n_paths))
+    cols = {10, 20, 50, 99, n_steps}
+    # one step per chunk, the default chunk, chunk edges on every recorded
+    # column but 99, and a width that does not divide n_steps
+    runs = [st._psi_sde_block(hg.Cayley(), 3.0, psi0, rows, DT, scheme,
+                              record_cols=cols, width=width)
+            for width in (1, None, 10, 7)]
+    assert runs[0][2] > 0
+    for got in runs[1:]:
+        _assert_same_block(got, runs[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=hs.sampled_from(SPECS), scheme=hs.sampled_from(SCHEMES),
+       k=hs.floats(-30.0, 30.0), radius=hs.floats(0.9, 0.999),
+       angle=hs.floats(0.0, 2.0 * math.pi), seed=hs.integers(0, 2**32 - 1),
+       n_steps=hs.integers(1, 60), dt=hs.sampled_from([1e-3, 0.01, 0.05]))
+def test_block_kernel_agrees_with_scalar_stepper(spec, scheme, k, radius,
+                                                 angle, seed, n_steps, dt):
+    z0 = radius * cmath.exp(1j * angle)
+    rows = st._path_rows(seed, 0, 3, dt, n_steps)
+    psi, _, projections = st._psi_sde_block(spec, k, z0, rows, dt, scheme)
+    want = 0
+    for i, row in enumerate(rows):
+        path = st.BrownianPath(dt=dt, values=row, seed=seed)
+        traj = st.evolve_psi_sde(spec, k, z0, path, scheme=scheme)
+        assert abs(psi[i] - traj.values[-1]) <= 1e-13
+        want += traj.stats["projections"]
+    assert projections == want
 
 
 # ---------------------------------------------------------------- failure

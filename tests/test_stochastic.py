@@ -323,6 +323,40 @@ def test_non_finite_inputs_are_usage_errors(call, monkeypatch):
         call()
 
 
+# the closed forms, the generator helpers and the circle diffusion take k
+# as a plain number: a NaN or infinite one is the same usage error
+K_CALLS = {
+    "classify_semigroup": lambda k: dm.classify_semigroup(1.0, 0.5, k),
+    "covariance_reference": lambda k: st.covariance_reference(0.5, k),
+    "mean_phi_example1": lambda k: st.mean_phi_example1(0.3, 0.5, k),
+    "example1_pathwise": lambda k: st.example1_pathwise(0.3, k, _PATH, 0.1),
+    "apply_generator": lambda k: st.apply_generator(
+        hg.Cayley(), k, 0.2, _identity),
+    "simulate_boundary_diffusion": lambda k: st.simulate_boundary_diffusion(
+        1.0, 0.5, k, 1.0, _PATH),
+    "virasoro_coefficients": lambda k: st.virasoro_coefficients(
+        hg.Cayley(), k, 3),
+    "generator_annihilator": lambda k: st.generator_annihilator(
+        1.0, 0.0, k, 0.5, 0.0, 1.0),
+    "find_stochastic_zero": lambda k: st.find_stochastic_zero(hg.Cayley(), k),
+}
+
+
+@pytest.mark.parametrize("k", [_NAN, _INF, -_INF], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("call", K_CALLS.values(), ids=K_CALLS.keys())
+def test_non_finite_k_is_a_usage_error(call, k):
+    with pytest.raises(ValueError, match="k must be finite"):
+        call(k)
+
+
+def test_non_finite_automorphism_parameters_are_usage_errors():
+    for A, B in ((_NAN, 0.5), (1.0, _NAN), (_INF, 0.0)):
+        with pytest.raises(ValueError, match="must be finite"):
+            dm.classify_semigroup(A, B, 1.0)
+        with pytest.raises(ValueError, match="must be finite"):
+            st.simulate_boundary_diffusion(A, B, 1.0, 1.0, _PATH)
+
+
 def test_example1_pathwise_k0_closed_form():
     path = st.sample_brownian(1, 1e-3, 1000)
     got = st.example1_pathwise(0.3, 0.0, path, 1.0)
