@@ -354,14 +354,13 @@ def _path_rows(root_seed, first_index, n_rows, dt, n_steps):
     keys = _philox_keys(_path_seeds(root_seed, first_index, n_rows))
     bitgen = np.random.Philox(key=keys[0])
     gen = np.random.Generator(bitgen)
-    # a fresh stream (counter 0, empty buffer) in Python ints and lists,
-    # which the state setter takes faster than uint64 arrays
-    state = {"bit_generator": "Philox",
-             "state": {"counter": [0, 0, 0, 0], "key": None},
-             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
-             "has_uint32": 0, "uinteger": 0}
-    for key, row in zip(keys.tolist(), out[:, 1:]):
-        state["state"]["key"] = key
+    # the fresh stream's state (counter 0, empty buffer) in Python ints
+    # and lists, which the state setter takes faster than uint64 arrays
+    state = _as_lists(bitgen.state)
+    # a key at a time: keys.tolist() would hold ~140 B of Python objects
+    # per row at once
+    for key, row in zip(keys, out[:, 1:]):
+        state["state"]["key"] = key.tolist()
         bitgen.state = state
         gen.standard_normal(n_steps, out=row)
     values = out[:, 1:]
@@ -370,18 +369,27 @@ def _path_rows(root_seed, first_index, n_rows, dt, n_steps):
     return out
 
 
-def _path_blocks(root_seed, n_samples, dt, n_steps, width=1):
-    """Path matrices of paths 0..n_samples-1, block after block.
+def _as_lists(state):
+    """A bit generator's state dict with its arrays as lists."""
+    return {name: _as_lists(value) if isinstance(value, dict)
+            else value.tolist() if isinstance(value, np.ndarray) else value
+            for name, value in state.items()}
+
+
+def _path_blocks(fn, root_seed, n_samples, dt, n_steps, width=1):
+    """fn of the path matrix of paths 0..n_samples-1, block after block.
 
     Block sizes are a fixed function of (n_samples, n_steps, width): at
     most _BLOCK_PATHS states, ``width`` of them per path, and
     _BLOCK_FLOATS steps per block (the cap counts n_steps per path, not
-    the n_steps + 1 values a row holds).
+    the n_steps + 1 values a row holds).  A block is freed once fn
+    returns, before the next one is drawn; a loop over yielded blocks
+    would hold one block while drawing the next.
     """
     cap = max(1, min(_BLOCK_PATHS // width, _BLOCK_FLOATS // max(1, n_steps)))
     for first in range(0, n_samples, cap):
-        yield _path_rows(root_seed, first, min(cap, n_samples - first),
-                         dt, n_steps)
+        yield fn(_path_rows(root_seed, first, min(cap, n_samples - first),
+                            dt, n_steps))
 
 
 def _step_grid(t, dt):
@@ -679,16 +687,16 @@ def _raise_non_finite(scheme, t):
                           t_reached=t)
 
 
-def _psi_sde_block(spec, k, psi0, paths, dt, scheme, record_cols=None,
-                   width=None):
+def _psi_sde_block(spec, k, psi0, paths, dt, scheme, record_cols=None):
     """Vectorized SDE stepping for a block of paths.
 
     The step multipliers of ``_sde_stepper`` are made for a chunk of
-    ``width`` steps at a time: the chunk's increments go time-major into
-    one reused buffer, 1024 rows at a time so that a tall block is read
-    a few pages at a time, and their multipliers into one reused complex
-    buffer, one row per step.  A step is then the field and four ufuncs,
-    and the chunk width changes no bit of the result.
+    steps at a time, _CHUNK_VALUES // n_paths of them (at least one):
+    the chunk's increments go time-major into one reused buffer, 1024
+    rows at a time so that a tall block is read a few pages at a time,
+    and their multipliers into one reused complex buffer, one row per
+    step.  A step is then the field and four ufuncs, and the chunk width
+    changes no bit of the result.
 
     Args:
         psi0: initial state, a scalar or an array with one row per path
@@ -697,8 +705,6 @@ def _psi_sde_block(spec, k, psi0, paths, dt, scheme, record_cols=None,
             the increment paths[:, j+1] - paths[:, j].
         record_cols: optional collection of path columns at which to
             snapshot the state (column j: the state after j steps).
-        width: steps per chunk; by default about _CHUNK_VALUES
-            multipliers per chunk, and at least 16 steps.
 
     Returns:
         (final_state, snapshots dict col->state, projections)
@@ -712,9 +718,7 @@ def _psi_sde_block(spec, k, psi0, paths, dt, scheme, record_cols=None,
     n_steps = n_cols - 1
     psi = np.array(np.broadcast_to(psi0, (n_paths,) + np.shape(psi0)[1:]),
                    dtype=complex)
-    if width is None:
-        width = max(16, _CHUNK_VALUES // max(1, n_paths))
-    width = max(1, min(width, n_steps))
+    width = max(1, min(n_steps, _CHUNK_VALUES // max(1, n_paths)))
     tile = 1024
     db = np.empty((width, min(tile, n_paths)))
     chunk = np.empty((width, n_paths), dtype=complex)
@@ -733,8 +737,9 @@ def _psi_sde_block(spec, k, psi0, paths, dt, scheme, record_cols=None,
         for j in range(w):
             psi = step(psi, rows_c[j])
             np.abs(psi, out=r)
-            # a NaN maximum skips projection; the state is NaN to the end
-            if r.max() >= 1.0:
+            # a NaN maximum builds the mask too, which leaves a NaN state
+            # unprojected and NaN to the end
+            if not r.max() < 1.0:
                 mask = r >= 1.0
                 projections += int(np.count_nonzero(mask))
                 psi[mask] *= (1.0 - 1e-12) / r[mask]
@@ -786,10 +791,13 @@ def expectation_Tt(spec, k, t, z, f, n_samples, seed,
     if n_steps == 0:
         return McEstimate(mean=complex(f(complex(z))), std_error=0.0,
                           n_samples=n_samples)
-    return _mc_estimate(
-        _apply_f(f, _psi_sde_block(spec, k, complex(z), rows, dt_used,
-                                   scheme)[0])
-        for rows in _path_blocks(seed, n_samples, dt_used, n_steps))
+
+    def values(rows):
+        return _apply_f(f, _psi_sde_block(spec, k, complex(z), rows, dt_used,
+                                          scheme)[0])
+
+    return _mc_estimate(_path_blocks(values, seed, n_samples, dt_used,
+                                     n_steps))
 
 
 def covariance_mc(t, k, n_samples, seed, dt=1e-3):
@@ -810,11 +818,13 @@ def covariance_mc(t, k, n_samples, seed, dt=1e-3):
     t = float(t)
     k = _finite("k", k)
     n_steps, dt_used = _step_grid(t, dt)
-    blocks = []
-    for B in _path_blocks(seed, n_samples, dt_used, n_steps):
+
+    def components(B):
         phi = math.exp(-t) * _exp_trapezoid(B, k, dt_used)
         zeta = np.exp(-1j * k * B[:, -1])
-        blocks.append((zeta, phi, phi * zeta))
+        return zeta, phi, phi * zeta
+
+    blocks = _path_blocks(components, seed, n_samples, dt_used, n_steps)
     est = {key: _mc_estimate(parts)
            for key, parts in zip(("e1", "e2", "e3"), zip(*blocks))}
     cov = est["e3"].mean - est["e2"].mean * est["e1"].mean
@@ -1207,15 +1217,14 @@ def backward_equation_residual(spec, k, f, t, z, n_samples, seed=0,
     weights = (drift_z / (P * fit_radius) * np.exp(-1j * angles)
                - k * k * z * z / (P * fit_radius ** 2) * np.exp(-2j * angles))
 
-    def samples():
-        for rows in _path_blocks(seed, n_samples, dt_used, n_plus,
-                                 width=P + 1):
-            psi, snaps, _ = _psi_sde_block(
-                spec, k, np.broadcast_to(start, (len(rows), P + 1)), rows,
-                dt_used, "milstein", record_cols={col_minus, col_mid})
-            du = (_apply_f(f, psi[:, 0])
-                  - _apply_f(f, snaps[col_minus][:, 0])) / (2.0 * h)
-            yield du - _apply_f(f, snaps[col_mid][:, 1:]) @ weights
+    def samples(rows):
+        psi, snaps, _ = _psi_sde_block(
+            spec, k, np.broadcast_to(start, (len(rows), P + 1)), rows,
+            dt_used, "milstein", record_cols={col_minus, col_mid})
+        du = (_apply_f(f, psi[:, 0])
+              - _apply_f(f, snaps[col_minus][:, 0])) / (2.0 * h)
+        return du - _apply_f(f, snaps[col_mid][:, 1:]) @ weights
 
-    est = _mc_estimate(samples())
+    est = _mc_estimate(_path_blocks(samples, seed, n_samples, dt_used, n_plus,
+                                    width=P + 1))
     return abs(est.mean), est.std_error

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from loewnerkit import herglotz as hg
 from loewnerkit import stochastic as st
 
 NAMED_ROOTS = [0, 2**32 - 1, 2**32, 2**62 - 1, 2**64 - 1]
@@ -113,3 +114,30 @@ def test_path_rows_peak_memory_is_one_matrix():
         tracemalloc.stop()
     assert rows.nbytes == 2000 * 1001 * 8
     assert peak < 1.25 * rows.nbytes
+
+
+# each estimator over three blocks of 2,000 steps: (call, paths per block)
+BLOCKED = {
+    "expectation": (lambda: st.expectation_Tt(hg.Cayley(), 1.5, 2.0, 0.3,
+                                              lambda w: w, 3000, 5), 1000),
+    "covariance": (lambda: st.covariance_mc(2.0, 1.5, 3000, 5), 1000),
+    # 17 states per path: _BLOCK_PATHS // 17 paths per block
+    "backward": (lambda: st.backward_equation_residual(
+        hg.Cayley(), 1.5, lambda w: w, 1.95, 0.3, 1200, 5, h=0.05),
+        st._BLOCK_PATHS // 17),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCKED))
+def test_blocked_estimators_hold_one_path_block_at_a_time(name,
+                                                          monkeypatch):
+    call, block_paths = BLOCKED[name]
+    monkeypatch.setattr(st, "_BLOCK_FLOATS", 2_000_000)
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one block and the small per-block arrays; two blocks would be 2x
+    assert peak < 1.5 * block_paths * 2001 * 8

@@ -256,7 +256,7 @@ def test_circle_block_matches_reference(spec, scheme):
 @pytest.mark.parametrize("circle", [False, True], ids=["point", "circle"])
 # below and above one tile of rows copied at a time
 @pytest.mark.parametrize("n_paths", [9, 1100])
-def test_chunk_width_changes_no_bit(n_paths, circle, scheme):
+def test_chunk_width_changes_no_bit(n_paths, circle, scheme, monkeypatch):
     n_steps = 100
     rows = st._path_rows(8, 0, n_paths, DT, n_steps)
     if circle:
@@ -269,9 +269,11 @@ def test_chunk_width_changes_no_bit(n_paths, circle, scheme):
     cols = {10, 20, 50, 99, n_steps}
     # one step per chunk, the default chunk, chunk edges on every recorded
     # column but 99, and a width that does not divide n_steps
-    runs = [st._psi_sde_block(hg.Cayley(), 3.0, psi0, rows, DT, scheme,
-                              record_cols=cols, width=width)
-            for width in (1, None, 10, 7)]
+    runs = []
+    for chunk_values in (1, st._CHUNK_VALUES, 10 * n_paths, 7 * n_paths):
+        monkeypatch.setattr(st, "_CHUNK_VALUES", chunk_values)
+        runs.append(st._psi_sde_block(hg.Cayley(), 3.0, psi0, rows, DT,
+                                      scheme, record_cols=cols))
     assert runs[0][2] > 0
     for got in runs[1:]:
         _assert_same_block(got, runs[0])
@@ -322,3 +324,30 @@ def test_non_finite_state_fails_at_the_same_time(spec, scheme):
             st._psi_sde_block(spec, k, 0.2, block, DT, scheme)
         assert got.value.t_reached == want.value.t_reached
         assert str(got.value) == str(want.value)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.text_form())
+def test_one_non_finite_path_leaves_the_others_stepping(spec, scheme,
+                                                        monkeypatch):
+    rows = st._path_rows(11, 0, 9, DT, N_STEPS)
+    # one infinite value in one path: that path's state is NaN from the
+    # sixth step on, while the other paths keep being projected
+    rows[4, 6] = math.inf
+    cols = {5, 6, 40, N_STEPS}
+    with pytest.raises(st.DiskEscapeError) as want:
+        _ref_psi_sde_block(spec, 3.0, Z0, rows, DT, scheme, record_cols=cols)
+    with pytest.raises(st.DiskEscapeError) as got:
+        st._psi_sde_block(spec, 3.0, Z0, rows, DT, scheme, record_cols=cols)
+    assert got.value.t_reached == want.value.t_reached
+    assert str(got.value) == str(want.value)
+    # the states and projection counts behind the error
+    monkeypatch.setattr(st, "_raise_non_finite", lambda scheme, t: None)
+    want = _ref_psi_sde_block(spec, 3.0, Z0, rows, DT, scheme,
+                              record_cols=cols)
+    got = st._psi_sde_block(spec, 3.0, Z0, rows, DT, scheme,
+                            record_cols=cols)
+    assert np.isfinite(want[0]).sum() == len(rows) - 1
+    assert want[2] > 0
+    _assert_same_block(got, want)
