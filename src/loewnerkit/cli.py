@@ -209,19 +209,19 @@ def cmd_evolve(args, parser):
     _require(args, parser, "spec", "k", "t_end")
     spec = parse_spec(args.spec)
     t_end, dt = args.t_end, args.dt
-    grid = _sample_grid(t_end, dt)
     dt_used = dt
     if args.mode == "det":
         cfg_dt = min(dt, 0.05, t_end) if t_end > 0.0 else dt
         cfg = EvolutionConfig(k=args.k, t_end=t_end, dt=cfg_dt)
-        traj = evolve_phi(spec, cfg, args.z0, grid)
+        traj = evolve_phi(spec, cfg, args.z0, _sample_grid(t_end, dt))
         tau = cmath.exp(1j * args.k * t_end)
     else:
+        # both random modes sample on the path's own grid
         n_steps, dt_used = stochastic._step_grid(t_end, dt)
         path = stochastic.sample_brownian(args.seed, dt_used, n_steps)
         if args.mode == "random":
             traj = stochastic.evolve_phi_pathwise(spec, args.k, args.z0,
-                                                  path, grid)
+                                                  path, path.time_grid())
             tau = cmath.exp(1j * args.k * path.values[-1])
         else:
             traj = stochastic.evolve_psi_sde(spec, args.k, args.z0, path,
@@ -417,7 +417,7 @@ def build_parser():
                    help="start point (complex literal, i suffix)")
     p.add_argument("--t-end", type=_finite_float, dest="t_end")
     p.add_argument("--dt", type=_positive_float, default=0.01,
-                   help="sample spacing (and SDE step)")
+                   help="sample spacing; the path step in modes random and sde")
     p.add_argument("--mode", choices=("det", "random", "sde"), default="det")
     p.add_argument("--scheme", choices=("euler", "milstein"),
                    default="milstein", help="SDE scheme (mode sde)")

@@ -40,6 +40,12 @@ from .herglotz import (
     Error,
     HerglotzSpec,
     SingularPointError,
+    _count,
+    _disk_point,
+    _finite,
+    _nonzero,
+    _positive,
+    _time,
 )
 
 __all__ = [
@@ -73,14 +79,6 @@ class StiffnessError(Error):
         self.t_reached = t_reached
 
 
-def _finite(name, value):
-    """float(value); ValueError if it is NaN or infinite."""
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError("%s must be finite, got %r" % (name, value))
-    return value
-
-
 # --------------------------------------------------------------------------
 # domain types
 # --------------------------------------------------------------------------
@@ -97,7 +95,7 @@ class EvolutionConfig:
         Final time, nonnegative.
     dt : float
         Base step: initial trial step and upper bound for the adaptive
-        integrator (and the literal step of the fixed-step SDE schemes).
+        integrator.
     rtol, atol : float
         Local error control, accepted when err <= rtol*|phi| + atol.
 
@@ -112,12 +110,9 @@ class EvolutionConfig:
     atol: float = 1e-12
 
     def __post_init__(self):
-        for name in ("k", "t_end", "dt"):
-            _finite(name, getattr(self, name))
-        if self.t_end < 0.0:
-            raise ValueError("t_end must be >= 0, got %r" % self.t_end)
-        if self.dt <= 0.0:
-            raise ValueError("dt must be > 0, got %r" % self.dt)
+        _finite("k", self.k)
+        _time("t_end", self.t_end)
+        _positive("dt", self.dt)
         if self.t_end > 0.0 and self.dt > self.t_end:
             raise ValueError("dt must not exceed t_end (got dt=%r, t_end=%r)"
                              % (self.dt, self.t_end))
@@ -324,8 +319,8 @@ def _integrate(field, y0, sample_times, cfg):
 
 
 def _normalize_sample_times(sample_times, t_end):
-    ts = sorted(float(t) for t in sample_times)
-    if ts and (ts[0] < 0.0 or ts[-1] > t_end + 1e-12):
+    ts = sorted(_time("sample time", t) for t in sample_times)
+    if ts and ts[-1] > t_end + 1e-12:
         raise ValueError("sample times must lie in [0, t_end]")
     if not ts or ts[0] > 0.0:
         ts.insert(0, 0.0)
@@ -351,10 +346,9 @@ def _driven_field(spec, tau_of):
 
 
 def _evolve(cfg, z0, sample_times, field, frame):
-    if abs(z0) > 1.0:
-        raise DomainError("need |z0| <= 1, got %r" % abs(z0))
+    z0 = _disk_point("z0", z0, closed=True)
     ts = _normalize_sample_times(sample_times, cfg.t_end)
-    values, stats = _integrate(field, complex(z0), ts, cfg)
+    values, stats = _integrate(field, z0, ts, cfg)
     return Trajectory(times=np.array(ts), values=np.array(values),
                       frame=frame, config=cfg, stats=stats)
 
@@ -390,14 +384,14 @@ def example1_reference(z, t, k):
     phi_t(z) = e^{-t} z + (e^{ikt} - e^{-t}) / (1 + ik), psi = phi/tau,
     and dw solves phi_t(w) = w (needs t > 0).
     """
-    z = complex(z)
-    t = float(t)
-    k = float(k)
+    z = _disk_point("z", z, closed=True)
+    t = _time("t", t)
+    if t == 0.0:
+        raise DomainError("the moving fixed point needs t > 0, got %r" % t)
+    k = _finite("k", k)
     ik1 = 1.0 + 1j * k
     phi = cmath.exp(-t) * z + (cmath.exp(1j * k * t) - cmath.exp(-t)) / ik1
     psi = phi * cmath.exp(-1j * k * t)
-    if t <= 0.0:
-        raise DomainError("the moving fixed point needs t > 0, got %r" % t)
     dw = (-1.0 + cmath.exp(t + 1j * k * t)) / (ik1 * math.expm1(t))
     return Example1Reference(phi=phi, psi=psi, dw=dw)
 
@@ -418,11 +412,9 @@ def classify_semigroup(A, B, k):
     floating-point tolerance band tol_D around D = 0 for the parabolic
     case.  Elliptic results carry the interior fixed point.
     """
-    A = _finite("A", A)
+    A = _time("A", A)
     B = _finite("B", B)
     k = _finite("k", k)
-    if A < 0.0:
-        raise ValueError("need A >= 0, got %r" % A)
     if A == 0.0 and B == 0.0:
         raise ValueError("need (A, B) != (0, 0)")
     D = 4.0 * A * A - 4.0 * B * k - k * k
@@ -447,16 +439,15 @@ def is_closed_trajectory(A, B, k, max_denominator):
     search via Fraction.limit_denominator); period is then the least
     common return time 2*pi*q/sqrt(-D).
     """
-    k = float(k)
-    if k == 0.0:
-        raise ValueError("need k != 0")
+    k = _nonzero("k", k)
+    max_denominator = _count("max_denominator", max_denominator, 1)
     result = classify_semigroup(A, B, k)
     if result.kind != "Elliptic":
         raise ValueError("closed-orbit test needs an elliptic flow, got %s"
                          % result.kind)
     s = math.sqrt(-result.discriminant)
     ratio = k / s
-    approx = Fraction(ratio).limit_denominator(int(max_denominator))
+    approx = Fraction(ratio).limit_denominator(max_denominator)
     closed = abs(ratio - float(approx)) <= 1e-9 and approx != 0
     period = 2.0 * math.pi * approx.denominator / s if closed else None
     return closed, ratio, period
@@ -471,14 +462,12 @@ def koebe_map(k, z):
     z = complex(z)
     if z == 1.0:
         raise SingularPointError("Koebe map has a pole at z = 1")
-    return 1j * float(k) * z / (1.0 - z) ** 2
+    return 1j * _finite("k", k) * z / (1.0 - z) ** 2
 
 
 def koebe_inverse(k, w):
     """Principal-branch inverse of K_k; K_k^{-1}(K_k(z)) = z on the disk."""
-    k = float(k)
-    if k == 0.0:
-        raise ValueError("koebe_inverse needs k != 0 (the map degenerates)")
+    k = _nonzero("k", k)
     s = cmath.sqrt(4.0 * complex(w) / (1j * k) + 1.0)
     return (s - 1.0) / (s + 1.0)
 
@@ -551,9 +540,7 @@ def find_fixed_point(spec, k):
     Returns None when no interior zero is found, which is how the
     non-elliptic cases answer.
     """
-    k = float(k)
-    if k == 0.0:
-        raise ValueError("need k != 0")
+    k = _nonzero("k", k)
     return _interior_zero(lambda z: _generator_value(spec, k, z),
                           lambda z: koebe_inverse(k, spec._value(z)), 1e-6)
 
@@ -566,9 +553,7 @@ def boundary_fixed_points(k):
     bracketing bisection on 512 subintervals; sign changes caused by
     the poles of either side are discarded by a residual check.
     """
-    k = float(k)
-    if k == 0.0:
-        raise ValueError("need k != 0")
+    k = _nonzero("k", k)
 
     def g(theta):
         c = math.cos(theta) - 1.0
@@ -638,7 +623,7 @@ def implicit_solution_residual(A, B, k, z, t, psi_t):
         return num / den
 
     lhs = factor(complex(psi_t)) / factor(complex(z))
-    return abs(lhs - cmath.exp(-1j * s * float(t)))
+    return abs(lhs - cmath.exp(-1j * s * _finite("t", t)))
 
 
 # --------------------------------------------------------------------------
@@ -652,11 +637,9 @@ def boundary_image(spec, k, t, n_points):
     1 - 1e-6 (the flow lives on the open disk), all in one vectorized
     integration; a failure raises that integration's error.
     """
-    n_points = int(n_points)
-    if n_points < 16:
-        raise ValueError("need n_points >= 16, got %r" % n_points)
-    t = float(t)
-    k = float(k)
+    n_points = _count("n_points", n_points, 16)
+    t = _time("t", t)
+    k = _finite("k", k)
     angles = 2.0 * math.pi * np.arange(n_points) / n_points
     z0 = (1.0 - 1e-6) * np.exp(1j * angles)
     if t == 0.0:

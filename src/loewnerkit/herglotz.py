@@ -64,6 +64,63 @@ class SingularPointError(Error, ArithmeticError):
 
 
 # --------------------------------------------------------------------------
+# argument rules, each written once; every comparison is false for NaN, so
+# a NaN argument fails the rule it is checked against
+# --------------------------------------------------------------------------
+
+def _finite(name, x):
+    """float(x); ValueError if it is NaN or infinite."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError("%s must be finite, got %r" % (name, x))
+    return x
+
+
+def _positive(name, x):
+    """float(x); ValueError unless finite and > 0."""
+    x = float(x)
+    if not 0.0 < x < math.inf:
+        raise ValueError("%s must be finite and > 0, got %r" % (name, x))
+    return x
+
+
+def _nonzero(name, x):
+    """float(x); ValueError unless finite and != 0."""
+    x = float(x)
+    if not (math.isfinite(x) and x != 0.0):
+        raise ValueError("%s must be finite and != 0, got %r" % (name, x))
+    return x
+
+
+def _time(name, t):
+    """float(t); ValueError unless finite and >= 0 (a time, or any other
+    nonnegative parameter)."""
+    t = float(t)
+    if not 0.0 <= t < math.inf:
+        raise ValueError("need %s >= 0 and %s must be finite, got %r"
+                         % (name, name, t))
+    return t
+
+
+def _disk_point(name, z, closed=False):
+    """complex(z); DomainError unless |z| < 1, or |z| <= 1 if closed."""
+    z = complex(z)
+    r = abs(z)
+    if not (r <= 1.0 if closed else r < 1.0):
+        raise DomainError("need |%s| %s 1, got |%s| = %r"
+                          % (name, "<=" if closed else "<", name, r))
+    return z
+
+
+def _count(name, n, least):
+    """int(n); ValueError if it is below ``least``."""
+    n = int(n)
+    if n < least:
+        raise ValueError("need %s >= %d, got %r" % (name, least, n))
+    return n
+
+
+# --------------------------------------------------------------------------
 # complex literals for text forms
 # --------------------------------------------------------------------------
 
@@ -217,14 +274,9 @@ class Automorphism(HerglotzSpec):
     variant = "automorphism"
 
     def __init__(self, A, B):
-        A = float(A)
-        B = float(B)
-        if not (0.0 <= A < math.inf and math.isfinite(B)):
-            raise ValueError("automorphism spec needs finite A >= 0 and "
-                             "finite B, got A = %r, B = %r" % (A, B))
-        self.A = A
-        self.B = B
-        self._pole_at_one = A != 0.0
+        self.A = _time("A", A)
+        self.B = _finite("B", B)
+        self._pole_at_one = self.A != 0.0
 
     def _value(self, z):
         return self.A * (1.0 + z) / (1.0 - z) + 1j * self.B
@@ -325,7 +377,7 @@ class BerksonPortaData:
     herglotz: HerglotzSpec
 
     def __post_init__(self):
-        if abs(self.tau) > 1.0 + 1e-12:
+        if not abs(self.tau) <= 1.0 + 1e-12:
             raise ValueError("tau must lie in the closed unit disk, "
                              "got |tau| = %r" % abs(self.tau))
 
@@ -340,9 +392,7 @@ def eval(spec, z):
     Raises DomainError for ``|z| >= 1`` and SingularPointError when
     ``z`` sits within 1e-12 of a pole of the spec.
     """
-    z = complex(z)
-    if abs(z) >= 1.0:
-        raise DomainError("need |z| < 1, got |z| = %r" % abs(z))
+    z = _disk_point("z", z)
     if spec._pole_at_one and abs(1.0 - z) < 1e-12:
         raise SingularPointError("z = %r is too close to the pole at 1" % z)
     return complex(spec._value(z))
@@ -350,10 +400,7 @@ def eval(spec, z):
 
 def taylor_coefficients(spec, n):
     """Exact Taylor coefficients a0..an of the spec at the origin."""
-    n = int(n)
-    if n < 0:
-        raise ValueError("need n >= 0, got %r" % n)
-    return spec._taylor(n)
+    return spec._taylor(_count("n", n, 0))
 
 
 def automorphism_generator(A, B, k, z):
@@ -363,11 +410,9 @@ def automorphism_generator(A, B, k, z):
     ``(-A + Bi) z^2 - (2B + k) i z + (A + Bi)``, i.e. the field
     ``(z - 1)^2 p(z) - i k z`` with the pole of p cancelled exactly.
     """
-    A = float(A)
-    if A < 0.0:
-        raise ValueError("need A >= 0, got A = %r" % A)
-    B = float(B)
-    k = float(k)
+    A = _time("A", A)
+    B = _finite("B", B)
+    k = _finite("k", k)
     return ((-A + 1j * B) * z - 1j * (2.0 * B + k)) * z + (A + 1j * B)
 
 
@@ -380,11 +425,9 @@ def berkson_porta_p0(spec, k, tau0, z):
     analytically; this helper just evaluates it pointwise away from the
     denominator's zeros.
     """
-    z = complex(z)
+    z = _disk_point("z", z)
     tau0 = complex(tau0)
-    if abs(z) >= 1.0:
-        raise DomainError("need |z| < 1, got |z| = %r" % abs(z))
-    num = spec._bp_field(z) - 1j * float(k) * z
+    num = spec._bp_field(z) - 1j * _finite("k", k) * z
     den = (z - tau0) * (tau0.conjugate() * z - 1.0)
     if abs(den) < 1e-14:
         raise SingularPointError(
@@ -411,8 +454,5 @@ def parse_spec(text):
         return Automorphism(float(parts[0]), float(parts[1]))
     if s.startswith("taylor:"):
         body = s.split(":", 1)[1]
-        parts = [p for p in body.split(",") if p.strip()]
-        if not parts:
-            raise ValueError("taylor needs at least one coefficient: %r" % text)
-        return Taylor([parse_complex(p) for p in parts])
+        return Taylor([parse_complex(p) for p in body.split(",") if p.strip()])
     raise ValueError("unknown spec text form: %r" % text)

@@ -39,11 +39,11 @@ from .deterministic import (
     CONTAINMENT_TOL,
     Trajectory,
     _driven_field,
-    _finite,
     _interior_zero,
     _normalize_sample_times,
 )
-from .herglotz import (Cayley, CayleyLinear, DomainError, Error, Taylor,
+from .herglotz import (Cayley, CayleyLinear, Error, Taylor, _count,
+                       _disk_point, _finite, _nonzero, _positive, _time,
                        taylor_coefficients)
 
 __all__ = [
@@ -130,8 +130,7 @@ class BrownianPath:
     algorithm_id: str = BROWNIAN_ALGORITHM_ID
 
     def __post_init__(self):
-        if not 0.0 < self.dt < math.inf:
-            raise ValueError("dt must be finite and > 0, got %r" % self.dt)
+        _positive("dt", self.dt)
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1 or len(values) < 1:
             raise ValueError("values must be a nonempty 1-d array")
@@ -200,8 +199,7 @@ class McEstimate:
     def __post_init__(self):
         if self.std_error < 0.0:
             raise ValueError("std_error must be >= 0")
-        if self.n_samples < 2:
-            raise ValueError("need n_samples >= 2, got %r" % self.n_samples)
+        _count("n_samples", self.n_samples, 2)
 
 
 CovarianceReference = namedtuple("CovarianceReference",
@@ -229,12 +227,8 @@ def sample_brownian(seed, dt, n_steps):
     Returns:
         A BrownianPath with independent N(0, dt) increments.
     """
-    dt = float(dt)
-    if not 0.0 < dt < math.inf:
-        raise ValueError("dt must be finite and > 0, got %r" % dt)
-    n_steps = int(n_steps)
-    if n_steps < 0:
-        raise ValueError("n_steps must be >= 0")
+    dt = _positive("dt", dt)
+    n_steps = _count("n_steps", n_steps, 0)
     gen = np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(int(seed))))
     increments = gen.standard_normal(n_steps) * math.sqrt(dt)
     values = np.empty(n_steps + 1)
@@ -398,10 +392,8 @@ def _step_grid(t, dt):
     t == 0 takes no step and keeps dt.  A negative or non-finite t and a
     non-finite or non-positive dt raise ValueError.
     """
-    if not 0.0 < dt < math.inf:
-        raise ValueError("dt must be finite and > 0, got %r" % dt)
-    if not 0.0 <= t < math.inf:
-        raise ValueError("need t >= 0 and finite, got %r" % t)
+    dt = _positive("dt", dt)
+    t = _time("t", t)
     if t == 0.0:
         return 0, dt
     n_steps = max(1, round(t / dt))
@@ -460,8 +452,7 @@ def evolve_phi_pathwise(spec, k, z0, path, sample_times):
             (fixed-step RK4 has no error control; coarse grids at high k
             can leave the disk).
     """
-    if not abs(z0) <= 1.0:
-        raise DomainError("need |z0| <= 1, got %r" % abs(z0))
+    z0 = _disk_point("z0", z0, closed=True)
     k = _finite("k", k)
     B = path.values
     dt = path.dt
@@ -487,7 +478,7 @@ def evolve_phi_pathwise(spec, k, z0, path, sample_times):
     # the field takes a stage index in place of a time
     field = _driven_field(spec, np.exp(1j * k * b).tolist().__getitem__)
 
-    y = complex(z0)
+    y = z0
     out = [y]
     remaining = ts[1:]
     idx = 0
@@ -544,11 +535,12 @@ def example1_pathwise(z, k, path, t):
     integral taken by trapezoid rule on the path grid (plus an
     interpolated partial cell when t falls inside one).
     """
-    t = float(t)
+    z = _disk_point("z", z, closed=True)
+    t = _time("t", t)
     k = _finite("k", k)
     dt = path.dt
     B = path.values
-    if t < 0.0 or t > path.duration + 1e-12:
+    if t > path.duration + 1e-12:
         raise ValueError("t must lie within the path duration")
     n_full = min(int(t / dt + 1e-9), path.n_steps)
     integral = complex(_exp_trapezoid(B[None, :n_full + 1], k, dt)[0])
@@ -559,15 +551,13 @@ def example1_pathwise(z, k, path, t):
         g_n = cmath.exp(n_full * dt + 1j * k * B[n_full])
         g_t = cmath.exp(t + 1j * k * b_t)
         integral += 0.5 * t_rem * (g_n + g_t)
-    return cmath.exp(-t) * (complex(z) + integral)
+    return cmath.exp(-t) * (z + integral)
 
 
 def mean_phi_example1(z, t, k):
     """Closed-form mean E phi_t(z) of the solvable reference case."""
-    z = complex(z)
-    t = float(t)
-    if t < 0.0:
-        raise ValueError("need t >= 0, got %r" % t)
+    z = _disk_point("z", z, closed=True)
+    t = _time("t", t)
     k2 = _finite("k", k) ** 2
     if abs(k2 - 2.0) <= 1e-12:
         return cmath.exp(-t) * (z + t)
@@ -653,13 +643,11 @@ def evolve_psi_sde(spec, k, z0, path, scheme="milstein"):
     Returns:
         Trajectory in the psi frame sampled on the full path grid.
     """
-    if not abs(z0) < 1.0:
-        raise DomainError("need |z0| < 1, got %r" % abs(z0))
+    psi = _disk_point("z0", z0)
     dt = path.dt
     multipliers, step = _sde_stepper(spec, k, dt, scheme)
     c = np.empty(path.n_steps, dtype=complex)
     multipliers(path.increments(), c)
-    psi = complex(z0)
     values = [psi]
     projections = 0
     # scalar on purpose: one path through _psi_sde_block costs 9-16x
@@ -779,21 +767,17 @@ def expectation_Tt(spec, k, t, z, f, n_samples, seed,
     Returns:
         McEstimate with the combined real+imaginary standard error.
     """
-    if not abs(z) < 1.0:
-        raise DomainError("need |z| < 1, got %r" % abs(z))
-    n_samples = int(n_samples)
-    if n_samples < 2:
-        raise ValueError("need n_samples >= 2, got %r" % n_samples)
-    t = float(t)
+    z = _disk_point("z", z)
+    n_samples = _count("n_samples", n_samples, 2)
     n_steps, dt_used = _step_grid(t, dt)
     # rejects an unknown scheme or a non-finite k before any path is drawn
     _sde_stepper(spec, k, dt_used, scheme)
     if n_steps == 0:
-        return McEstimate(mean=complex(f(complex(z))), std_error=0.0,
+        return McEstimate(mean=complex(f(z)), std_error=0.0,
                           n_samples=n_samples)
 
     def values(rows):
-        return _apply_f(f, _psi_sde_block(spec, k, complex(z), rows, dt_used,
+        return _apply_f(f, _psi_sde_block(spec, k, z, rows, dt_used,
                                           scheme)[0])
 
     return _mc_estimate(_path_blocks(values, seed, n_samples, dt_used,
@@ -812,9 +796,7 @@ def covariance_mc(t, k, n_samples, seed, dt=1e-3):
         dict with keys "e1", "e2", "e3", "cov", each a McEstimate;
         the cov standard error combines the component errors linearly.
     """
-    n_samples = int(n_samples)
-    if n_samples < 2:
-        raise ValueError("need n_samples >= 2, got %r" % n_samples)
+    n_samples = _count("n_samples", n_samples, 2)
     t = float(t)
     k = _finite("k", k)
     n_steps, dt_used = _step_grid(t, dt)
@@ -847,9 +829,7 @@ def apply_generator(spec, k, z, f, fprime=None, fsecond=None):
     any direction for analytic f); pass exact callables when the 1e-6
     scale FD noise matters.
     """
-    z = complex(z)
-    if abs(z) >= 1.0:
-        raise DomainError("need |z| < 1, got %r" % abs(z))
+    z = _disk_point("z", z)
     k = _finite("k", k)
     if fprime is not None:
         d1 = complex(fprime(z))
@@ -876,9 +856,7 @@ def virasoro_coefficients(spec, k, N):
     Returns:
         (c, l0_squared) where c is a dict keyed by n in -1..N.
     """
-    N = int(N)
-    if N < -1:
-        raise ValueError("need N >= -1")
+    N = _count("N", N, -1)
     k = _finite("k", k)
     a = taylor_coefficients(spec, N + 1)
 
@@ -899,9 +877,7 @@ def find_stochastic_zero(spec, k):
     composed with p, then Newton from a 5x8 polar grid.  Unlike the
     deterministic case the zero always exists, so failure raises.
     """
-    k = _finite("k", k)
-    if k == 0.0:
-        raise ValueError("need k != 0")
+    k = _nonzero("k", k)
     k2h = 0.5 * k * k
 
     def inv_kappa(w):
@@ -941,20 +917,11 @@ def solve_moment_hierarchy(spec, k, z, t_end, M, truncation, closure="zero",
         MomentTruncationError: a reported moment is not finite or exceeds
             1 in modulus, which the moments of a disk-valued process cannot.
     """
-    M = int(M)
-    truncation = int(truncation)
-    if M < 1:
-        raise ValueError("need M >= 1")
-    if truncation < M:
-        raise ValueError("truncation must be >= M (got %r < %r)"
-                         % (truncation, M))
+    M = _count("M", M, 1)
+    truncation = _count("truncation", truncation, M)
     _check_closure(closure)
-    z = complex(z)
-    if not abs(z) <= 1.0:
-        raise DomainError("need |z| <= 1, got %r" % abs(z))
-    t_end = float(t_end)
-    if not 0.0 <= t_end < math.inf:
-        raise ValueError("need t_end >= 0 and finite, got %r" % t_end)
+    z = _disk_point("z", z, closed=True)
+    t_end = _time("t_end", t_end)
     k = _finite("k", k)
     a = taylor_coefficients(spec, truncation + 1)
     d = [0.0] + [a[n - 1] - 2.0 * a[n] + a[n + 1] for n in range(1, truncation + 1)]
@@ -1009,9 +976,7 @@ def covariance_reference(t, k):
     cov = Cov(phi_t(0), e^{-ikB_t}) = e3 - e2 e1, with the k^2 = 2
     degeneracy handled as the continuous limit of the general branch.
     """
-    t = float(t)
-    if t < 0.0:
-        raise ValueError("need t >= 0, got %r" % t)
+    t = _time("t", t)
     k2 = _finite("k", k) ** 2
     e1 = math.exp(-0.5 * k2 * t)
     e2 = complex(mean_phi_example1(0.0, t, k)).real
@@ -1039,22 +1004,27 @@ def radial_solution(A, B, k, r0, path, theta_traj):
 
     with p0 = A + iB, by trapezoid on the shared grid; r0 = 1 stays 1.
     """
-    r0 = float(r0)
-    if not 0.0 <= r0 <= 1.0:
-        raise DomainError("need r0 in [0, 1], got %r" % r0)
+    r0 = _radius(r0)
     theta = np.asarray(theta_traj, dtype=float)
     if theta.shape != path.values.shape:
         raise ValueError("theta_traj must share the path grid")
+    p0 = complex(_time("A", A), _finite("B", B))
+    k = _finite("k", k)
     if r0 == 1.0:
         return np.ones_like(theta)
-    p0 = complex(float(A), float(B))
     amp = abs(p0)
     alpha = cmath.phase(p0)
-    integrand = np.cos(theta - float(k) * path.values - alpha)
+    integrand = np.cos(theta - k * path.values - alpha)
     cum = np.empty_like(integrand)
     cum[0] = 0.0
     np.cumsum(0.5 * path.dt * (integrand[:-1] + integrand[1:]), out=cum[1:])
     return np.tanh(amp * cum + math.atanh(r0))
+
+
+def _radius(r0):
+    """float(r0) in [0, 1]: a radius is a nonnegative point of the
+    closed disk."""
+    return _disk_point("r0", _time("r0", r0), closed=True).real
 
 
 # spec ids with explicit radial envelopes, and their spec factories
@@ -1072,12 +1042,8 @@ def growth_bounds(spec_id, r0, t):
     if spec_id not in _BOUND_SPECS:
         raise ValueError("spec_id must be one of %r, got %r"
                          % (tuple(_BOUND_SPECS), spec_id))
-    r0 = float(r0)
-    if not 0.0 <= r0 <= 1.0:
-        raise DomainError("need r0 in [0, 1], got %r" % r0)
-    t = float(t)
-    if not 0.0 <= t < math.inf:
-        raise ValueError("need t >= 0 and finite, got %r" % t)
+    r0 = _radius(r0)
+    t = _time("t", t)
     if t == 0.0:
         return r0, r0
     if spec_id == "cayley":
@@ -1101,15 +1067,13 @@ def simulate_boundary_diffusion(A, B, k, theta0, path):
     A=1, B=0 is the noisy North-South flow d Theta = -2 sin Theta dt
     - k dB.  Values are reduced mod 2 pi for reporting.
     """
-    A = _finite("A", A)
+    A = _time("A", A)
     B = _finite("B", B)
     k = _finite("k", k)
     if A == 0.0 and B == 0.0:
         raise ValueError("need (A, B) != (0, 0)")
-    if A < 0.0:
-        raise ValueError("need A >= 0, got %r" % A)
     amp = math.hypot(A, B)
-    theta = float(theta0)
+    theta = _finite("theta0", theta0)
     dt = path.dt
     out = np.empty(path.n_steps + 1)
     out[0] = theta % (2.0 * math.pi)
@@ -1130,11 +1094,9 @@ def generator_annihilator(A, B, k, theta, c1, c2):
     1e-10 relative errors.  A scalar theta takes the same path as a
     0-d array and returns a complex.
     """
-    k = _finite("k", k)
-    if k == 0.0:
-        raise ValueError("need k != 0")
-    A = float(A)
-    B = float(B)
+    k = _nonzero("k", k)
+    A = _time("A", A)
+    B = _finite("B", B)
     amp = math.hypot(A, B)
     scale = 4.0 / (k * k)
 
@@ -1186,17 +1148,13 @@ def backward_equation_residual(spec, k, f, t, z, n_samples, seed=0,
         (residual, std_error): |d_t u - A u| and the combined
         real+imaginary standard error of the per-path samples.
     """
-    z = complex(z)
-    if not abs(z) < 1.0:
-        raise DomainError("need |z| < 1, got %r" % abs(z))
-    t = float(t)
-    h = float(h)
+    z = _disk_point("z", z)
+    t = _time("t", t)
+    h = _positive("h", h)
     if t < h:
         raise ValueError("need t >= h for the central difference "
                          "(got t=%r, h=%r)" % (t, h))
-    n_samples = int(n_samples)
-    if n_samples < 2:
-        raise ValueError("need n_samples >= 2, got %r" % n_samples)
+    n_samples = _count("n_samples", n_samples, 2)
     k = _finite("k", k)
 
     n_plus, dt_used = _step_grid(t + h, dt)
@@ -1207,7 +1165,8 @@ def backward_equation_residual(spec, k, f, t, z, n_samples, seed=0,
 
     if fit_radius is None:
         fit_radius = 0.15 * (1.0 - abs(z))
-    P = int(fit_points)
+    fit_radius = _positive("fit_radius", fit_radius)
+    P = _count("fit_points", fit_points, 3)
     angles = 2.0 * math.pi * np.arange(P) / P
     # column 0 of a block's state is the point z, columns 1..P the circle
     start = np.concatenate(([z], z + fit_radius * np.exp(1j * angles)))

@@ -1,12 +1,16 @@
+import argparse
 import csv
 import json
 import math
 import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as hs
 
 from loewnerkit import Error, __version__, cli, stochastic
-from loewnerkit.herglotz import Cayley
+from loewnerkit.deterministic import StiffnessError
+from loewnerkit.herglotz import Cayley, DomainError
 
 
 def run(capsys, args):
@@ -163,6 +167,22 @@ def test_evolve_random_manifest_records_seed(capsys, tmp_path):
     manifest = json.loads((tmp_path / "r.csv.manifest.json").read_text())
     assert manifest["seed"] == 42
     assert manifest["stats"]["steps"] > 0
+
+
+def test_evolve_random_samples_on_the_path_grid(capsys, tmp_path):
+    # dt = 0.03 does not divide t_end = 1: the path takes 33 steps of
+    # 1/33, one RK4 step each, and is sampled at its 34 grid points
+    out = tmp_path / "r.csv"
+    rc, _, _ = run(capsys, [
+        "evolve", "--spec", "cayley", "--k", "1", "--z0", "0",
+        "--t-end", "1", "--dt", "0.03", "--mode", "random", "--seed", "0",
+        "--out", str(out)])
+    assert rc == 0
+    manifest = json.loads((tmp_path / "r.csv.manifest.json").read_text())
+    assert manifest["config"]["dt_used"] == 1.0 / 33
+    assert manifest["stats"]["steps"] == 33
+    times = [float(row[0]) for row in read_rows(out)[1:]]
+    assert times == [j * (1.0 / 33) for j in range(34)]
 
 
 def test_evolve_sde_mode(capsys, tmp_path):
@@ -429,6 +449,63 @@ def test_bad_values_are_usage_errors(capsys, tmp_path, args, config):
         args = args + ["--config", str(cfg)]
     rc, _, _ = run(capsys, args)
     assert rc == 2
+
+
+# the library call behind each subcommand (module, name), and a command
+# line that reaches it; {tmp} is the test's directory
+LIBRARY_CALLS = {
+    "evolve-det": (cli, "evolve_phi", [
+        "evolve", "--spec", "cayley", "--k", "1", "--t-end", "0.1",
+        "--out", "{tmp}/e.csv"]),
+    "evolve-random": (stochastic, "evolve_phi_pathwise", [
+        "evolve", "--spec", "cayley", "--k", "1", "--t-end", "0.1",
+        "--mode", "random", "--out", "{tmp}/e.csv"]),
+    "evolve-sde": (stochastic, "evolve_psi_sde", [
+        "evolve", "--spec", "cayley", "--k", "1", "--t-end", "0.1",
+        "--mode", "sde", "--out", "{tmp}/e.csv"]),
+    "classify": (cli, "classify_semigroup", [
+        "classify", "--A", "1", "--B", "0", "--k", "1"]),
+    "moments": (stochastic, "solve_moment_hierarchy", [
+        "moments", "--spec", "cayley", "--k", "1", "--out", "{tmp}/m.csv"]),
+    "bounds": (stochastic, "growth_bounds", [
+        "bounds", "--spec", "cayley", "--r0", "0.3", "--t", "0.5"]),
+    "boundary-image": (cli, "boundary_image", [
+        "boundary", "--spec", "cayley", "--k", "1", "--t", "0.1",
+        "--out", "{tmp}/b.csv"]),
+    "boundary-diffusion": (stochastic, "simulate_boundary_diffusion", [
+        "boundary", "--what", "diffusion", "--A", "1", "--B", "0", "--k", "1",
+        "--t-end", "0.1", "--out", "{tmp}/b.csv"]),
+    "figures": (cli, "boundary_image", [
+        "figures", "--out-dir", "{tmp}/f"]),
+}
+
+# DomainError is an Error and a ValueError: a usage error all the same
+INJECTED_ERRORS = [
+    (ValueError, 2), (DomainError, 2), (argparse.ArgumentTypeError, 2),
+    (StiffnessError, 1), (stochastic.DiskEscapeError, 1),
+    (stochastic.MomentTruncationError, 1), (stochastic.ZeroNotFoundError, 1),
+    (Error, 1), (OSError, 1),
+]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(call=hs.sampled_from(sorted(LIBRARY_CALLS)),
+       error=hs.sampled_from(INJECTED_ERRORS))
+def test_exit_code_classifies_library_errors(capsys, tmp_path, call, error):
+    module, name, args = LIBRARY_CALLS[call]
+    exc_type, code = error
+
+    def fail(*args, **kwargs):
+        if exc_type is stochastic.DiskEscapeError:
+            raise exc_type("injected", t_reached=0.0)
+        raise exc_type("injected")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, name, fail)
+        rc, _, err = run(capsys, [a.format(tmp=tmp_path) for a in args])
+    assert rc == code
+    assert "error: injected" in err
 
 
 def test_infinite_complex_flag_is_not_finite(capsys, tmp_path):

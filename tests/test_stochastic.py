@@ -307,6 +307,32 @@ NON_FINITE_INPUTS = {
     "growth_bounds-t-nan": lambda: st.growth_bounds("cayley", 0.5, _NAN),
     "growth_bounds-t-inf": lambda: st.growth_bounds("one", 0.5, _INF),
     "growth_bounds-r0-nan": lambda: st.growth_bounds("cayley", _NAN, 1.0),
+    "evolve_phi_pathwise-sample-nan": lambda: st.evolve_phi_pathwise(
+        hg.Cayley(), 1.0, 0.2, _PATH, [_NAN]),
+    "moments-sample-nan": lambda: st.solve_moment_hierarchy(
+        hg.Cayley(), 1.0, 0.2, 1.0, 1, 6, sample_times=[_NAN]),
+    "apply_generator-z-nan": lambda: st.apply_generator(
+        hg.Cayley(), 1.0, _ZNAN, _identity),
+    "mean_phi_example1-t-nan": lambda: st.mean_phi_example1(0.3, _NAN, 0.5),
+    "covariance_reference-t-nan": lambda: st.covariance_reference(_NAN, 0.5),
+    "simulate_boundary_diffusion-theta0-nan": lambda: (
+        st.simulate_boundary_diffusion(1.0, 0.5, 1.0, _NAN, _PATH)),
+    "generator_annihilator-A-nan": lambda: st.generator_annihilator(
+        _NAN, 0.0, 1.0, 0.5, 0.0, 1.0),
+    "generator_annihilator-B-nan": lambda: st.generator_annihilator(
+        1.0, _NAN, 1.0, 0.5, 0.0, 1.0),
+    # the deterministic and herglotz entry points follow the same rules
+    "evolve_phi-z-nan": lambda: dm.evolve_phi(
+        hg.Cayley(), dm.EvolutionConfig(k=1.0, t_end=1.0), _ZNAN, [0.5]),
+    "evolve_psi-z-nan": lambda: dm.evolve_psi(
+        hg.Cayley(), dm.EvolutionConfig(k=1.0, t_end=1.0), _ZNAN, [0.5]),
+    "evolve_phi-sample-nan": lambda: dm.evolve_phi(
+        hg.Cayley(), dm.EvolutionConfig(k=1.0, t_end=1.0), 0.2, [_NAN]),
+    "evolve_phi-sample-0.5-nan": lambda: dm.evolve_phi(
+        hg.Cayley(), dm.EvolutionConfig(k=1.0, t_end=1.0), 0.2, [0.5, _NAN]),
+    "eval-z-nan": lambda: hg.eval(hg.Cayley(), _ZNAN),
+    "berkson_porta_p0-z-nan": lambda: hg.berkson_porta_p0(
+        hg.CayleyLinear(), 1.0, 0.5 - 0.5j, _ZNAN),
 }
 
 
@@ -316,9 +342,11 @@ def test_non_finite_inputs_are_usage_errors(call, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("work started before the inputs were checked")
 
-    # rejected before any path is drawn or any propagator is formed
+    # rejected before any path is drawn, any propagator is formed or any
+    # orbit is integrated
     monkeypatch.setattr(st, "_path_rows", refuse)
     monkeypatch.setattr(st, "expm", refuse)
+    monkeypatch.setattr(dm, "_integrate", refuse)
     with pytest.raises(ValueError):  # DomainError is a ValueError
         call()
 
@@ -339,6 +367,13 @@ K_CALLS = {
     "generator_annihilator": lambda k: st.generator_annihilator(
         1.0, 0.0, k, 0.5, 0.0, 1.0),
     "find_stochastic_zero": lambda k: st.find_stochastic_zero(hg.Cayley(), k),
+    "radial_solution": lambda k: st.radial_solution(
+        1.0, 0.0, k, 0.5, _PATH, np.zeros(_PATH.n_steps + 1)),
+    "example1_reference": lambda k: dm.example1_reference(0.3, 0.5, k),
+    "koebe_map": lambda k: dm.koebe_map(k, 0.3),
+    "koebe_inverse": lambda k: dm.koebe_inverse(k, 0.5),
+    "find_fixed_point": lambda k: dm.find_fixed_point(hg.Cayley(), k),
+    "boundary_fixed_points": lambda k: dm.boundary_fixed_points(k),
 }
 
 
