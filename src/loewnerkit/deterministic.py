@@ -43,6 +43,7 @@ from .herglotz import (
     _count,
     _disk_point,
     _finite,
+    _finite_complex,
     _nonzero,
     _positive,
     _time,
@@ -467,7 +468,11 @@ def koebe_map(k, z):
 
 def koebe_inverse(k, w):
     """Principal-branch inverse of K_k; K_k^{-1}(K_k(z)) = z on the disk."""
-    k = _nonzero("k", k)
+    return _koebe_inverse(_nonzero("k", k), _finite_complex("w", w))
+
+
+def _koebe_inverse(k, w):
+    # unchecked: find_fixed_point's transfer map stops on a non-finite w
     s = cmath.sqrt(4.0 * complex(w) / (1j * k) + 1.0)
     return (s - 1.0) / (s + 1.0)
 
@@ -542,7 +547,7 @@ def find_fixed_point(spec, k):
     """
     k = _nonzero("k", k)
     return _interior_zero(lambda z: _generator_value(spec, k, z),
-                          lambda z: koebe_inverse(k, spec._value(z)), 1e-6)
+                          lambda z: _koebe_inverse(k, spec._value(z)), 1e-6)
 
 
 def boundary_fixed_points(k):
@@ -614,6 +619,9 @@ def implicit_solution_residual(A, B, k, z, t, psi_t):
     A = float(A)
     B = float(B)
     k = float(k)
+    z = _finite_complex("z", z)
+    t = _finite("t", t)
+    psi_t = _finite_complex("psi_t", psi_t)
 
     def factor(w):
         num = s + 2j * A * w + 2.0 * B * (1.0 - w) - k
@@ -622,8 +630,8 @@ def implicit_solution_residual(A, B, k, z, t, psi_t):
             raise SingularPointError("Moebius factor degenerates at w = %r" % w)
         return num / den
 
-    lhs = factor(complex(psi_t)) / factor(complex(z))
-    return abs(lhs - cmath.exp(-1j * s * _finite("t", t)))
+    lhs = factor(psi_t) / factor(z)
+    return abs(lhs - cmath.exp(-1j * s * t))
 
 
 # --------------------------------------------------------------------------

@@ -20,6 +20,7 @@ config files and run manifests.  Complex literals in text forms use an
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -74,6 +75,14 @@ def _finite(name, x):
     if not math.isfinite(x):
         raise ValueError("%s must be finite, got %r" % (name, x))
     return x
+
+
+def _finite_complex(name, z):
+    """complex(z); ValueError if either part is NaN or infinite."""
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError("%s must be finite, got %r" % (name, z))
+    return z
 
 
 def _positive(name, x):
@@ -413,6 +422,7 @@ def automorphism_generator(A, B, k, z):
     A = _time("A", A)
     B = _finite("B", B)
     k = _finite("k", k)
+    z = _finite_complex("z", z)
     return ((-A + 1j * B) * z - 1j * (2.0 * B + k)) * z + (A + 1j * B)
 
 
@@ -426,7 +436,7 @@ def berkson_porta_p0(spec, k, tau0, z):
     denominator's zeros.
     """
     z = _disk_point("z", z)
-    tau0 = complex(tau0)
+    tau0 = _finite_complex("tau0", tau0)
     num = spec._bp_field(z) - 1j * _finite("k", k) * z
     den = (z - tau0) * (tau0.conjugate() * z - 1.0)
     if abs(den) < 1e-14:

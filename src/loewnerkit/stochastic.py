@@ -32,8 +32,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.linalg import expm
 
 from .deterministic import (
     CONTAINMENT_TOL,
@@ -42,9 +40,9 @@ from .deterministic import (
     _interior_zero,
     _normalize_sample_times,
 )
-from .herglotz import (Cayley, CayleyLinear, Error, Taylor, _count,
-                       _disk_point, _finite, _nonzero, _positive, _time,
-                       taylor_coefficients)
+from .herglotz import (Cayley, CayleyLinear, DomainError, Error, Taylor,
+                       _count, _disk_point, _finite, _finite_complex, _nonzero,
+                       _positive, _time, taylor_coefficients)
 
 __all__ = [
     "ZeroNotFoundError",
@@ -79,13 +77,29 @@ BROWNIAN_ALGORITHM_ID = "philox-gauss-cumsum-v1"
 # moduli up to 1 + _MOMENT_TOL count as inside the disk
 _MOMENT_TOL = 1e-8
 
-# ensembles are processed in path blocks; the cap keeps the per-block
-# path matrix around 160 MB worst case
+# ensembles are processed in path blocks of at most _BLOCK_PATHS paths
+# and _BLOCK_FLOATS steps (32 MiB of path values); a smaller cap makes
+# the long-path blocks slower
 _BLOCK_PATHS = 8192
-_BLOCK_FLOATS = 20_000_000
+_BLOCK_FLOATS = 1 << 22
 # _exp_trapezoid integrates a block this many path values at a time, and
 # _psi_sde_block makes about this many step multipliers at a time
 _CHUNK_VALUES = 1 << 16
+
+
+# scipy is imported on first use: its linalg and integrate modules take
+# most of an import of this package, and only two functions need them
+
+def expm(a):
+    """scipy.linalg.expm(a), imported on the first call."""
+    from scipy.linalg import expm as scipy_expm
+    return scipy_expm(a)
+
+
+def quad(*args, **kwargs):
+    """scipy.integrate.quad(*args, **kwargs), imported on the first call."""
+    from scipy.integrate import quad as scipy_quad
+    return scipy_quad(*args, **kwargs)
 
 
 class ZeroNotFoundError(Error):
@@ -325,12 +339,14 @@ def _philox_keys(seeds):
     return np.stack([_join64(key[0], key[1]), _join64(key[2], key[3])], axis=1)
 
 
-def _path_rows(root_seed, first_index, n_rows, dt, n_steps):
+def _path_rows(root_seed, first_index, n_rows, dt, n_steps, out=None):
     """Path matrix for paths first_index..first_index+n_rows-1.
 
     Shape (n_rows, n_steps + 1); row i reproduces
     sample_brownian(derive_path_seed(root_seed, first_index+i), dt,
-    n_steps).values bit for bit.
+    n_steps).values bit for bit.  The rows are drawn into ``out`` if it
+    is given, a C-contiguous float array of that shape, and a new matrix
+    otherwise.
 
     The block's path seeds and Philox keys come from ``_path_seeds`` and
     ``_philox_keys``, which re-implement numpy.random.SeedSequence's hash
@@ -341,7 +357,8 @@ def _path_rows(root_seed, first_index, n_rows, dt, n_steps):
     against the per-path recipe.  Scale and cumsum run in place, so the
     peak memory stays at the returned matrix.
     """
-    out = np.empty((n_rows, n_steps + 1))
+    if out is None:
+        out = np.empty((n_rows, n_steps + 1))
     out[:, 0] = 0.0
     if n_rows == 0 or n_steps == 0:
         return out
@@ -376,14 +393,16 @@ def _path_blocks(fn, root_seed, n_samples, dt, n_steps, width=1):
     Block sizes are a fixed function of (n_samples, n_steps, width): at
     most _BLOCK_PATHS states, ``width`` of them per path, and
     _BLOCK_FLOATS steps per block (the cap counts n_steps per path, not
-    the n_steps + 1 values a row holds).  A block is freed once fn
-    returns, before the next one is drawn; a loop over yielded blocks
-    would hold one block while drawing the next.
+    the n_steps + 1 values a row holds).  Every block is drawn into the
+    leading rows of one buffer, allocated once per ensemble, so fn must
+    not keep a reference to its block: the next block overwrites it.
     """
     cap = max(1, min(_BLOCK_PATHS // width, _BLOCK_FLOATS // max(1, n_steps)))
+    buf = np.empty((min(cap, n_samples), n_steps + 1))
     for first in range(0, n_samples, cap):
-        yield fn(_path_rows(root_seed, first, min(cap, n_samples - first),
-                            dt, n_steps))
+        rows = min(cap, n_samples - first)
+        yield fn(_path_rows(root_seed, first, rows, dt, n_steps,
+                            out=buf[:rows]))
 
 
 def _step_grid(t, dt):
@@ -1103,8 +1122,8 @@ def generator_annihilator(A, B, k, theta, c1, c2):
     def w(s):
         return math.exp(scale * (s * B - amp * math.cos(s)))
 
-    c1 = complex(c1)
-    c2 = complex(c2)
+    c1 = _finite_complex("c1", c1)
+    c2 = _finite_complex("c2", c2)
     thetas = np.asarray(theta, dtype=float)
     flat = thetas.ravel()
     out = np.full(len(flat), c1, dtype=complex)
@@ -1139,10 +1158,11 @@ def backward_equation_residual(spec, k, f, t, z, n_samples, seed=0,
     The time derivative is a central difference (u(t+h) - u(t-h))/2h
     with both values read off the same paths (common random numbers);
     A u comes from Cauchy-integral derivatives of u(t, .) sampled on a
-    small circle around z, again on shared paths.  Both are linear in
-    the per-path values of f, so each path gives one residual sample
-    and the error bar is the standard error of those iid samples; any
-    n_samples >= 2 is accepted.
+    small circle around z, again on shared paths; the circle, of radius
+    ``fit_radius`` (default 0.15 (1 - |z|)), must lie in the open disk
+    (DomainError otherwise).  Both are linear in the per-path values of
+    f, so each path gives one residual sample and the error bar is the
+    standard error of those iid samples; any n_samples >= 2 is accepted.
 
     Returns:
         (residual, std_error): |d_t u - A u| and the combined
@@ -1166,6 +1186,10 @@ def backward_equation_residual(spec, k, f, t, z, n_samples, seed=0,
     if fit_radius is None:
         fit_radius = 0.15 * (1.0 - abs(z))
     fit_radius = _positive("fit_radius", fit_radius)
+    if not abs(z) + fit_radius < 1.0:
+        raise DomainError("the fit circle must lie in the open disk: need "
+                          "|z| + fit_radius < 1, got %r"
+                          % (abs(z) + fit_radius))
     P = _count("fit_points", fit_points, 3)
     angles = 2.0 * math.pi * np.arange(P) / P
     # column 0 of a block's state is the point z, columns 1..P the circle

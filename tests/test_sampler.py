@@ -2,6 +2,9 @@
 recipe, path blocks against sample_brownian bit for bit, and the
 sampler's memory footprint."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -114,6 +117,81 @@ def test_path_rows_peak_memory_is_one_matrix():
         tracemalloc.stop()
     assert rows.nbytes == 2000 * 1001 * 8
     assert peak < 1.25 * rows.nbytes
+
+
+@pytest.mark.parametrize("n_rows", [7, 3, 0])
+def test_path_rows_into_a_buffer_equal_a_new_matrix(n_rows):
+    # the full 7-row buffer, a partial-row view and an empty one
+    buf = np.full((7, 41), np.nan)
+    rows = st._path_rows(5, 100, n_rows, 0.01, 40, out=buf[:n_rows])
+    assert rows.base is buf
+    assert rows.tobytes() == st._path_rows(5, 100, n_rows, 0.01,
+                                           40).tobytes()
+    assert np.isnan(buf[n_rows:]).all()
+
+
+def test_path_blocks_reuse_one_buffer():
+    seen = []
+
+    def keep(rows):
+        seen.append(rows)
+        return rows.copy()
+
+    # 4 paths per block
+    blocks = st._path_blocks(keep, 3, 9, 0.01, 20, width=st._BLOCK_PATHS // 4)
+    got = np.concatenate(list(blocks))
+    assert [len(rows) for rows in seen] == [4, 4, 1]
+    assert all(np.shares_memory(rows, seen[0]) for rows in seen)
+    assert got.tobytes() == st._path_rows(3, 0, 9, 0.01, 20).tobytes()
+
+
+def test_default_cap_holds_one_path_buffer():
+    # 2,000 steps: three blocks at the default cap, the last one partial
+    n_steps = 2000
+    cap = st._BLOCK_FLOATS // n_steps
+    n_samples = 2 * cap + 800
+    block_bytes = cap * (n_steps + 1) * 8
+    assert cap < st._BLOCK_PATHS
+    tracemalloc.start()
+    try:
+        st.expectation_Tt(hg.Cayley(), 1.5, 2.0, 0.3, lambda w: w,
+                          n_samples, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * block_bytes
+
+
+_SCIPY_AFTER = """
+import sys
+import loewnerkit, loewnerkit.cli
+from loewnerkit import herglotz as hg, stochastic as st
+%s
+print(*(m for m in sys.modules
+        if m.startswith(("scipy.integrate", "scipy.linalg"))))
+"""
+
+
+def _scipy_modules_after(code):
+    """The scipy.integrate and scipy.linalg modules loaded by ``code``,
+    run in a fresh interpreter after importing the package and its CLI."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(st.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", _SCIPY_AFTER % code],
+                         check=True, capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    return run.stdout.split()
+
+
+def test_scipy_is_imported_on_first_use():
+    assert _scipy_modules_after("") == []
+    assert _scipy_modules_after(
+        "st.expectation_Tt(hg.Cayley(), 1.0, 0.05, 0.3, lambda w: w, 20, 1)"
+    ) == []
+    loaded = _scipy_modules_after(
+        "st.solve_moment_hierarchy(hg.Cayley(), 1.0, 0.2, 1.0, 1, 6)")
+    assert "scipy.linalg" in loaded
+    assert not any(m.startswith("scipy.integrate") for m in loaded)
 
 
 # each estimator over three blocks of 2,000 steps: (call, paths per block)

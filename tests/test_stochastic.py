@@ -333,6 +333,20 @@ NON_FINITE_INPUTS = {
     "eval-z-nan": lambda: hg.eval(hg.Cayley(), _ZNAN),
     "berkson_porta_p0-z-nan": lambda: hg.berkson_porta_p0(
         hg.CayleyLinear(), 1.0, 0.5 - 0.5j, _ZNAN),
+    # complex arguments that need not lie in the disk must still be finite
+    "koebe_inverse-w-nan": lambda: dm.koebe_inverse(1.0, _NAN),
+    "berkson_porta_p0-tau0-nan": lambda: hg.berkson_porta_p0(
+        hg.CayleyLinear(), 1.0, _NAN, 0.2),
+    "generator_annihilator-c1-nan": lambda: st.generator_annihilator(
+        1.0, 0.0, 1.0, 0.5, _NAN, 1.0),
+    "generator_annihilator-c2-nan": lambda: st.generator_annihilator(
+        1.0, 0.0, 1.0, 0.5, 0.0, _NAN),
+    "implicit_solution_residual-z-nan": lambda: dm.implicit_solution_residual(
+        1.0, 0.0, 2.5, _ZNAN, 0.1, 0.3j),
+    "implicit_solution_residual-psi_t-nan": lambda: (
+        dm.implicit_solution_residual(1.0, 0.0, 2.5, 0.3j, 0.1, _NAN)),
+    "automorphism_generator-z-nan": lambda: hg.automorphism_generator(
+        1.0, 0.0, 1.0, _NAN),
 }
 
 
@@ -828,6 +842,26 @@ def test_backward_equation_validates():
         with pytest.raises(ValueError, match="dt must be finite and > 0"):
             st.backward_equation_residual(hg.Cayley(), 1.0, lambda w: w,
                                           0.5, 0.2, 100, dt=dt)
+
+
+@pytest.mark.parametrize("z, fit_radius", [(0.5, 0.8), (0.5, 0.5),
+                                            (0.9j, 0.1)])
+def test_backward_residual_fit_circle_lies_in_the_disk(z, fit_radius,
+                                                       monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("paths drawn for a circle outside the disk")
+
+    monkeypatch.setattr(st, "_path_rows", refuse)
+    with pytest.raises(hg.DomainError, match="fit circle"):
+        st.backward_equation_residual(hg.Cayley(), 1.0, _identity, 0.5, z,
+                                      10, dt=0.01, fit_radius=fit_radius)
+
+
+def test_backward_residual_default_fit_circle_near_the_boundary():
+    # 0.15 (1 - |z|) keeps the circle inside however close z is to it
+    res, se = st.backward_equation_residual(hg.Cayley(), 1.0, _identity,
+                                            0.05, 0.999, 4, dt=0.01, h=0.02)
+    assert math.isfinite(res) and math.isfinite(se)
 
 
 # --------------------------------------------------------------------------
