@@ -551,56 +551,19 @@ def find_fixed_point(spec, k):
 
 
 def boundary_fixed_points(k):
-    """All boundary fixed-point angles of the transfer map for
-    p(z) = (1-z)/(1+z).
+    """Boundary fixed-point angles of the transfer map for
+    p(z) = (1-z)/(1+z), the roots of tan(theta/2) = k / (2 (cos theta - 1)).
 
-    Solves tan(theta/2) = k / (2 (cos theta - 1)) on (0, 2pi) by
-    bracketing bisection on 512 subintervals; sign changes caused by
-    the poles of either side are discarded by a residual check.
+    With v = cot(theta/2) the equation reads v^3 + v + 4/k = 0.  Its left
+    side increases with v, so every k != 0 has exactly one root, given by
+    the hyperbolic form of Cardano's solution (Nickalls, Math. Gazette 77,
+    1993).  Returns [theta], theta = 2 atan2(1, v) in (0, 2pi); it rounds
+    to 2pi for 0 < k < about 4e-47 and to 0 for -5.8e-308 < k < 0.
     """
     k = _nonzero("k", k)
-
-    def g(theta):
-        c = math.cos(theta) - 1.0
-        if c == 0.0:
-            return math.inf
-        return math.tan(theta / 2.0) - k / (2.0 * c)
-
-    n = 512
-    eps = 1e-9
-    grid = [eps + (2.0 * math.pi - 2.0 * eps) * j / n for j in range(n + 1)]
-    # split the cell containing the tangent pole at theta = pi, so a
-    # root close to the pole still gets its own sign-change bracket
-    grid.extend([math.pi - eps, math.pi + eps])
-    grid.sort()
-    roots = []
-    for a, b in zip(grid[:-1], grid[1:]):
-        ga, gb = g(a), g(b)
-        if not (math.isfinite(ga) and math.isfinite(gb)):
-            continue
-        if ga == 0.0:
-            candidate = a
-        elif ga * gb < 0.0:
-            lo, hi = a, b
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                gm = g(mid)
-                if gm == 0.0:
-                    lo = hi = mid
-                    break
-                if g(lo) * gm < 0.0:
-                    hi = mid
-                else:
-                    lo = mid
-                if hi - lo < 1e-15:
-                    break
-            candidate = 0.5 * (lo + hi)
-        else:
-            continue
-        if abs(g(candidate)) <= 1e-10:
-            if not roots or abs(candidate - roots[-1]) > 1e-8:
-                roots.append(candidate)
-    return roots
+    v = -2.0 / math.sqrt(3.0) * math.sinh(
+        math.asinh(6.0 * math.sqrt(3.0) / k) / 3.0)
+    return [2.0 * math.atan2(1.0, v)]
 
 
 def implicit_solution_residual(A, B, k, z, t, psi_t):

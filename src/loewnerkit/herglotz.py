@@ -85,6 +85,14 @@ def _finite_complex(name, z):
     return z
 
 
+def _finite_array(name, x, dtype=float):
+    """np.asarray(x, dtype); ValueError unless every entry is finite."""
+    x = np.asarray(x, dtype=dtype)
+    if not np.isfinite(x).all():
+        raise ValueError("%s must be finite, got %r" % (name, x))
+    return x
+
+
 def _positive(name, x):
     """float(x); ValueError unless finite and > 0."""
     x = float(x)
@@ -324,8 +332,10 @@ class Taylor(HerglotzSpec):
     """Polynomial spec p(z) = a0 + a1 z + ... + aN z^N.
 
     Admissibility (nonnegative real part on the disk) cannot be decided
-    from the coefficients alone, so the constructor samples ``Re p`` on
-    a 256 x 64 polar grid and rejects anything dipping below -1e-9.
+    from the coefficients alone.  ``Re p`` is harmonic, so by the minimum
+    principle its minimum over the closed disk lies on the unit circle;
+    the constructor samples ``Re p`` at 256 equally spaced angles there
+    and rejects anything dipping below -1e-9.
 
     Parameters
     ----------
@@ -339,22 +349,17 @@ class Taylor(HerglotzSpec):
         coeffs = tuple(complex(c) for c in coefficients)
         if not coeffs:
             raise ValueError("taylor spec needs at least one coefficient")
-        if not np.all(np.isfinite(coeffs)):
-            raise ValueError("taylor coefficients must be finite, got %r"
-                             % (coeffs,))
+        _finite_array("taylor coefficients", coeffs, complex)
         self.coefficients = coeffs
         self._check_admissible()
 
     def _check_admissible(self):
         angles = 2.0 * math.pi * np.arange(256) / 256.0
-        radii = (np.arange(64) + 0.5) / 64.0
-        grid = radii[:, None] * np.exp(1j * angles)[None, :]
-        values = self._value(grid)
-        worst = float(np.min(values.real))
+        worst = float(np.min(self._value(np.exp(1j * angles)).real))
         if worst < -1e-9:
             raise ValueError(
                 "taylor coefficients do not give a Herglotz function: "
-                "min Re p on the sample grid is %.3e" % worst)
+                "min Re p on the unit circle is %.3e" % worst)
 
     def _value(self, z):
         # Horner from a Python 0j: a scalar argument takes scalar arithmetic

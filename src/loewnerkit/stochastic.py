@@ -41,8 +41,9 @@ from .deterministic import (
     _normalize_sample_times,
 )
 from .herglotz import (Cayley, CayleyLinear, DomainError, Error, Taylor,
-                       _count, _disk_point, _finite, _finite_complex, _nonzero,
-                       _positive, _time, taylor_coefficients)
+                       _count, _disk_point, _finite, _finite_array,
+                       _finite_complex, _nonzero, _positive, _time,
+                       taylor_coefficients)
 
 __all__ = [
     "ZeroNotFoundError",
@@ -564,7 +565,8 @@ def example1_pathwise(z, k, path, t):
     n_full = min(int(t / dt + 1e-9), path.n_steps)
     integral = complex(_exp_trapezoid(B[None, :n_full + 1], k, dt)[0])
     t_rem = t - n_full * dt
-    if t_rem > 1e-15:
+    # a t in the 1e-12 slack past the last knot takes no partial cell
+    if t_rem > 1e-15 and n_full < path.n_steps:
         frac = t_rem / dt
         b_t = B[n_full] + (B[n_full + 1] - B[n_full]) * frac
         g_n = cmath.exp(n_full * dt + 1j * k * B[n_full])
@@ -1024,7 +1026,7 @@ def radial_solution(A, B, k, r0, path, theta_traj):
     with p0 = A + iB, by trapezoid on the shared grid; r0 = 1 stays 1.
     """
     r0 = _radius(r0)
-    theta = np.asarray(theta_traj, dtype=float)
+    theta = _finite_array("theta_traj", theta_traj)
     if theta.shape != path.values.shape:
         raise ValueError("theta_traj must share the path grid")
     p0 = complex(_time("A", A), _finite("B", B))
@@ -1124,7 +1126,7 @@ def generator_annihilator(A, B, k, theta, c1, c2):
 
     c1 = _finite_complex("c1", c1)
     c2 = _finite_complex("c2", c2)
-    thetas = np.asarray(theta, dtype=float)
+    thetas = _finite_array("theta", theta)
     flat = thetas.ravel()
     out = np.full(len(flat), c1, dtype=complex)
     acc = c1

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hs
 
 from loewnerkit import herglotz as hg
@@ -408,6 +408,26 @@ def test_boundary_fixed_points_limits():
     assert abs(small - 2.0 * math.pi) < 0.06
     (big,) = det.boundary_fixed_points(1000.0)
     assert abs(big - math.pi) < 0.01
+
+
+# k log-uniform in +-[1e-6, 1e6]
+_K_LOG_UNIFORM = hs.builds(lambda sign, e: sign * 10.0 ** e,
+                           hs.sampled_from([-1.0, 1.0]), hs.floats(-6.0, 6.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=_K_LOG_UNIFORM)
+# a grid search found no root at these k
+@example(k=3000.0)
+@example(k=5000.0)
+@example(k=5e-7)
+def test_boundary_fixed_points_one_root_property(k):
+    # with v = cot(theta/2) the fixed-point equation is v^3 + v + 4/k = 0
+    (theta,) = det.boundary_fixed_points(k)
+    assert 0.0 < theta < 2.0 * math.pi
+    v = 1.0 / math.tan(theta / 2.0)
+    scale = abs(v) ** 3 + abs(v) + abs(4.0 / k)
+    assert abs(v ** 3 + v + 4.0 / k) <= 1e-9 * scale
 
 
 # ---------------------------------------------------------------- implicit solution

@@ -249,3 +249,10 @@ def test_taylor_admissibility_check():
     hg.Taylor([1.0, 1.0])
     with pytest.raises(ValueError):
         hg.Taylor([])
+    # Re p is least on the unit circle: -0.005 at z = -1 and -0.01 at
+    # z = +-i, but only -0.004 and -0.008 at radius 0.999
+    for coefficients in ([1.0, 1.005], [1.0, 0.0, 1.01]):
+        with pytest.raises(ValueError, match="unit circle"):
+            hg.Taylor(coefficients)
+        with pytest.raises(ValueError, match="unit circle"):
+            hg.parse_spec("taylor:" + ",".join(map(repr, coefficients)))

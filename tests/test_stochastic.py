@@ -347,6 +347,17 @@ NON_FINITE_INPUTS = {
         dm.implicit_solution_residual(1.0, 0.0, 2.5, 0.3j, 0.1, _NAN)),
     "automorphism_generator-z-nan": lambda: hg.automorphism_generator(
         1.0, 0.0, 1.0, _NAN),
+    # angles are real numbers too
+    "generator_annihilator-theta-nan": lambda: st.generator_annihilator(
+        1.0, 0.0, 1.0, _NAN, 0.0, 1.0),
+    "generator_annihilator-theta-nan-c2-0": lambda: st.generator_annihilator(
+        1.0, 0.0, 1.0, _NAN, 0.0, 0.0),
+    "generator_annihilator-theta-0.5-nan": lambda: st.generator_annihilator(
+        1.0, 0.0, 1.0, [0.5, _NAN], 0.0, 1.0),
+    "generator_annihilator-theta-inf": lambda: st.generator_annihilator(
+        1.0, 0.0, 1.0, _INF, 0.0, 1.0),
+    "radial_solution-theta_traj-nan": lambda: st.radial_solution(
+        1.0, 0.0, 1.0, 0.5, _PATH, np.full(_PATH.n_steps + 1, _NAN)),
 }
 
 
@@ -356,10 +367,11 @@ def test_non_finite_inputs_are_usage_errors(call, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("work started before the inputs were checked")
 
-    # rejected before any path is drawn, any propagator is formed or any
-    # orbit is integrated
+    # rejected before any path is drawn, any propagator is formed, any
+    # quadrature is run or any orbit is integrated
     monkeypatch.setattr(st, "_path_rows", refuse)
     monkeypatch.setattr(st, "expm", refuse)
+    monkeypatch.setattr(st, "quad", refuse)
     monkeypatch.setattr(dm, "_integrate", refuse)
     with pytest.raises(ValueError):  # DomainError is a ValueError
         call()
@@ -417,6 +429,11 @@ def test_example1_pathwise_validates_time():
     path = st.sample_brownian(1, 0.01, 10)
     with pytest.raises(ValueError):
         st.example1_pathwise(0.0, 1.0, path, 0.2)
+    # t may pass the path's end by 1e-12; there is no cell left to enter
+    path = st.sample_brownian(1, 0.1, 10)
+    got = st.example1_pathwise(0.3, 1.0, path, path.duration + 5e-13)
+    at_end = st.example1_pathwise(0.3, 1.0, path, path.duration)
+    assert abs(got - at_end) <= 1e-12
 
 
 def test_mean_phi_example1_branches():
