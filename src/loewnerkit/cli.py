@@ -5,9 +5,9 @@ command is deterministic given its full flag set (seeds included).
 File-producing commands (evolve, moments, boundary, figures) write a
 JSON run manifest to --manifest or to a default path by their outputs;
 its ``config`` records every option of the subcommand, so re-running
-with it reproduces the same bytes.  A ``--config`` file may set any
-option of its subcommand, ``manifest`` included; an unknown key is a
-usage error.
+with it reproduces the same bytes.  Each ``key = value`` line of a
+``--config`` file is read as the flag ``--key=value`` ahead of the
+explicit flags, so those win; an unknown key is a usage error.
 """
 
 from __future__ import annotations
@@ -37,6 +37,10 @@ from .herglotz import (
     ConstantImaginary,
     Error,
     Exponential,
+    _count,
+    _finite,
+    _finite_complex,
+    _positive,
     format_complex,
     parse_complex,
     parse_spec,
@@ -85,41 +89,23 @@ def write_manifest(args, sub, written, wall_time_s):
 # small helpers
 # --------------------------------------------------------------------------
 
-def _complex_flag(text):
-    try:
-        value = parse_complex(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    if not cmath.isfinite(value):
-        raise argparse.ArgumentTypeError("need a finite value, got %r" % text)
-    return value
+def _flag(rule, *extra):
+    """Flag type from a herglotz argument rule: ``rule("value", text,
+    *extra)``, its ValueError a usage error."""
+    def parse(text):
+        try:
+            return rule("value", text, *extra)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
-def _finite_float(text):
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError("need a finite value, got %r" % text)
-    return value
-
-
-def _positive_float(text):
-    value = float(text)
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError("need a finite value > 0, got %r"
-                                         % text)
-    return value
-
-
-def _count_flag(text, least=0):
-    value = int(text)
-    if value < least:
-        raise argparse.ArgumentTypeError("need a count >= %d, got %r"
-                                         % (least, text))
-    return value
-
-
-def _positive_count(text):
-    return _count_flag(text, least=1)
+_finite_float = _flag(_finite)
+_positive_float = _flag(_positive)
+_count_flag = _flag(_count, 0)
+_positive_count = _flag(_count, 1)
+_complex_flag = _flag(lambda name, text: _finite_complex(name,
+                                                         parse_complex(text)))
 
 
 def _jsonable(value):
@@ -206,7 +192,6 @@ def render_disk_svg(curves, tau=None, title=None, size=480):
 # --------------------------------------------------------------------------
 
 def cmd_evolve(args, parser):
-    _require(args, parser, "spec", "k", "t_end")
     spec = parse_spec(args.spec)
     t_end, dt = args.t_end, args.dt
     dt_used = dt
@@ -253,7 +238,6 @@ def _classify_params(args, parser):
 
 
 def cmd_classify(args, parser):
-    _require(args, parser, "k")
     A, B = _classify_params(args, parser)
     result = classify_semigroup(A, B, args.k)
     out = {"kind": result.kind.lower(), "D": result.discriminant}
@@ -281,7 +265,6 @@ def cmd_classify(args, parser):
 
 
 def cmd_moments(args, parser):
-    _require(args, parser, "spec", "k")
     spec = parse_spec(args.spec)
     times = np.linspace(0.0, args.t_end, args.points)
     table = stochastic.solve_moment_hierarchy(
@@ -295,7 +278,6 @@ def cmd_moments(args, parser):
 
 
 def cmd_bounds(args, parser):
-    _require(args, parser, "spec", "r0", "t")
     lower, upper = stochastic.growth_bounds(args.spec, args.r0, args.t)
     out = {"spec": args.spec, "r0": args.r0, "t": args.t,
            "lower": lower, "upper": upper}
@@ -333,7 +315,7 @@ def cmd_boundary(args, parser):
     outputs = []
     extra = None
     if args.what == "image":
-        _require(args, parser, "spec", "k", "t")
+        _require(args, parser, "spec", "t")
         spec = parse_spec(args.spec)
         points = boundary_image(spec, args.k, args.t, args.points)
         angles = 2.0 * math.pi * np.arange(len(points)) / len(points)
@@ -349,7 +331,7 @@ def cmd_boundary(args, parser):
             _write_text(args.svg, svg)
             outputs.append(args.svg)
     else:
-        _require(args, parser, "A", "B", "k", "t_end")
+        _require(args, parser, "A", "B", "t_end")
         n_steps, dt_used = stochastic._step_grid(args.t_end, args.dt)
         path = stochastic.sample_brownian(args.seed, dt_used, n_steps)
         theta = stochastic.simulate_boundary_diffusion(
@@ -409,13 +391,13 @@ def build_parser():
         "evolve", allow_abbrev=False,
         help="integrate one trajectory",
         epilog="CSV schema: t,re,im,frame (one row per sample time).")
-    p.add_argument("--spec", help="driving spec, e.g. cayley or "
-                   "automorphism:1,0.5 or taylor:1,0.2i")
-    p.add_argument("--k", type=_finite_float,
+    p.add_argument("--spec", required=True, help="driving spec, e.g. cayley "
+                   "or automorphism:1,0.5 or taylor:1,0.2i")
+    p.add_argument("--k", type=_finite_float, required=True,
                    help="rotation rate / noise amplitude")
     p.add_argument("--z0", type=_complex_flag, default=0j,
                    help="start point (complex literal, i suffix)")
-    p.add_argument("--t-end", type=_finite_float, dest="t_end")
+    p.add_argument("--t-end", type=_finite_float, required=True, dest="t_end")
     p.add_argument("--dt", type=_positive_float, default=0.01,
                    help="sample spacing; the path step in modes random and sde")
     p.add_argument("--mode", choices=("det", "random", "sde"), default="det")
@@ -435,7 +417,7 @@ def build_parser():
                "ratio_fraction?, period?")
     p.add_argument("--A", type=_finite_float)
     p.add_argument("--B", type=_finite_float)
-    p.add_argument("--k", type=_finite_float)
+    p.add_argument("--k", type=_finite_float, required=True)
     p.add_argument("--spec", help="alternative to --A/--B")
     p.add_argument("--closed-check", action="store_true",
                    dest="closed_check")
@@ -447,8 +429,8 @@ def build_parser():
         "moments", allow_abbrev=False,
         help="solve the moment hierarchy",
         epilog="CSV schema: t,re_mu1,im_mu1,...,re_muM,im_muM.")
-    p.add_argument("--spec")
-    p.add_argument("--k", type=_finite_float)
+    p.add_argument("--spec", required=True)
+    p.add_argument("--k", type=_finite_float, required=True)
     p.add_argument("--z0", type=_complex_flag, default=0j)
     p.add_argument("--t-end", type=_finite_float, default=1.0, dest="t_end")
     p.add_argument("--m", type=int, default=1, help="highest reported order")
@@ -464,9 +446,9 @@ def build_parser():
         "bounds", allow_abbrev=False,
         help="radial growth envelope, optionally checked by simulation",
         epilog="JSON fields: spec, r0, t, lower, upper, mc?")
-    p.add_argument("--spec", choices=tuple(_BOUND_SPECS))
-    p.add_argument("--r0", type=_finite_float)
-    p.add_argument("--t", type=_finite_float)
+    p.add_argument("--spec", choices=tuple(_BOUND_SPECS), required=True)
+    p.add_argument("--r0", type=_finite_float, required=True)
+    p.add_argument("--t", type=_finite_float, required=True)
     p.add_argument("--paths", type=_count_flag, default=0,
                    help="simulate this many paths against the envelope")
     p.add_argument("--k", type=_finite_float, default=1.0)
@@ -481,7 +463,7 @@ def build_parser():
         epilog="CSV schema: image -> angle,re,im; diffusion -> t,theta.")
     p.add_argument("--what", choices=("image", "diffusion"), default="image")
     p.add_argument("--spec")
-    p.add_argument("--k", type=_finite_float)
+    p.add_argument("--k", type=_finite_float, required=True)
     p.add_argument("--t", type=_finite_float, help="image time")
     p.add_argument("--points", type=int, default=256)
     p.add_argument("--A", type=_finite_float)
@@ -531,37 +513,40 @@ def _load_config(path):
     return values
 
 
-def _apply_config(args, sub, values, argv):
-    for dest, raw in values.items():
-        if dest == "config":
+def _config_flags(sub, argv):
+    """The flags standing for the --config file named in ``argv`` (the
+    last one wins): ``--option=value`` per line, a store-true option
+    bare when its value is true and left out otherwise."""
+    pre = argparse.ArgumentParser(prog=sub.prog, add_help=False,
+                                  allow_abbrev=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return []
+    actions = {a.dest: a for a in sub._actions}
+    flags = []
+    for dest, raw in _load_config(path).items():
+        if dest in ("config", "help"):
             continue
-        action = next((a for a in sub._actions if a.dest == dest), None)
-        if action is None:
+        if dest not in actions:
             raise ValueError("unknown config key %r" % dest)
-        explicit = any(tok == opt or tok.startswith(opt + "=")
-                       for opt in action.option_strings for tok in argv)
-        if explicit:
-            continue
-        if isinstance(action, argparse._StoreTrueAction):
-            setattr(args, dest, raw.lower() in ("1", "true", "yes", "on"))
-        elif action.choices is not None and raw not in action.choices:
-            raise ValueError("config key %r: %r not in %r"
-                             % (dest, raw, tuple(action.choices)))
-        else:
-            setattr(args, dest, action.type(raw) if action.type else raw)
+        option = actions[dest].option_strings[0]
+        if actions[dest].nargs != 0:
+            flags.append("%s=%s" % (option, raw))
+        elif raw.lower() in ("1", "true", "yes", "on"):
+            flags.append(option)
+    return flags
 
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, registry = build_parser()
     try:
+        if argv and argv[0] in registry:
+            # config flags go first, so explicit flags win
+            argv[1:1] = _config_flags(registry[argv[0]][0], argv[1:])
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    sub, run = registry[args.command]
-    try:
-        if args.config:
-            _apply_config(args, sub, _load_config(args.config), argv)
+        sub, run = registry[args.command]
         started = time.monotonic()
         result = run(args, sub)
         if isinstance(result, Written):

@@ -334,8 +334,8 @@ class Taylor(HerglotzSpec):
     Admissibility (nonnegative real part on the disk) cannot be decided
     from the coefficients alone.  ``Re p`` is harmonic, so by the minimum
     principle its minimum over the closed disk lies on the unit circle;
-    the constructor samples ``Re p`` at 256 equally spaced angles there
-    and rejects anything dipping below -1e-9.
+    the constructor samples ``Re p`` at max(256, 8 N) equally spaced
+    angles there, for degree N, and rejects anything dipping below -1e-9.
 
     Parameters
     ----------
@@ -354,7 +354,8 @@ class Taylor(HerglotzSpec):
         self._check_admissible()
 
     def _check_admissible(self):
-        angles = 2.0 * math.pi * np.arange(256) / 256.0
+        n = max(256, 8 * (len(self.coefficients) - 1))
+        angles = 2.0 * math.pi * np.arange(n) / n
         worst = float(np.min(self._value(np.exp(1j * angles)).real))
         if worst < -1e-9:
             raise ValueError(

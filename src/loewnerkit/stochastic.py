@@ -477,33 +477,32 @@ def evolve_phi_pathwise(spec, k, z0, path, sample_times):
     B = path.values
     dt = path.dt
     n = path.n_steps
-    ts = _normalize_sample_times(sample_times, n * dt)
+    ts = np.asarray(_normalize_sample_times(sample_times, n * dt))
 
     # step over the union of path grid points and sample times, so each
     # RK4 step stays inside one (smooth) interpolation interval
-    knots = np.union1d(np.arange(n + 1) * dt, np.asarray(ts))
+    knots = np.union1d(np.arange(n + 1) * dt, ts)
     h_steps = np.diff(knots)
     # the driving point at every RK4 stage time, in stage order: knot m
     # is entry 2m and the midpoint of step m entry 2m + 1; b is B
-    # linearly interpolated in its grid cell
+    # linearly interpolated in its grid cell (with no steps, i = -1 and
+    # both ends read B[0])
     stage_t = np.empty(2 * len(knots) - 1)
     stage_t[0::2] = knots
     stage_t[1::2] = knots[:-1] + 0.5 * h_steps
-    if n:
-        q = stage_t / dt
-        i = np.minimum(q.astype(np.intp), n - 1)
-        b = B[i] + (B[i + 1] - B[i]) * (q - i)
-    else:
-        b = np.zeros_like(stage_t)
+    q = stage_t / dt
+    i = np.minimum(q.astype(np.intp), n - 1)
+    b = B[i] + (B[i + 1] - B[i]) * (q - i)
     # the field takes a stage index in place of a time
     field = _driven_field(spec, np.exp(1j * k * b).tolist().__getitem__)
+    # the knot each sample is read at: the first one past the start
+    # within 1e-12 of it; the walk ends at the last sample's knot
+    at = np.concatenate(([0], np.searchsorted(knots[1:], ts[1:] - 1e-12) + 1))
 
     y = z0
-    out = [y]
-    remaining = ts[1:]
-    idx = 0
+    at_knot = [y]
     steps = 0
-    for m, (t_next, h) in enumerate(zip(knots[1:].tolist(), h_steps.tolist())):
+    for m, h in enumerate(h_steps[:at[-1]].tolist()):
         if h > 1e-15:
             s = 2 * m
             k1 = field(s, y)
@@ -512,19 +511,16 @@ def evolve_phi_pathwise(spec, k, z0, path, sample_times):
             k4 = field(s + 2, y + h * k3)
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             steps += 1
-        while idx < len(remaining) and t_next >= remaining[idx] - 1e-12:
-            out.append(y)
-            idx += 1
-        if idx == len(remaining) and t_next >= ts[-1] - 1e-12:
-            break
+        at_knot.append(y)
+    out = np.asarray(at_knot)[at]
     # written so that a NaN modulus counts as outside
     outside = ~(np.abs(out) <= 1.0 + CONTAINMENT_TOL)
     if outside.any():
         t_out = float(ts[np.argmax(outside)])
         raise DiskEscapeError("pathwise RK4 solution escapes the unit disk "
                               "at t=%.6g" % t_out, t_reached=t_out)
-    return Trajectory(times=np.asarray(ts), values=np.asarray(out),
-                      frame="phi", config=None, stats={"steps": steps})
+    return Trajectory(times=ts, values=out, frame="phi", config=None,
+                      stats={"steps": steps})
 
 
 def _exp_trapezoid(B, k, dt):

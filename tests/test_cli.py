@@ -513,7 +513,7 @@ def test_infinite_complex_flag_is_not_finite(capsys, tmp_path):
                               "--t-end", "1", "--z0", "inf",
                               "--out", str(tmp_path / "x.csv")])
     assert rc == 2
-    assert "need a finite value" in err
+    assert "must be finite" in err
 
 
 def test_zero_time_simulations_run(capsys, tmp_path):
@@ -618,6 +618,33 @@ def test_config_unknown_key(capsys, tmp_path):
     rc, _, err = run(capsys, ["classify", "--config", str(cfg), "--k", "1"])
     assert rc == 2
     assert "nonsense" in err
+
+
+def test_config_value_outside_choices(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mode = sideways\n")
+    rc, _, err = run(capsys, file_command("evolve", tmp_path)
+                     + ["--config", str(cfg)])
+    assert rc == 2
+    assert "sideways" in err
+
+
+def test_config_store_true_false_leaves_flag_off(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("spec = automorphism:0,1\nk = 0.5\nclosed-check = false\n")
+    rc, out, _ = run(capsys, ["classify", "--config", str(cfg)])
+    assert rc == 0
+    assert "closed" not in json.loads(out)
+
+
+def test_config_equals_form_and_last_config_wins(capsys, tmp_path):
+    first, last = tmp_path / "first.cfg", tmp_path / "last.cfg"
+    first.write_text("spec = automorphism:0,1\nk = 0\n")
+    last.write_text("spec = automorphism:0,1\nk = 0.5\n")
+    rc, out, _ = run(capsys, ["classify", "--config=%s" % first,
+                              "--config=%s" % last])
+    assert rc == 0
+    assert json.loads(out)["kind"] == "elliptic"
 
 
 @pytest.mark.parametrize("command", FILE_COMMANDS)

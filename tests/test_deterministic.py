@@ -82,6 +82,11 @@ def test_evolve_phi_initial_condition():
         assert tr.values[0] == 0.3 + 0.1j
 
 
+def test_evolve_phi_rejects_sample_time_past_end():
+    with pytest.raises(ValueError, match=r"must lie in \[0, t_end\]"):
+        det.evolve_phi(hg.Cayley(), cfg(0.7, 1.0), 0.3, [2.0])
+
+
 def test_evolve_phi_closed_orbit_returns():
     # elliptic automorphism flow at k=2.5 closes after t = 4*pi
     t_end = 4.0 * math.pi

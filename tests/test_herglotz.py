@@ -256,3 +256,12 @@ def test_taylor_admissibility_check():
             hg.Taylor(coefficients)
         with pytest.raises(ValueError, match="unit circle"):
             hg.parse_spec("taylor:" + ",".join(map(repr, coefficients)))
+
+
+@pytest.mark.parametrize("degree", [128, 256, 1000])
+def test_taylor_admissibility_sees_high_degree_dips(degree):
+    # Re(1 + c z^N) = 1 + c cos(N theta) dips to 1 - c between N-th roots
+    # of unity, which a fixed 256-angle grid can step over
+    with pytest.raises(ValueError, match="unit circle"):
+        hg.Taylor([1.0] + [0.0] * (degree - 1) + [1.5])
+    hg.Taylor([1.0] + [0.0] * (degree - 1) + [1.0])

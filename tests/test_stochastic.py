@@ -169,6 +169,12 @@ def test_pathwise_matches_reference_rk4(spec):
     assert traj.values.tolist() == [z0] and traj.stats["steps"] == 0
 
 
+def test_pathwise_start_only_takes_no_step():
+    path = st.sample_brownian(5, 0.01, 300)
+    traj = st.evolve_phi_pathwise(hg.Cayley(), 1.3, 0.4j, path, [0.0])
+    assert traj.values.tolist() == [0.4j] and traj.stats["steps"] == 0
+
+
 @hs.composite
 def admissible_taylor(draw):
     # a real a0 at least sum |a_n| keeps Re p >= 0 on the disk
@@ -434,6 +440,30 @@ def test_example1_pathwise_validates_time():
     got = st.example1_pathwise(0.3, 1.0, path, path.duration + 5e-13)
     at_end = st.example1_pathwise(0.3, 1.0, path, path.duration)
     assert abs(got - at_end) <= 1e-12
+
+
+def test_example1_pathwise_partial_cell_is_continuous():
+    # inside a cell the trapezoid takes the partial piece up to t: the
+    # value meets the grid values at both ends of the cell
+    path = st.sample_brownian(3, 0.05, 20)
+    for n in (0, 7, 19):
+        lo, hi = n * path.dt, (n + 1) * path.dt
+        for t, end in ((lo + 1e-9, lo), (hi - 1e-9, hi)):
+            gap = (st.example1_pathwise(0.3, 2.0, path, t)
+                   - st.example1_pathwise(0.3, 2.0, path, end))
+            assert abs(gap) <= 1e-8, (n, t)
+
+
+def test_example1_pathwise_off_grid_mean():
+    # t = 0.55 is mid-cell on a grid of 0.1: a dropped partial cell moves
+    # the mean by about 0.04, over seven standard errors here
+    t, k, z = 0.55, 1.0, 0.3 + 0.2j
+    values = np.array([st.example1_pathwise(z, k, path, t)
+                       for path in brownian_ensemble(8, 1000, 0.1, 6)])
+    want = st.mean_phi_example1(z, t, k)
+    for part in (np.real, np.imag):
+        se = part(values).std(ddof=1) / math.sqrt(len(values))
+        assert abs(part(values).mean() - part(want)) <= 4.0 * se
 
 
 def test_mean_phi_example1_branches():
