@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import os
@@ -283,27 +284,17 @@ def cmd_bounds(args, parser):
            "lower": lower, "upper": upper}
     code = 0
     if args.paths:
-        spec_obj = _BOUND_SPECS[args.spec]()
-        n_steps, dt_used = stochastic._step_grid(args.t, args.dt)
-        seen_min, seen_max = 2.0, -1.0
-        violations = 0
-        for j in range(args.paths):
-            seed = stochastic.derive_path_seed(args.seed, j)
-            path = stochastic.sample_brownian(seed, dt_used, n_steps)
-            try:
-                traj = stochastic.evolve_phi_pathwise(spec_obj, args.k,
-                                                      args.r0, path, [args.t])
-            except stochastic.DiskEscapeError as exc:
-                raise stochastic.DiskEscapeError(
-                    "path %d (seed %d): %s" % (j, seed, exc),
-                    t_reached=exc.t_reached) from exc
-            r = abs(traj.values[-1])
-            seen_min = min(seen_min, r)
-            seen_max = max(seen_max, r)
-            if r < lower - 1e-6 or r > upper + 1e-6:
-                violations += 1
+        lows, highs, violations = [], [], 0
+        for phi in stochastic._phi_pathwise_blocks(
+                _BOUND_SPECS[args.spec](), args.k, args.r0, args.seed,
+                args.paths, args.t, args.dt):
+            r = np.abs(phi)
+            lows.append(r.min())
+            highs.append(r.max())
+            violations += int(np.count_nonzero((r < lower - 1e-6)
+                                               | (r > upper + 1e-6)))
         out["mc"] = {"paths": args.paths, "k": args.k, "seed": args.seed,
-                     "min": seen_min, "max": seen_max,
+                     "min": float(min(lows)), "max": float(max(highs)),
                      "violations": violations}
         if violations:
             code = 1
@@ -493,6 +484,14 @@ def build_parser():
     return parser, registry
 
 
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """build_parser(), built once per process: parsing leaves no state in
+    it, and its types and commands are module functions that look up
+    the library when they run."""
+    return build_parser()
+
+
 # --------------------------------------------------------------------------
 # config files and entry point
 # --------------------------------------------------------------------------
@@ -540,7 +539,7 @@ def _config_flags(sub, argv):
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, registry = build_parser()
+    parser, registry = _parser()
     try:
         if argv and argv[0] in registry:
             # config flags go first, so explicit flags win

@@ -145,9 +145,13 @@ class Trajectory:
             raise ValueError("times and values must be 1-d of equal length")
         if self.frame not in ("phi", "psi"):
             raise ValueError("frame must be 'phi' or 'psi', got %r" % self.frame)
-        if len(times) > 1 and not np.all(np.diff(times) > 0.0):
+        # counted, not np.all: a NaN fails both checks either way, and a
+        # pathwise walk builds one of these per Brownian path
+        if len(times) > 1 and \
+                np.count_nonzero(times[1:] > times[:-1]) != len(times) - 1:
             raise ValueError("times must be strictly increasing")
-        if not (np.abs(values) <= 1.0 + CONTAINMENT_TOL).all():
+        if np.count_nonzero(np.abs(values) <= 1.0 + CONTAINMENT_TOL) \
+                != len(values):
             raise ValueError("trajectory escapes the unit disk")
         times.setflags(write=False)
         values.setflags(write=False)

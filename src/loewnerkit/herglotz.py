@@ -2,7 +2,7 @@
 
 A Herglotz function here is an analytic map ``p`` on the open unit disk
 with nonnegative real part.  Each spec class below is a small immutable
-description of one admissible choice of ``p``.  Specs know three things:
+description of one admissible choice of ``p``.  Specs know four things:
 
 * how to evaluate ``p(z)`` (unchecked fast path ``_value``, checked
   public path :func:`eval`),
@@ -10,7 +10,10 @@ description of one admissible choice of ``p``.  Specs know three things:
   through the algebraic cancellation at ``w = 1`` where one exists
   (``_bp_field``), which is what integrators actually consume,
 * their exact Taylor coefficients at the origin where a closed form
-  exists.
+  exists,
+* the coefficients (g2, g1, g0) of that field when it is the quadratic
+  g2 w^2 + g1 w + g0 (``_quadratic``, None otherwise), which makes the
+  driven flow a Moebius map.
 
 Specs round-trip through a plain text form (``cayley``,
 ``automorphism:1,0.5``, ``taylor:1,0.5+0.25i``, ...) so they can live in
@@ -179,7 +182,8 @@ class HerglotzSpec:
     form unless ``text_form`` adds parameters), implement
     ``_value`` and ``_taylor``, and override ``_bp_field`` whenever the
     product ``(w - 1)^2 p(w)`` simplifies to something polynomial (the
-    Cayley-type specs have a simple pole at ``w = 1`` that cancels).
+    Cayley-type specs have a simple pole at ``w = 1`` that cancels), and
+    ``_quadratic`` whenever that polynomial has degree at most two.
     ``_value`` and ``_bp_field`` accept scalars or numpy arrays and do
     no domain checking; use :func:`eval` for validated scalar calls.
     """
@@ -200,6 +204,11 @@ class HerglotzSpec:
 
     def _taylor(self, n):
         raise NotImplementedError
+
+    def _quadratic(self):
+        """(g2, g1, g0) with (w - 1)^2 p(w) = g2 w^2 + g1 w + g0, or None
+        when the field is not a polynomial of degree at most two."""
+        return None
 
     def text_form(self):
         return self.variant
@@ -232,6 +241,9 @@ class CayleyLinear(HerglotzSpec):
     def _bp_field(self, w):
         return 1.0 - w
 
+    def _quadratic(self):
+        return 0j, -1 + 0j, 1 + 0j
+
     def _taylor(self, n):
         return [1.0 + 0.0j] * (n + 1)
 
@@ -249,6 +261,9 @@ class Cayley(HerglotzSpec):
     def _bp_field(self, w):
         return 1.0 - w * w
 
+    def _quadratic(self):
+        return -1 + 0j, 0j, 1 + 0j
+
     def _taylor(self, n):
         out = [2.0 + 0.0j] * (n + 1)
         out[0] = 1.0 + 0.0j
@@ -265,6 +280,9 @@ class ConstantImaginary(HerglotzSpec):
 
     def _bp_field(self, w):
         return 1j * (w - 1.0) ** 2
+
+    def _quadratic(self):
+        return 1j, -2j, 1j
 
     def _taylor(self, n):
         out = [0.0 + 0.0j] * (n + 1)
@@ -301,6 +319,10 @@ class Automorphism(HerglotzSpec):
     def _bp_field(self, w):
         A, B = self.A, self.B
         return ((-A + 1j * B) * w + (-2j * B)) * w + (A + 1j * B)
+
+    def _quadratic(self):
+        A, B = self.A, self.B
+        return complex(-A, B), -2j * B, complex(A, B)
 
     def _taylor(self, n):
         out = [2.0 * self.A + 0.0j] * (n + 1)
@@ -369,6 +391,13 @@ class Taylor(HerglotzSpec):
         for c in reversed(self.coefficients):
             acc = acc * z + c
         return acc if isinstance(acc, np.ndarray) else complex(acc)
+
+    def _quadratic(self):
+        # a constant a0 gives a0 (w - 1)^2
+        a0 = self.coefficients[0]
+        if any(self.coefficients[1:]):
+            return None
+        return a0, -2.0 * a0, a0
 
     def _taylor(self, n):
         out = list(self.coefficients[:n + 1])

@@ -3,8 +3,10 @@
 The driving point becomes tau(t) = exp(ikB_t) for a standard Brownian
 motion B.  Two complementary discretizations live here:
 
-* the random ODE for phi_t (pathwise classical, C^1 in t), integrated
-  by RK4 with the Brownian path linearly interpolated inside steps;
+* the random ODE for phi_t (pathwise classical, C^1 in t), with the
+  Brownian path linearly interpolated inside steps, integrated by
+  closed-form Moebius cells when the field is quadratic and by RK4
+  otherwise;
 * the Ito SDE for the rotating-frame process Psi_t = phi_t e^{-ikB_t},
   discretized by Euler-Maruyama or Milstein.
 
@@ -86,6 +88,10 @@ _BLOCK_FLOATS = 1 << 22
 # _exp_trapezoid integrates a block this many path values at a time, and
 # _psi_sde_block makes about this many step multipliers at a time
 _CHUNK_VALUES = 1 << 16
+# _phi_pathwise_rows builds about this many Moebius cells at a time: each
+# takes a dozen complex temporaries, and in the mc_pathwise benchmark
+# chunks of 4096 cells and more raised the peak RSS by 0.6 MiB and up
+_CELL_VALUES = 1 << 10
 
 
 # scipy is imported on first use: its linalg and integrate modules take
@@ -449,13 +455,112 @@ def _mc_estimate(parts):
 # pathwise random ODE
 # --------------------------------------------------------------------------
 
+def _phi12(y):
+    """phi1(x) = (e^x - 1)/x and phi2(x) = (phi1(x) - 1)/x at x = iy.
+
+    y is real, so phi_j(-x) = conj(phi_j(x)).  Below |y| = 0.05, where
+    the quotients lose digits, phi2 is its Taylor series sum_n x^n/(n+2)!
+    to x^7 (relative error under 5e-16) and phi1 = 1 + x phi2.  The
+    series is only evaluated when some cell needs it.
+    """
+    x = 1j * y
+    small = np.abs(y) < 0.05
+    if not np.count_nonzero(small):
+        phi1 = np.expm1(x) / x
+        return phi1, (phi1 - 1.0) / x
+    series = x * (1 / 362880) + 1 / 40320
+    for c in (1 / 5040, 1 / 720, 1 / 120, 1 / 24, 1 / 6, 0.5):
+        series *= x
+        series += c
+    # the quotients at x = i where the series serves, so none divides by 0
+    xs = np.where(small, 1j, x)
+    phi1 = np.expm1(xs) / xs
+    phi2 = (phi1 - 1.0) / xs
+    return (np.where(small, 1.0 + x * series, phi1),
+            np.where(small, series, phi2))
+
+
+def _mobius_cells(g, k, b, h):
+    """Entries (e00, e01, e10, e11) of each cell's Moebius matrix.
+
+    For a quadratic field g2 w^2 + g1 w + g0 the phi-frame ODE is the
+    Riccati equation phi' = g2 conj(tau) phi^2 + g1 phi + g0 tau, whose
+    flow is phi -> (e00 phi + e01) / (e10 phi + e11) with E solving
+    E' = [[g1/2, g0 tau], [-g2 conj(tau), -g1/2]] E (Schiff and Shnider,
+    SIAM J. Numer. Anal. 36(5), 1999).  On a cell of width h where B is
+    linear, tau = tau_j e^{xs/h} with x = ik dB, and E = exp(Omega) for
+    the fourth-order Magnus exponent Omega, in closed form (Blanes,
+    Casas, Oteo and Ros, Phys. Rep. 470, 2009):
+
+        O00 = (g1/2) h - (g0 g2/2) h^2 (phi2(x) - phi2(-x))
+        O01 = g0 tau_j h (phi1(x) + (g1/2) h (2 phi2(x) - phi1(x)))
+        O10 = -g2 conj(tau_j) h (phi1(-x) - (g1/2) h (2 phi2(-x) - phi1(-x)))
+
+    Omega is traceless, so exp(Omega) = cosh(d) I + sinh(d)/d Omega with
+    d^2 = O00^2 + O01 O10.
+
+    Args:
+        g: (g2, g1, g0), from ``spec._quadratic()``.
+        k: noise amplitude.
+        b: B at the knots, knots along the last axis, any leading axes.
+        h: the cell widths, broadcast against the cells ``b[..., 1:]``;
+            a cell of width 0 is the identity.
+
+    Returns:
+        Four complex arrays of the cells' shape.
+    """
+    g2, g1, g0 = g
+    b0 = b[..., :-1]
+    phi1, phi2 = _phi12(k * (b[..., 1:] - b0))
+    tau = np.exp(1j * k * b0)
+    half_g1h = 0.5 * g1 * h
+    q = 2.0 * phi2 - phi1
+    o00 = half_g1h - (1j * g0 * g2) * (h * h) * phi2.imag
+    o01 = g0 * h * (tau * (phi1 + half_g1h * q))
+    # conj(tau) (phi1(-x) - (g1/2) h (2 phi2(-x) - phi1(-x))), conjugated
+    # once
+    o10 = -g2 * h * (tau * (phi1 - np.conj(half_g1h) * q)).conj()
+    d = np.sqrt(o00 * o00 + o01 * o10)
+    cosh = np.cosh(d)
+    # sinh(d)/d is even in d, so either root serves; it is 1 at d = 0
+    # (a cell of width 0, for one)
+    if np.count_nonzero(d) == d.size:
+        sinhc = np.sinh(d) / d
+    else:
+        sinhc = np.divide(np.sinh(d), d, out=np.ones_like(d), where=d != 0.0)
+    s00 = sinhc * o00
+    return cosh + s00, sinhc * o01, sinhc * o10, cosh - s00
+
+
+# the method evolve_phi_pathwise reports for the Moebius cells
+_MOBIUS = "mobius-magnus4"
+
+
+def _first_escape(values):
+    """Index of the first value outside the closed disk, or None."""
+    # written so that a NaN modulus counts as outside
+    outside = ~(np.abs(values) <= 1.0 + CONTAINMENT_TOL)
+    return int(np.argmax(outside)) if np.count_nonzero(outside) else None
+
+
+def _escape_error(method, t, where=""):
+    """DiskEscapeError of a pathwise solution first outside at time t."""
+    t = float(t)
+    return DiskEscapeError("%spathwise %s solution escapes the unit disk "
+                           "at t=%.6g" % (where, method, t), t_reached=t)
+
+
 def evolve_phi_pathwise(spec, k, z0, path, sample_times):
     """Integrate the random ODE for phi_t along one Brownian path.
 
     The driving point is tau(t) = exp(ik B_t) with B linearly
     interpolated inside grid steps, making the field classical and the
-    solution C^1 in t.  One RK4 step is taken per path interval (plus
-    partial steps to land exactly on requested sample times).
+    solution C^1 in t.  The walk takes one cell per path interval (plus
+    partial cells to land exactly on requested sample times).  A spec
+    whose field is quadratic (``spec._quadratic()``) takes each cell as
+    the closed-form fourth-order Magnus Moebius map of ``_mobius_cells``
+    (method "mobius-magnus4"); any other spec takes one RK4 step per cell
+    (method "rk4").  ``stats`` records the cells stepped and the method.
 
     Args:
         spec: Herglotz spec of the field.
@@ -469,8 +574,8 @@ def evolve_phi_pathwise(spec, k, z0, path, sample_times):
 
     Raises:
         DiskEscapeError: a recorded value lies outside the closed disk
-            (fixed-step RK4 has no error control; coarse grids at high k
-            can leave the disk).
+            (neither method has error control, and fixed-step RK4 on a
+            coarse grid at high k can leave the disk).
     """
     z0 = _disk_point("z0", z0, closed=True)
     k = _finite("k", k)
@@ -480,29 +585,61 @@ def evolve_phi_pathwise(spec, k, z0, path, sample_times):
     ts = np.asarray(_normalize_sample_times(sample_times, n * dt))
 
     # step over the union of path grid points and sample times, so each
-    # RK4 step stays inside one (smooth) interpolation interval
-    knots = np.union1d(np.arange(n + 1) * dt, ts)
-    h_steps = np.diff(knots)
-    # the driving point at every RK4 stage time, in stage order: knot m
-    # is entry 2m and the midpoint of step m entry 2m + 1; b is B
-    # linearly interpolated in its grid cell (with no steps, i = -1 and
-    # both ends read B[0])
-    stage_t = np.empty(2 * len(knots) - 1)
-    stage_t[0::2] = knots
-    stage_t[1::2] = knots[:-1] + 0.5 * h_steps
-    q = stage_t / dt
-    i = np.minimum(q.astype(np.intp), n - 1)
-    b = B[i] + (B[i + 1] - B[i]) * (q - i)
-    # the field takes a stage index in place of a time
-    field = _driven_field(spec, np.exp(1j * k * b).tolist().__getitem__)
+    # cell stays inside one (smooth) interpolation interval
+    # (np.union1d's sorted unique values, without its wrappers)
+    knots = np.concatenate((np.arange(n + 1) * dt, ts))
+    knots.sort()
+    knots = knots[np.concatenate(([True], knots[1:] != knots[:-1]))]
     # the knot each sample is read at: the first one past the start
     # within 1e-12 of it; the walk ends at the last sample's knot
     at = np.concatenate(([0], np.searchsorted(knots[1:], ts[1:] - 1e-12) + 1))
+    knots = knots[:at[-1] + 1]
+    h_steps = knots[1:] - knots[:-1]
+    # cells narrower than 1e-15 are not stepped
+    stepped = h_steps > 1e-15
+    g = spec._quadratic()
+    if g is not None:
+        method = _MOBIUS
+        cells = _mobius_cells(g, k, _interpolate(B, dt, knots),
+                              h_steps * stepped)
+        y = z0
+        at_knot = [y]
+        for e00, e01, e10, e11 in zip(*(c.tolist() for c in cells)):
+            y = (e00 * y + e01) / (e10 * y + e11)
+            at_knot.append(y)
+    else:
+        method = "rk4"
+        at_knot = _rk4_walk(spec, k, z0, B, dt, knots, h_steps)
+    out = np.asarray(at_knot)[at]
+    j = _first_escape(out)
+    if j is not None:
+        raise _escape_error(method, ts[j])
+    return Trajectory(times=ts, values=out, frame="phi", config=None,
+                      stats={"steps": int(np.count_nonzero(stepped)),
+                             "method": method})
 
+
+def _interpolate(B, dt, t):
+    """Path values on grid dt, linearly interpolated at times t (with no
+    steps, i = -1 and both ends read B[0])."""
+    q = t / dt
+    i = np.minimum(q.astype(np.intp), len(B) - 2)
+    return B[i] + (B[i + 1] - B[i]) * (q - i)
+
+
+def _rk4_walk(spec, k, z0, B, dt, knots, h_steps):
+    """phi at each knot: one RK4 step per cell of width h_steps."""
+    # the driving point at every RK4 stage time, in stage order: knot m
+    # is entry 2m and the midpoint of step m entry 2m + 1
+    stage_t = np.empty(2 * len(knots) - 1)
+    stage_t[0::2] = knots
+    stage_t[1::2] = knots[:-1] + 0.5 * h_steps
+    # the field takes a stage index in place of a time
+    field = _driven_field(spec, np.exp(1j * k * _interpolate(B, dt, stage_t))
+                          .tolist().__getitem__)
     y = z0
     at_knot = [y]
-    steps = 0
-    for m, h in enumerate(h_steps[:at[-1]].tolist()):
+    for m, h in enumerate(h_steps.tolist()):
         if h > 1e-15:
             s = 2 * m
             k1 = field(s, y)
@@ -510,17 +647,61 @@ def evolve_phi_pathwise(spec, k, z0, path, sample_times):
             k3 = field(s + 1, y + 0.5 * h * k2)
             k4 = field(s + 2, y + h * k3)
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            steps += 1
         at_knot.append(y)
-    out = np.asarray(at_knot)[at]
-    # written so that a NaN modulus counts as outside
-    outside = ~(np.abs(out) <= 1.0 + CONTAINMENT_TOL)
-    if outside.any():
-        t_out = float(ts[np.argmax(outside)])
-        raise DiskEscapeError("pathwise RK4 solution escapes the unit disk "
-                              "at t=%.6g" % t_out, t_reached=t_out)
-    return Trajectory(times=ts, values=out, frame="phi", config=None,
-                      stats={"steps": steps})
+    return at_knot
+
+
+def _phi_pathwise_rows(spec, k, z0, rows, dt):
+    """phi at the last column of each path row.
+
+    ``rows`` holds path values on the grid dt, one path per row, and
+    each row takes the cells ``evolve_phi_pathwise`` takes on its grid.
+    A quadratic field applies its Moebius cells one column at a time
+    across all rows, building about _CELL_VALUES cells at a time (at
+    least one column); any other field walks RK4 row by row.  No
+    containment check: ``_phi_pathwise_blocks`` names the escaping row.
+    """
+    g = spec._quadratic()
+    n_rows, n_cols = rows.shape
+    if g is None:
+        knots = np.arange(n_cols) * dt
+        h_steps = knots[1:] - knots[:-1]
+        return np.array([_rk4_walk(spec, k, z0, row, dt, knots, h_steps)[-1]
+                         for row in rows], dtype=complex)
+    y = np.full(n_rows, complex(z0))
+    width = max(1, _CELL_VALUES // max(1, n_rows))
+    for first in range(0, n_cols - 1, width):
+        cells = _mobius_cells(g, k, rows[:, first:first + width + 1], dt)
+        for e00, e01, e10, e11 in zip(*(c.T for c in cells)):
+            y = (e00 * y + e01) / (e10 * y + e11)
+    return y
+
+
+def _phi_pathwise_blocks(spec, k, z0, root_seed, n_paths, t, dt):
+    """phi_t of paths 0..n_paths-1, one complex array per block of paths.
+
+    Path j is ``sample_brownian(derive_path_seed(root_seed, j), ...)`` on
+    the grid ``_step_grid(t, dt)``, drawn block by block by
+    ``_path_blocks`` and solved a block at a time by
+    ``_phi_pathwise_rows``.
+
+    Raises:
+        DiskEscapeError: phi_t of some path lies outside the closed disk;
+            the message names the first such path j and its seed.
+    """
+    n_steps, dt = _step_grid(t, dt)
+    method = "rk4" if spec._quadratic() is None else _MOBIUS
+    first = 0
+    for phi in _path_blocks(
+            lambda rows: _phi_pathwise_rows(spec, k, z0, rows, dt),
+            root_seed, n_paths, dt, n_steps):
+        j = _first_escape(phi)
+        if j is not None:
+            j += first
+            raise _escape_error(method, t, "path %d (seed %d): "
+                                % (j, derive_path_seed(root_seed, j)))
+        first += len(phi)
+        yield phi
 
 
 def _exp_trapezoid(B, k, dt):

@@ -169,9 +169,23 @@ def test_evolve_random_manifest_records_seed(capsys, tmp_path):
     assert manifest["stats"]["steps"] > 0
 
 
+def test_evolve_random_manifest_records_the_method(capsys, tmp_path):
+    for spec, method in (("cayley", "mobius-magnus4"),
+                         ("automorphism:1,0.5", "mobius-magnus4"),
+                         ("taylor:0.5+2i", "mobius-magnus4"),
+                         ("exponential", "rk4"), ("taylor:1,0.5", "rk4")):
+        out = tmp_path / "r.csv"
+        rc, _, _ = run(capsys, [
+            "evolve", "--spec", spec, "--k", "1", "--z0", "0.3",
+            "--t-end", "0.5", "--mode", "random", "--out", str(out)])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "r.csv.manifest.json").read_text())
+        assert manifest["stats"] == {"steps": 50, "method": method}
+
+
 def test_evolve_random_samples_on_the_path_grid(capsys, tmp_path):
     # dt = 0.03 does not divide t_end = 1: the path takes 33 steps of
-    # 1/33, one RK4 step each, and is sampled at its 34 grid points
+    # 1/33, one cell each, and is sampled at its 34 grid points
     out = tmp_path / "r.csv"
     rc, _, _ = run(capsys, [
         "evolve", "--spec", "cayley", "--k", "1", "--z0", "0",
@@ -375,9 +389,27 @@ def test_bounds_monte_carlo_check(capsys):
 _OVERFLOWS = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 
+def escaping_row(j, block=0):
+    """Block solver that runs the real one and puts row j of block number
+    ``block`` outside the disk."""
+    solve = stochastic._phi_pathwise_rows
+    calls = []
+
+    def solver(*args):
+        phi = solve(*args)
+        if len(calls) == block:
+            phi[j] = 1.5
+        calls.append(len(phi))
+        return phi
+
+    return solver
+
+
 @pytest.mark.parametrize("args", [
-    ["evolve", "--spec", "cayley", "--k", "30", "--z0", "0.99", "--t-end",
-     "2", "--dt", "0.2", "--mode", "random", "--seed", "0"],
+    # fixed-step RK4 on a field that is not quadratic leaves the disk
+    ["evolve", "--spec", "taylor:2.0,0.5i,0.3", "--k", "10", "--z0", "0.99",
+     "--t-end", "2", "--dt", "0.5", "--mode", "random", "--seed", "9"],
+    # every bounds spec takes the Moebius cells; the solver is made to fail
     ["bounds", "--spec", "cayley", "--r0", "0.99", "--t", "2", "--k", "30",
      "--dt", "0.2", "--paths", "20", "--seed", "0"],
     pytest.param(["evolve", "--spec", "taylor:1e308", "--k", "1",
@@ -385,34 +417,37 @@ _OVERFLOWS = pytest.mark.filterwarnings("ignore::RuntimeWarning")
     pytest.param(["evolve", "--spec", "cayley", "--k", "1e200", "--t-end",
                   "1", "--mode", "sde"], marks=_OVERFLOWS),
 ])
-def test_disk_escape_exits_as_numerical_failure(capsys, tmp_path, args):
+def test_disk_escape_exits_as_numerical_failure(capsys, tmp_path, monkeypatch,
+                                                args):
     if args[0] == "evolve":
         args = args + ["--out", str(tmp_path / "x.csv")]
+    else:
+        monkeypatch.setattr(stochastic, "_phi_pathwise_rows", escaping_row(4))
     rc, _, err = run(capsys, args)
     assert rc == 1
     assert "escapes the unit disk" in err
     assert not (tmp_path / "x.csv").exists()
 
 
-def test_bounds_escape_names_the_path(capsys):
-    # the known escape case on a 2-step grid, where the first paths stay
-    # inside the disk, so the reported index is not trivially 0
-    n_steps, dt = stochastic._step_grid(0.4, 0.2)
-    for j in range(20):
-        seed = stochastic.derive_path_seed(0, j)
-        path = stochastic.sample_brownian(seed, dt, n_steps)
-        try:
-            stochastic.evolve_phi_pathwise(Cayley(), 30.0, 0.99, path, [0.4])
-        except stochastic.DiskEscapeError:
-            break
-    assert j > 0
+def test_bounds_escape_names_the_path(capsys, monkeypatch):
+    # row 3 of the second block of 8 paths is path 11
+    monkeypatch.setattr(stochastic, "_BLOCK_PATHS", 8)
+    monkeypatch.setattr(stochastic, "_phi_pathwise_rows",
+                        escaping_row(3, block=1))
     rc, out, err = run(capsys, ["bounds", "--spec", "cayley", "--r0", "0.99",
                                 "--t", "0.4", "--k", "30", "--dt", "0.2",
                                 "--paths", "20", "--seed", "0"])
     assert rc == 1
     assert out == ""
-    assert "path %d (seed %d)" % (j, seed) in err
+    assert "path 11 (seed %d)" % stochastic.derive_path_seed(0, 11) in err
     assert "escapes the unit disk" in err
+
+
+def test_parser_is_built_once():
+    assert cli._parser() is cli._parser()
+    parser, registry = cli.build_parser()
+    assert parser is not cli._parser()[0]
+    assert sorted(registry) == sorted(cli._parser()[1])
 
 
 @pytest.mark.parametrize("args, config", [

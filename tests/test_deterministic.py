@@ -147,6 +147,50 @@ def test_evolve_phi_stays_in_closed_disk(spec, k, radius, angle, t_end):
     assert np.all(np.abs(tr.values) <= 1.0 + det.CONTAINMENT_TOL)
 
 
+def moebius_exp(H, t, z):
+    """Moebius map of exp(tH) at z, for a traceless 2x2 H: exp(tH) =
+    cosh(t d) I + sinh(t d)/d tH with d^2 = H00^2 + H01 H10."""
+    (h00, h01), (h10, _) = H
+    d = cmath.sqrt(h00 * h00 + h01 * h10)
+    c = cmath.cosh(t * d)
+    s = t if d == 0 else cmath.sinh(t * d) / d
+    return ((c + s * h00) * z + s * h01) / (s * h10 * z + c - s * h00)
+
+
+@settings(max_examples=60, deadline=None)
+@given(A=hs.floats(0.1, 2.0), B=hs.floats(-2.0, 2.0),
+       kind=hs.sampled_from(["Elliptic", "Hyperbolic"]),
+       u=hs.floats(0.05, 0.95),
+       radius=hs.floats(0.0, 0.95), angle=hs.floats(0.0, 2.0 * math.pi),
+       t=hs.floats(0.05, 3.0))
+def test_automorphism_flow_is_the_moebius_map_of_exp_tH(A, B, kind, u, radius,
+                                                        angle, t):
+    # D = 4A^2 - 4Bk - k^2 is -(k - k1)(k - k2): the flow is hyperbolic
+    # for k between the roots k1,2 = -2B -+ 2|A + iB|, elliptic outside
+    root = 2.0 * math.hypot(A, B)
+    if kind == "Hyperbolic":
+        k = -2.0 * B - root + 2.0 * root * u
+    else:
+        k = -2.0 * B + root + 5.0 * u
+    result = det.classify_semigroup(A, B, k)
+    assert result.kind == kind
+    g2, g1, g0 = hg.Automorphism(A, B)._quadratic()
+    # the psi-frame field g2 w^2 + (g1 - ik) w + g0 is the Riccati flow of
+    # X' = H X; its eigenvalue gap squared is the discriminant
+    H = ((0.5 * (g1 - 1j * k), g0), (-g2, -0.5 * (g1 - 1j * k)))
+    gap2 = 4.0 * (H[0][0] ** 2 + H[0][1] * H[1][0])
+    assert abs(gap2 - result.discriminant) \
+        <= 1e-12 * (1.0 + k * k + A * A + B * B)
+    z = radius * cmath.exp(1j * angle)
+    psi = moebius_exp(H, t, z)
+    spec = hg.Automorphism(A, B)
+    got_psi = det.evolve_psi(spec, cfg(k, t, dt=min(0.01, t)), z, [t])
+    got_phi = det.evolve_phi(spec, cfg(k, t, dt=min(0.01, t)), z, [t])
+    # Dormand-Prince at rtol 1e-10: 5.3e-10 was the worst of 300 draws
+    assert abs(got_psi.values[-1] - psi) <= 1e-8
+    assert abs(got_phi.values[-1] - cmath.exp(1j * k * t) * psi) <= 1e-8
+
+
 def test_semigroup_property_autonomous():
     # at k=0 the psi flow is a semigroup: psi_{s+t} = psi_t o psi_s
     spec = hg.Exponential()

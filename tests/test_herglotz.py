@@ -110,6 +110,33 @@ def test_bp_field_finite_at_one():
     assert hg.ConstantImaginary()._bp_field(1.0) == 0.0
 
 
+# subnormal parameters lose the relative precision the bound assumes
+_PARAMETER = hs.floats(-10.0, 10.0, allow_subnormal=False)
+_QUADRATIC_SPECS = hs.one_of(
+    hs.sampled_from([hg.CayleyLinear(), hg.Cayley(), hg.ConstantImaginary()]),
+    hs.builds(hg.Automorphism, _PARAMETER.map(abs), _PARAMETER),
+    hs.builds(lambda re, im: hg.Taylor([complex(re, im)]),
+              _PARAMETER.map(abs), _PARAMETER))
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=_QUADRATIC_SPECS, radius=hs.floats(0.0, 1.0),
+       angle=hs.floats(0.0, 2.0 * math.pi))
+def test_quadratic_coefficients_reproduce_the_field(spec, radius, angle):
+    g2, g1, g0 = spec._quadratic()
+    w = radius * complex(math.cos(angle), math.sin(angle))
+    scale = abs(g2) + abs(g1) + abs(g0)
+    assert abs((g2 * w + g1) * w + g0 - spec._bp_field(w)) <= 1e-14 * scale
+
+
+def test_other_fields_are_not_quadratic():
+    for spec in (hg.Exponential(), hg.Taylor([1.0, 0.5 + 0.25j]),
+                 hg.Taylor([1.0, 0.0, 0.1j])):
+        assert spec._quadratic() is None
+    # trailing zero coefficients leave a constant p
+    assert hg.Taylor([2.0, 0.0])._quadratic() == (2.0, -4.0, 2.0)
+
+
 def test_automorphism_generator_value():
     # polynomial route and field route agree; value checked offline
     got = hg.automorphism_generator(0.0, 1.0, 0.5, 1j)

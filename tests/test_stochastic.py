@@ -75,13 +75,16 @@ def test_pathwise_matches_exact_solution():
 
 
 def test_pathwise_k0_matches_deterministic():
-    spec = hg.Cayley()
+    # at k = 0 the Moebius cells take their series branch, and const-i
+    # an exponent with d = 0
     path = st.sample_brownian(2, 1e-3, 500)
-    traj = st.evolve_phi_pathwise(spec, 0.0, 0.3 - 0.2j, path, [0.25, 0.5])
     cfg = dm.EvolutionConfig(k=0.0, t_end=0.5)
-    ref = dm.evolve_phi(spec, cfg, 0.3 - 0.2j, [0.25, 0.5])
-    assert abs(traj.values[1] - ref.values[1]) <= 1e-9
-    assert abs(traj.values[2] - ref.values[2]) <= 1e-9
+    for spec in (hg.Cayley(), hg.ConstantImaginary(), hg.Exponential()):
+        traj = st.evolve_phi_pathwise(spec, 0.0, 0.3 - 0.2j, path,
+                                      [0.25, 0.5])
+        ref = dm.evolve_phi(spec, cfg, 0.3 - 0.2j, [0.25, 0.5])
+        assert abs(traj.values[1] - ref.values[1]) <= 1e-9
+        assert abs(traj.values[2] - ref.values[2]) <= 1e-9
 
 
 def test_pathwise_containment_high_noise():
@@ -93,15 +96,16 @@ def test_pathwise_containment_high_noise():
 
 
 def test_pathwise_disk_escape_is_a_typed_numerical_failure():
-    # coarse grid at high k: fixed-step RK4 leaves the disk
-    path = st.sample_brownian(0, 0.2, 10)
+    # coarse grid at high k: fixed-step RK4 leaves the disk on a field
+    # that is not quadratic
+    path = st.sample_brownian(9, 0.5, 4)
     with pytest.raises(st.DiskEscapeError) as info:
-        st.evolve_phi_pathwise(hg.Cayley(), 30.0, 0.99, path,
-                               np.arange(11) * 0.2)
+        st.evolve_phi_pathwise(hg.Taylor([2.0, 0.5j, 0.3]), 10.0, 0.99, path,
+                               path.time_grid())
     err = info.value
     assert isinstance(err, hg.Error) and not isinstance(err, ValueError)
-    assert err.t_reached == pytest.approx(0.8)
-    assert "escapes the unit disk" in str(err)
+    assert err.t_reached == pytest.approx(1.0)
+    assert "escapes the unit disk" in str(err) and "rk4" in str(err)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -153,6 +157,13 @@ def reference_pathwise(spec, k, z0, path, sample_times):
     return [values[t] for t in ts], steps
 
 
+def refine(path, m):
+    """The path's piecewise-linear B on a grid m times finer."""
+    t = np.arange(path.n_steps * m + 1) * (path.dt / m)
+    values = np.interp(t, path.time_grid(), path.values)
+    return st.BrownianPath(dt=path.dt / m, values=values, seed=path.seed)
+
+
 @pytest.mark.parametrize("spec", CATALOGUE, ids=lambda s: s.text_form())
 def test_pathwise_matches_reference_rk4(spec):
     k, z0 = 2.5, 0.5 + 0.2j
@@ -162,7 +173,16 @@ def test_pathwise_matches_reference_rk4(spec):
     traj = st.evolve_phi_pathwise(spec, k, z0, path, times)
     want, steps = reference_pathwise(spec, k, z0, path, times)
     assert traj.stats["steps"] == steps == 103
-    assert np.max(np.abs(traj.values - np.asarray(want))) <= 1e-14
+    if spec._quadratic() is None:
+        # the RK4 loop, to rounding
+        assert traj.stats["method"] == "rk4"
+        assert np.max(np.abs(traj.values - np.asarray(want))) <= 1e-14
+    else:
+        # the Moebius cells, against RK4 on the same path 64x refined;
+        # RK4 on the path's own grid is off by 1.5e-6 to 3.8e-6 here
+        assert traj.stats["method"] == "mobius-magnus4"
+        fine, _ = reference_pathwise(spec, k, z0, refine(path, 64), times)
+        assert np.max(np.abs(traj.values - np.asarray(fine))) <= 1e-7
     # a path of zero steps returns its start
     empty = st.sample_brownian(31, 0.01, 0)
     traj = st.evolve_phi_pathwise(spec, k, z0, empty, [0.0])
@@ -173,6 +193,92 @@ def test_pathwise_start_only_takes_no_step():
     path = st.sample_brownian(5, 0.01, 300)
     traj = st.evolve_phi_pathwise(hg.Cayley(), 1.3, 0.4j, path, [0.0])
     assert traj.values.tolist() == [0.4j] and traj.stats["steps"] == 0
+
+
+def quadratic_specs(least):
+    """The catalogue's quadratic specs, automorphisms and constant Taylor
+    specs, with A and Re a0 at least ``least``."""
+    return hs.one_of(
+        hs.sampled_from([spec for spec in CATALOGUE
+                         if spec._quadratic() is not None]),
+        hs.builds(hg.Automorphism, hs.floats(least, 3.0),
+                  hs.floats(-3.0, 3.0)),
+        hs.builds(lambda re, im: hg.Taylor([complex(re, im)]),
+                  hs.floats(least, 3.0), hs.floats(-3.0, 3.0)))
+
+
+@settings(max_examples=40, deadline=None)
+# a field of order one: near zero the error sinks to rounding
+@given(spec=quadratic_specs(0.25), seed=hs.integers(0, 2**32 - 1),
+       k=hs.floats(0.5, 4.0), radius=hs.floats(0.0, 0.95),
+       angle=hs.floats(0.0, 2.0 * math.pi))
+def test_mobius_cells_are_fourth_order(spec, seed, k, radius, angle):
+    # the same piecewise-linear path, cut into 1, 2 and 4 cells per step,
+    # against 64 cells per step: two halvings gain at least 2^7; without
+    # the h^2 terms of the exponent the error falls as h^2
+    path = st.sample_brownian(seed, 0.05, 20)
+    z0 = radius * cmath.exp(1j * angle)
+
+    def end(m):
+        return st.evolve_phi_pathwise(spec, k, z0, refine(path, m),
+                                      [1.0]).values[-1]
+
+    ref = end(64)
+    errors = [abs(end(m) - ref) for m in (1, 2, 4)]
+    assert errors[0] >= 2.0 ** 7 * errors[2], errors
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=quadratic_specs(0.0), seed=hs.integers(0, 2**32 - 1),
+       k=hs.floats(0.0, 100.0), dt=hs.floats(1e-3, 0.5),
+       n_steps=hs.integers(1, 40), angle=hs.floats(0.0, 2.0 * math.pi))
+@example(spec=hg.Cayley(), seed=0, k=30.0, dt=0.2, n_steps=10, angle=0.0)
+def test_mobius_cells_keep_boundary_starts_in_the_disk(spec, seed, k, dt,
+                                                       n_steps, angle):
+    # RK4 left the disk at the @example (a coarse grid at high k)
+    path = st.sample_brownian(seed, dt, n_steps)
+    traj = st.evolve_phi_pathwise(spec, k, cmath.exp(1j * angle), path,
+                                  path.time_grid())
+    assert np.max(np.abs(traj.values)) <= 1.0 + dm.CONTAINMENT_TOL
+
+
+def test_block_rows_match_the_path_solver():
+    # the block solver behind `bounds --paths` gives each row the cells
+    # evolve_phi_pathwise takes on that row's path
+    n_steps, dt = 37, 0.04
+    rows = st._path_rows(5, 0, 9, dt, n_steps)
+    for spec in (hg.CayleyLinear(), hg.Cayley(), hg.Taylor([1.0]),
+                 hg.Exponential()):
+        phi = st._phi_pathwise_rows(spec, 6.0, 0.7, rows, dt)
+        for j, row in enumerate(rows):
+            path = st.sample_brownian(st.derive_path_seed(5, j), dt, n_steps)
+            assert np.array_equal(path.values, row)
+            want = st.evolve_phi_pathwise(spec, 6.0, 0.7, path,
+                                          [n_steps * dt]).values[-1]
+            assert abs(phi[j] - want) <= 1e-13
+
+
+def test_block_escape_names_the_path(monkeypatch):
+    # RK4 on this non-quadratic field leaves the disk first on path 8 of
+    # root seed 1, which blocks of 4 paths put in the third block
+    spec = hg.parse_spec("taylor:2.0,0.5i,0.3")
+    escaped = []
+    for j in range(20):
+        path = st.sample_brownian(st.derive_path_seed(1, j), 0.5, 4)
+        try:
+            st.evolve_phi_pathwise(spec, 10.0, 0.99, path, [2.0])
+        except st.DiskEscapeError:
+            escaped.append(j)
+    assert escaped[0] == 8
+    monkeypatch.setattr(st, "_BLOCK_PATHS", 4)
+    blocks = st._phi_pathwise_blocks(spec, 10.0, 0.99, 1, 20, 2.0, 0.5)
+    assert len(next(blocks)) == 4 and len(next(blocks)) == 4
+    with pytest.raises(st.DiskEscapeError,
+                       match=r"^path 8 \(seed %d\): pathwise rk4 solution "
+                             r"escapes the unit disk at t=2$"
+                             % st.derive_path_seed(1, 8)) as info:
+        next(blocks)
+    assert info.value.t_reached == 2.0
 
 
 @hs.composite
