@@ -89,7 +89,7 @@ _BLOCK_FLOATS = 1 << 22
 # _psi_sde_block makes about this many step multipliers at a time
 _CHUNK_VALUES = 1 << 16
 # _phi_pathwise_rows builds about this many Moebius cells at a time: each
-# takes a dozen complex temporaries, and in the mc_pathwise benchmark
+# takes about ten complex temporaries, and in the mc_pathwise benchmark
 # chunks of 4096 cells and more raised the peak RSS by 0.6 MiB and up
 _CELL_VALUES = 1 << 10
 
@@ -455,85 +455,51 @@ def _mc_estimate(parts):
 # pathwise random ODE
 # --------------------------------------------------------------------------
 
-def _phi12(y):
-    """phi1(x) = (e^x - 1)/x and phi2(x) = (phi1(x) - 1)/x at x = iy.
-
-    y is real, so phi_j(-x) = conj(phi_j(x)).  Below |y| = 0.05, where
-    the quotients lose digits, phi2 is its Taylor series sum_n x^n/(n+2)!
-    to x^7 (relative error under 5e-16) and phi1 = 1 + x phi2.  The
-    series is only evaluated when some cell needs it.
-    """
-    x = 1j * y
-    small = np.abs(y) < 0.05
-    if not np.count_nonzero(small):
-        phi1 = np.expm1(x) / x
-        return phi1, (phi1 - 1.0) / x
-    series = x * (1 / 362880) + 1 / 40320
-    for c in (1 / 5040, 1 / 720, 1 / 120, 1 / 24, 1 / 6, 0.5):
-        series *= x
-        series += c
-    # the quotients at x = i where the series serves, so none divides by 0
-    xs = np.where(small, 1j, x)
-    phi1 = np.expm1(xs) / xs
-    phi2 = (phi1 - 1.0) / xs
-    return (np.where(small, 1.0 + x * series, phi1),
-            np.where(small, series, phi2))
-
-
 def _mobius_cells(g, k, b, h):
     """Entries (e00, e01, e10, e11) of each cell's Moebius matrix.
 
-    For a quadratic field g2 w^2 + g1 w + g0 the phi-frame ODE is the
-    Riccati equation phi' = g2 conj(tau) phi^2 + g1 phi + g0 tau, whose
-    flow is phi -> (e00 phi + e01) / (e10 phi + e11) with E solving
-    E' = [[g1/2, g0 tau], [-g2 conj(tau), -g1/2]] E (Schiff and Shnider,
-    SIAM J. Numer. Anal. 36(5), 1999).  On a cell of width h where B is
-    linear, tau = tau_j e^{xs/h} with x = ik dB, and E = exp(Omega) for
-    the fourth-order Magnus exponent Omega, in closed form (Blanes,
-    Casas, Oteo and Ros, Phys. Rep. 470, 2009):
+    For a quadratic field g2 w^2 + g1 w + g0 the rotating-frame state
+    psi = phi / tau, tau = e^{ikB}, solves the Riccati equation
+    psi' = g2 psi^2 + (g1 - ik B') psi + g0, whose flow is
+    psi -> (e00 psi + e01) / (e10 psi + e11) with E solving
+    E' = [[(g1 - ik B')/2, g0], [-g2, -(g1 - ik B')/2]] E (Schiff and
+    Shnider, SIAM J. Numer. Anal. 36(5), 1999).  On a cell of width h
+    where B is linear, B' = dB/h is constant, so E is the exponential of
+    one traceless matrix [[a, p], [q, -a]] with a = (g1 h - ik dB)/2,
+    p = g0 h and q = -g2 h:
 
-        O00 = (g1/2) h - (g0 g2/2) h^2 (phi2(x) - phi2(-x))
-        O01 = g0 tau_j h (phi1(x) + (g1/2) h (2 phi2(x) - phi1(x)))
-        O10 = -g2 conj(tau_j) h (phi1(-x) - (g1/2) h (2 phi2(-x) - phi1(-x)))
+        E = cosh(d) I + sinh(d)/d [[a, p], [q, -a]],  d^2 = a^2 + pq,
 
-    Omega is traceless, so exp(Omega) = cosh(d) I + sinh(d)/d Omega with
-    d^2 = O00^2 + O01 O10.
+    the cell's exact flow, with no truncation error.
 
     Args:
         g: (g2, g1, g0), from ``spec._quadratic()``.
         k: noise amplitude.
         b: B at the knots, knots along the last axis, any leading axes.
         h: the cell widths, broadcast against the cells ``b[..., 1:]``;
-            a cell of width 0 is the identity.
+            a cell of width 0 only turns psi by e^{-ik dB}.
 
     Returns:
         Four complex arrays of the cells' shape.
     """
     g2, g1, g0 = g
-    b0 = b[..., :-1]
-    phi1, phi2 = _phi12(k * (b[..., 1:] - b0))
-    tau = np.exp(1j * k * b0)
-    half_g1h = 0.5 * g1 * h
-    q = 2.0 * phi2 - phi1
-    o00 = half_g1h - (1j * g0 * g2) * (h * h) * phi2.imag
-    o01 = g0 * h * (tau * (phi1 + half_g1h * q))
-    # conj(tau) (phi1(-x) - (g1/2) h (2 phi2(-x) - phi1(-x))), conjugated
-    # once
-    o10 = -g2 * h * (tau * (phi1 - np.conj(half_g1h) * q)).conj()
-    d = np.sqrt(o00 * o00 + o01 * o10)
+    a = 0.5 * g1 * h - 0.5j * k * (b[..., 1:] - b[..., :-1])
+    p = g0 * h
+    q = -g2 * h
+    d = np.sqrt(a * a + p * q)
     cosh = np.cosh(d)
     # sinh(d)/d is even in d, so either root serves; it is 1 at d = 0
-    # (a cell of width 0, for one)
+    # (a cell of width 0 at k = 0, for one)
     if np.count_nonzero(d) == d.size:
         sinhc = np.sinh(d) / d
     else:
         sinhc = np.divide(np.sinh(d), d, out=np.ones_like(d), where=d != 0.0)
-    s00 = sinhc * o00
-    return cosh + s00, sinhc * o01, sinhc * o10, cosh - s00
+    s00 = sinhc * a
+    return cosh + s00, sinhc * p, sinhc * q, cosh - s00
 
 
 # the method evolve_phi_pathwise reports for the Moebius cells
-_MOBIUS = "mobius-magnus4"
+_MOBIUS = "mobius-exact"
 
 
 def _first_escape(values):
@@ -557,9 +523,10 @@ def evolve_phi_pathwise(spec, k, z0, path, sample_times):
     interpolated inside grid steps, making the field classical and the
     solution C^1 in t.  The walk takes one cell per path interval (plus
     partial cells to land exactly on requested sample times).  A spec
-    whose field is quadratic (``spec._quadratic()``) takes each cell as
-    the closed-form fourth-order Magnus Moebius map of ``_mobius_cells``
-    (method "mobius-magnus4"); any other spec takes one RK4 step per cell
+    whose field is quadratic (``spec._quadratic()``) walks the rotating
+    frame psi = e^{-ikB} phi through the exact Moebius map of each cell
+    (``_mobius_cells``, method "mobius-exact") and turns psi into phi only
+    at the sample times; any other spec takes one RK4 step per cell
     (method "rk4").  ``stats`` records the cells stepped and the method.
 
     Args:
@@ -574,8 +541,8 @@ def evolve_phi_pathwise(spec, k, z0, path, sample_times):
 
     Raises:
         DiskEscapeError: a recorded value lies outside the closed disk
-            (neither method has error control, and fixed-step RK4 on a
-            coarse grid at high k can leave the disk).
+            (fixed-step RK4 on a coarse grid at high k can leave it, and
+            the Moebius cells turn NaN once (k dB)^2 overflows).
     """
     z0 = _disk_point("z0", z0, closed=True)
     k = _finite("k", k)
@@ -600,17 +567,18 @@ def evolve_phi_pathwise(spec, k, z0, path, sample_times):
     g = spec._quadratic()
     if g is not None:
         method = _MOBIUS
-        cells = _mobius_cells(g, k, _interpolate(B, dt, knots),
-                              h_steps * stepped)
+        b = _interpolate(B, dt, knots)
+        cells = _mobius_cells(g, k, b, h_steps * stepped)
+        # psi = e^{-ikB} phi starts at z0, since B_0 = 0
         y = z0
         at_knot = [y]
         for e00, e01, e10, e11 in zip(*(c.tolist() for c in cells)):
             y = (e00 * y + e01) / (e10 * y + e11)
             at_knot.append(y)
+        out = np.asarray(at_knot)[at] * np.exp(1j * k * b[at])
     else:
         method = "rk4"
-        at_knot = _rk4_walk(spec, k, z0, B, dt, knots, h_steps)
-    out = np.asarray(at_knot)[at]
+        out = np.asarray(_rk4_walk(spec, k, z0, B, dt, knots, h_steps))[at]
     j = _first_escape(out)
     if j is not None:
         raise _escape_error(method, ts[j])
@@ -656,25 +624,22 @@ def _phi_pathwise_rows(spec, k, z0, rows, dt):
 
     ``rows`` holds path values on the grid dt, one path per row, and
     each row takes the cells ``evolve_phi_pathwise`` takes on its grid.
-    A quadratic field applies its Moebius cells one column at a time
-    across all rows, building about _CELL_VALUES cells at a time (at
-    least one column); any other field walks RK4 row by row.  No
-    containment check: ``_phi_pathwise_blocks`` names the escaping row.
+    The field must be quadratic: its Moebius cells are applied to psi
+    one column at a time across all rows, building about _CELL_VALUES
+    cells at a time (at least one column), and psi is turned into phi at
+    the last column.  No containment check: ``_phi_pathwise_blocks``
+    names the escaping row.
     """
     g = spec._quadratic()
     n_rows, n_cols = rows.shape
-    if g is None:
-        knots = np.arange(n_cols) * dt
-        h_steps = knots[1:] - knots[:-1]
-        return np.array([_rk4_walk(spec, k, z0, row, dt, knots, h_steps)[-1]
-                         for row in rows], dtype=complex)
+    # psi = e^{-ikB} phi, which starts at z0 on every row
     y = np.full(n_rows, complex(z0))
     width = max(1, _CELL_VALUES // max(1, n_rows))
     for first in range(0, n_cols - 1, width):
         cells = _mobius_cells(g, k, rows[:, first:first + width + 1], dt)
         for e00, e01, e10, e11 in zip(*(c.T for c in cells)):
             y = (e00 * y + e01) / (e10 * y + e11)
-    return y
+    return y * np.exp(1j * k * rows[:, -1])
 
 
 def _phi_pathwise_blocks(spec, k, z0, root_seed, n_paths, t, dt):
@@ -683,14 +648,14 @@ def _phi_pathwise_blocks(spec, k, z0, root_seed, n_paths, t, dt):
     Path j is ``sample_brownian(derive_path_seed(root_seed, j), ...)`` on
     the grid ``_step_grid(t, dt)``, drawn block by block by
     ``_path_blocks`` and solved a block at a time by
-    ``_phi_pathwise_rows``.
+    ``_phi_pathwise_rows``, so the spec's field must be quadratic, as the
+    fields of ``_BOUND_SPECS`` are.
 
     Raises:
         DiskEscapeError: phi_t of some path lies outside the closed disk;
             the message names the first such path j and its seed.
     """
     n_steps, dt = _step_grid(t, dt)
-    method = "rk4" if spec._quadratic() is None else _MOBIUS
     first = 0
     for phi in _path_blocks(
             lambda rows: _phi_pathwise_rows(spec, k, z0, rows, dt),
@@ -698,7 +663,7 @@ def _phi_pathwise_blocks(spec, k, z0, root_seed, n_paths, t, dt):
         j = _first_escape(phi)
         if j is not None:
             j += first
-            raise _escape_error(method, t, "path %d (seed %d): "
+            raise _escape_error(_MOBIUS, t, "path %d (seed %d): "
                                 % (j, derive_path_seed(root_seed, j)))
         first += len(phi)
         yield phi

@@ -1,10 +1,13 @@
-"""Shared test plumbing: the acceptance-criteria report.
+"""Shared test plumbing: the acceptance-criteria report, and the
+Moebius map of exp(tH) that the rotating-drive oracles compare against.
 
 test_acceptance.py records one line per criterion through
 record_criterion; the terminal-summary hook prints the collected lines
 after the run so every criterion shows a visible PASS or FAIL verdict
 regardless of output capturing.
 """
+
+import cmath
 
 _CRITERIA = {}
 
@@ -21,3 +24,13 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for cid in sorted(_CRITERIA):
             terminalreporter.write_line(_CRITERIA[cid])
+
+
+def moebius_exp(H, t, z):
+    """Moebius map of exp(tH) at z, for a traceless 2x2 H: exp(tH) =
+    cosh(t d) I + sinh(t d)/d tH with d^2 = H00^2 + H01 H10."""
+    (h00, h01), (h10, _) = H
+    d = cmath.sqrt(h00 * h00 + h01 * h10)
+    c = cmath.cosh(t * d)
+    s = t if d == 0 else cmath.sinh(t * d) / d
+    return ((c + s * h00) * z + s * h01) / (s * h10 * z + c - s * h00)

@@ -170,9 +170,9 @@ def test_evolve_random_manifest_records_seed(capsys, tmp_path):
 
 
 def test_evolve_random_manifest_records_the_method(capsys, tmp_path):
-    for spec, method in (("cayley", "mobius-magnus4"),
-                         ("automorphism:1,0.5", "mobius-magnus4"),
-                         ("taylor:0.5+2i", "mobius-magnus4"),
+    for spec, method in (("cayley", "mobius-exact"),
+                         ("automorphism:1,0.5", "mobius-exact"),
+                         ("taylor:0.5+2i", "mobius-exact"),
                          ("exponential", "rk4"), ("taylor:1,0.5", "rk4")):
         out = tmp_path / "r.csv"
         rc, _, _ = run(capsys, [
@@ -416,16 +416,24 @@ def escaping_row(j, block=0):
                   "--t-end", "1", "--mode", "random"], marks=_OVERFLOWS),
     pytest.param(["evolve", "--spec", "cayley", "--k", "1e200", "--t-end",
                   "1", "--mode", "sde"], marks=_OVERFLOWS),
+    # (k dB)^2 overflows in the first cell of every path
+    pytest.param(["bounds", "--spec", "cayley", "--r0", "0.99", "--t", "2",
+                  "--k", "1e200", "--dt", "0.2", "--paths", "3", "--seed",
+                  "0"], marks=_OVERFLOWS),
 ])
 def test_disk_escape_exits_as_numerical_failure(capsys, tmp_path, monkeypatch,
                                                 args):
+    named = ""
     if args[0] == "evolve":
         args = args + ["--out", str(tmp_path / "x.csv")]
+    elif "1e200" in args:
+        # every path escapes; the message names the first
+        named = "path 0 (seed %d)" % stochastic.derive_path_seed(0, 0)
     else:
         monkeypatch.setattr(stochastic, "_phi_pathwise_rows", escaping_row(4))
     rc, _, err = run(capsys, args)
     assert rc == 1
-    assert "escapes the unit disk" in err
+    assert "escapes the unit disk" in err and named in err
     assert not (tmp_path / "x.csv").exists()
 
 

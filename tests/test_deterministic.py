@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hs
 
+import conftest
 from loewnerkit import herglotz as hg
 from loewnerkit import deterministic as det
 from loewnerkit import stochastic as stoch
@@ -147,16 +148,6 @@ def test_evolve_phi_stays_in_closed_disk(spec, k, radius, angle, t_end):
     assert np.all(np.abs(tr.values) <= 1.0 + det.CONTAINMENT_TOL)
 
 
-def moebius_exp(H, t, z):
-    """Moebius map of exp(tH) at z, for a traceless 2x2 H: exp(tH) =
-    cosh(t d) I + sinh(t d)/d tH with d^2 = H00^2 + H01 H10."""
-    (h00, h01), (h10, _) = H
-    d = cmath.sqrt(h00 * h00 + h01 * h10)
-    c = cmath.cosh(t * d)
-    s = t if d == 0 else cmath.sinh(t * d) / d
-    return ((c + s * h00) * z + s * h01) / (s * h10 * z + c - s * h00)
-
-
 @settings(max_examples=60, deadline=None)
 @given(A=hs.floats(0.1, 2.0), B=hs.floats(-2.0, 2.0),
        kind=hs.sampled_from(["Elliptic", "Hyperbolic"]),
@@ -182,7 +173,7 @@ def test_automorphism_flow_is_the_moebius_map_of_exp_tH(A, B, kind, u, radius,
     assert abs(gap2 - result.discriminant) \
         <= 1e-12 * (1.0 + k * k + A * A + B * B)
     z = radius * cmath.exp(1j * angle)
-    psi = moebius_exp(H, t, z)
+    psi = conftest.moebius_exp(H, t, z)
     spec = hg.Automorphism(A, B)
     got_psi = det.evolve_psi(spec, cfg(k, t, dt=min(0.01, t)), z, [t])
     got_phi = det.evolve_phi(spec, cfg(k, t, dt=min(0.01, t)), z, [t])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
+import conftest
 from loewnerkit import deterministic as dm
 from loewnerkit import herglotz as hg
 from loewnerkit import stochastic as st
@@ -75,8 +76,8 @@ def test_pathwise_matches_exact_solution():
 
 
 def test_pathwise_k0_matches_deterministic():
-    # at k = 0 the Moebius cells take their series branch, and const-i
-    # an exponent with d = 0
+    # at k = 0 the psi and phi frames agree, and const-i's cells have
+    # d = 0
     path = st.sample_brownian(2, 1e-3, 500)
     cfg = dm.EvolutionConfig(k=0.0, t_end=0.5)
     for spec in (hg.Cayley(), hg.ConstantImaginary(), hg.Exponential()):
@@ -178,11 +179,12 @@ def test_pathwise_matches_reference_rk4(spec):
         assert traj.stats["method"] == "rk4"
         assert np.max(np.abs(traj.values - np.asarray(want))) <= 1e-14
     else:
-        # the Moebius cells, against RK4 on the same path 64x refined;
-        # RK4 on the path's own grid is off by 1.5e-6 to 3.8e-6 here
-        assert traj.stats["method"] == "mobius-magnus4"
+        # the exact Moebius cells, against RK4 on the same path 64x
+        # refined; RK4 on the path's own grid is off by 1.5e-6 to 3.8e-6
+        # here
+        assert traj.stats["method"] == "mobius-exact"
         fine, _ = reference_pathwise(spec, k, z0, refine(path, 64), times)
-        assert np.max(np.abs(traj.values - np.asarray(fine))) <= 1e-7
+        assert np.max(np.abs(traj.values - np.asarray(fine))) <= 1e-11
     # a path of zero steps returns its start
     empty = st.sample_brownian(31, 0.01, 0)
     traj = st.evolve_phi_pathwise(spec, k, z0, empty, [0.0])
@@ -207,25 +209,38 @@ def quadratic_specs(least):
                   hs.floats(least, 3.0), hs.floats(-3.0, 3.0)))
 
 
-@settings(max_examples=40, deadline=None)
-# a field of order one: near zero the error sinks to rounding
-@given(spec=quadratic_specs(0.25), seed=hs.integers(0, 2**32 - 1),
-       k=hs.floats(0.5, 4.0), radius=hs.floats(0.0, 0.95),
-       angle=hs.floats(0.0, 2.0 * math.pi))
-def test_mobius_cells_are_fourth_order(spec, seed, k, radius, angle):
-    # the same piecewise-linear path, cut into 1, 2 and 4 cells per step,
-    # against 64 cells per step: two halvings gain at least 2^7; without
-    # the h^2 terms of the exponent the error falls as h^2
-    path = st.sample_brownian(seed, 0.05, 20)
+@settings(max_examples=60, deadline=None)
+@given(spec=quadratic_specs(0.0), seed=hs.integers(0, 2**32 - 1),
+       k=hs.floats(0.0, 6.0), radius=hs.floats(0.0, 0.95),
+       angle=hs.floats(0.0, 2.0 * math.pi), t=hs.floats(0.05, 2.0))
+# automorphism:1,0.3 is hyperbolic for k between -2.69 and 1.49 and
+# elliptic outside
+@example(spec=hg.Automorphism(1.0, 0.3), seed=0, k=1.0, radius=0.9,
+         angle=1.0, t=2.0)
+@example(spec=hg.Automorphism(1.0, 0.3), seed=0, k=4.0, radius=0.9,
+         angle=1.0, t=2.0)
+def test_mobius_cells_are_exact(spec, seed, k, radius, angle, t):
     z0 = radius * cmath.exp(1j * angle)
-
-    def end(m):
-        return st.evolve_phi_pathwise(spec, k, z0, refine(path, m),
-                                      [1.0]).values[-1]
-
-    ref = end(64)
-    errors = [abs(end(m) - ref) for m in (1, 2, 4)]
-    assert errors[0] >= 2.0 ** 7 * errors[2], errors
+    # the same piecewise-linear path, cut into 2 and 4 cells per step,
+    # takes the same flow
+    path = st.sample_brownian(seed, 0.05, 40)
+    want = st.evolve_phi_pathwise(spec, k, z0, path, [t]).values[-1]
+    for m in (2, 4):
+        got = st.evolve_phi_pathwise(spec, k, z0, refine(path, m),
+                                     [t]).values[-1]
+        assert abs(got - want) <= 1e-12, m
+    # on B_t = t the psi frame is autonomous: psi_t = Moebius(exp(tH))(z0)
+    # for the Riccati field g2 w^2 + (g1 - ik) w + g0, and
+    # phi_t = e^{ikt} psi_t
+    g2, g1, g0 = spec._quadratic()
+    H = ((0.5 * (g1 - 1j * k), g0), (-g2, -0.5 * (g1 - 1j * k)))
+    want = cmath.exp(1j * k * t) * conftest.moebius_exp(H, t, z0)
+    for dt in (0.5, 0.1):
+        n_steps = math.ceil(t / dt)
+        drive = st.BrownianPath(dt=dt, values=np.arange(n_steps + 1) * dt,
+                                seed=0)
+        got = st.evolve_phi_pathwise(spec, k, z0, drive, [t]).values[-1]
+        assert abs(got - want) <= 1e-12, dt
 
 
 @settings(max_examples=60, deadline=None)
@@ -242,13 +257,19 @@ def test_mobius_cells_keep_boundary_starts_in_the_disk(spec, seed, k, dt,
     assert np.max(np.abs(traj.values)) <= 1.0 + dm.CONTAINMENT_TOL
 
 
+def test_bound_specs_are_quadratic():
+    # the block solver behind `bounds --paths` takes only Moebius cells
+    for factory in st._BOUND_SPECS.values():
+        assert factory()._quadratic() is not None
+
+
 def test_block_rows_match_the_path_solver():
-    # the block solver behind `bounds --paths` gives each row the cells
-    # evolve_phi_pathwise takes on that row's path
+    # the block solver gives each row the cells evolve_phi_pathwise takes
+    # on that row's path
     n_steps, dt = 37, 0.04
     rows = st._path_rows(5, 0, 9, dt, n_steps)
-    for spec in (hg.CayleyLinear(), hg.Cayley(), hg.Taylor([1.0]),
-                 hg.Exponential()):
+    for spec in (hg.CayleyLinear(), hg.Cayley(), hg.ConstantImaginary(),
+                 hg.Automorphism(1.0, 0.5), hg.Taylor([1.0])):
         phi = st._phi_pathwise_rows(spec, 6.0, 0.7, rows, dt)
         for j, row in enumerate(rows):
             path = st.sample_brownian(st.derive_path_seed(5, j), dt, n_steps)
@@ -258,25 +279,27 @@ def test_block_rows_match_the_path_solver():
             assert abs(phi[j] - want) <= 1e-13
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_block_escape_names_the_path(monkeypatch):
-    # RK4 on this non-quadratic field leaves the disk first on path 8 of
-    # root seed 1, which blocks of 4 paths put in the third block
-    spec = hg.parse_spec("taylor:2.0,0.5i,0.3")
+    # at k = 2e154 a cell whose |k dB| passes about 2.7e154 overflows to
+    # NaN; on root seed 1 that happens first on path 2, which blocks of 2
+    # paths put in the second block
+    spec, k = hg.Cayley(), 2e154
     escaped = []
-    for j in range(20):
+    for j in range(8):
         path = st.sample_brownian(st.derive_path_seed(1, j), 0.5, 4)
         try:
-            st.evolve_phi_pathwise(spec, 10.0, 0.99, path, [2.0])
+            st.evolve_phi_pathwise(spec, k, 0.99, path, [2.0])
         except st.DiskEscapeError:
             escaped.append(j)
-    assert escaped[0] == 8
-    monkeypatch.setattr(st, "_BLOCK_PATHS", 4)
-    blocks = st._phi_pathwise_blocks(spec, 10.0, 0.99, 1, 20, 2.0, 0.5)
-    assert len(next(blocks)) == 4 and len(next(blocks)) == 4
+    assert escaped[0] == 2
+    monkeypatch.setattr(st, "_BLOCK_PATHS", 2)
+    blocks = st._phi_pathwise_blocks(spec, k, 0.99, 1, 8, 2.0, 0.5)
+    assert len(next(blocks)) == 2
     with pytest.raises(st.DiskEscapeError,
-                       match=r"^path 8 \(seed %d\): pathwise rk4 solution "
-                             r"escapes the unit disk at t=2$"
-                             % st.derive_path_seed(1, 8)) as info:
+                       match=r"^path 2 \(seed %d\): pathwise mobius-exact "
+                             r"solution escapes the unit disk at t=2$"
+                             % st.derive_path_seed(1, 2)) as info:
         next(blocks)
     assert info.value.t_reached == 2.0
 
