@@ -34,10 +34,9 @@ from .deterministic import (
     is_closed_trajectory,
 )
 from .herglotz import (
-    Automorphism,
-    ConstantImaginary,
     Error,
     Exponential,
+    _automorphism_parameters,
     _count,
     _finite,
     _finite_complex,
@@ -128,18 +127,6 @@ def _write_csv(path, header, columns):
                                            for row in rows]) + "\n")
 
 
-def _sample_grid(t_end, dt):
-    if t_end <= 0.0:
-        return [0.0]
-    ts = [0.0]
-    j = 1
-    while j * dt < t_end - 1e-12:
-        ts.append(j * dt)
-        j += 1
-    ts.append(t_end)
-    return ts
-
-
 def _require(args, parser, *dests):
     missing = [d for d in dests if getattr(args, d) is None]
     if missing:
@@ -194,16 +181,15 @@ def render_disk_svg(curves, tau=None, title=None, size=480):
 
 def cmd_evolve(args, parser):
     spec = parse_spec(args.spec)
-    t_end, dt = args.t_end, args.dt
-    dt_used = dt
+    t_end = args.t_end
+    # every mode samples on the uniform grid that lands exactly on t_end
+    n_steps, dt_used = stochastic._step_grid(t_end, args.dt)
     if args.mode == "det":
-        cfg_dt = min(dt, 0.05, t_end) if t_end > 0.0 else dt
-        cfg = EvolutionConfig(k=args.k, t_end=t_end, dt=cfg_dt)
-        traj = evolve_phi(spec, cfg, args.z0, _sample_grid(t_end, dt))
+        cfg = EvolutionConfig(k=args.k, t_end=t_end, dt=min(dt_used, 0.05))
+        traj = evolve_phi(spec, cfg, args.z0,
+                          np.linspace(0.0, t_end, n_steps + 1))
         tau = cmath.exp(1j * args.k * t_end)
     else:
-        # both random modes sample on the path's own grid
-        n_steps, dt_used = stochastic._step_grid(t_end, dt)
         path = stochastic.sample_brownian(args.seed, dt_used, n_steps)
         if args.mode == "random":
             traj = stochastic.evolve_phi_pathwise(spec, args.k, args.z0,
@@ -227,13 +213,11 @@ def cmd_evolve(args, parser):
 
 def _classify_params(args, parser):
     if args.spec is not None:
-        spec = parse_spec(args.spec)
-        if isinstance(spec, Automorphism):
-            return spec.A, spec.B
-        if isinstance(spec, ConstantImaginary):
-            return 0.0, 1.0
-        parser.error("classification covers the two-parameter boundary "
-                     "family; pass --A/--B or an automorphism spec")
+        params = _automorphism_parameters(parse_spec(args.spec))
+        if params is None:
+            parser.error("classification covers the two-parameter boundary "
+                         "family; pass --A/--B or an automorphism spec")
+        return params
     _require(args, parser, "A", "B")
     return args.A, args.B
 
@@ -390,11 +374,12 @@ def build_parser():
                    help="start point (complex literal, i suffix)")
     p.add_argument("--t-end", type=_finite_float, required=True, dest="t_end")
     p.add_argument("--dt", type=_positive_float, default=0.01,
-                   help="sample spacing; the path step in modes random and sde")
+                   help="sample spacing (and path step), rounded to land "
+                        "on --t-end; the manifest records it as dt_used")
     p.add_argument("--mode", choices=("det", "random", "sde"), default="det")
     p.add_argument("--scheme", choices=("euler", "milstein"),
                    default="milstein", help="SDE scheme (mode sde)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count_flag, default=0)
     p.add_argument("--out", default="evolve.csv")
     p.add_argument("--svg", help="also draw the trajectory to this file")
     _add_config(p)
@@ -444,7 +429,7 @@ def build_parser():
                    help="simulate this many paths against the envelope")
     p.add_argument("--k", type=_finite_float, default=1.0)
     p.add_argument("--dt", type=_positive_float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count_flag, default=0)
     _add_config(p)
     registry["bounds"] = (p, cmd_bounds)
 
@@ -462,7 +447,7 @@ def build_parser():
     p.add_argument("--theta0", type=_finite_float, default=1.0)
     p.add_argument("--t-end", type=_finite_float, dest="t_end")
     p.add_argument("--dt", type=_positive_float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count_flag, default=0)
     p.add_argument("--out", default="boundary.csv")
     p.add_argument("--svg", help="draw the image curve (image mode)")
     _add_config(p)

@@ -36,14 +36,15 @@ from fractions import Fraction
 import numpy as np
 
 from .herglotz import (
+    Automorphism,
     DomainError,
     Error,
-    HerglotzSpec,
     SingularPointError,
     _count,
     _disk_point,
     _finite,
     _finite_complex,
+    _generator_value,
     _nonzero,
     _positive,
     _time,
@@ -373,9 +374,9 @@ def evolve_phi(spec, cfg, z0, sample_times):
 
 def evolve_psi(spec, cfg, z0, sample_times):
     """Integrate the autonomous rotating-frame evolution psi_t from z0."""
-    k = cfg.k
+    c = 1j * cfg.k
     return _evolve(cfg, z0, sample_times,
-                   lambda t, y: _generator_value(spec, k, y), "psi")
+                   lambda t, y: _generator_value(spec, c, y), "psi")
 
 
 # --------------------------------------------------------------------------
@@ -412,13 +413,13 @@ def _tol_D(A, B, k):
 def classify_semigroup(A, B, k):
     """Classify the rotating-frame flow of p(z) = A(1+z)/(1-z) + Bi.
 
-    The generator is the quadratic (-A+iB)w^2 - (2B+k)iw + (A+iB); its
-    discriminant D = 4A^2 - 4Bk - k^2 decides the class, with a
-    floating-point tolerance band tol_D around D = 0 for the parabolic
-    case.  Elliptic results carry the interior fixed point.
+    The generator is the spec's quadratic field less ikw, (-A+iB)w^2 -
+    (2B+k)iw + (A+iB); its discriminant D = 4A^2 - 4Bk - k^2 decides the
+    class, with a floating-point tolerance band tol_D around D = 0 for
+    the parabolic case.  Elliptic results carry the interior fixed point.
     """
-    A = _time("A", A)
-    B = _finite("B", B)
+    spec = Automorphism(A, B)
+    A, B = spec.A, spec.B
     k = _finite("k", k)
     if A == 0.0 and B == 0.0:
         raise ValueError("need (A, B) != (0, 0)")
@@ -427,7 +428,8 @@ def classify_semigroup(A, B, k):
     if D > tol:
         return ClassificationResult(kind="Hyperbolic", discriminant=D)
     if D < -tol:
-        roots = np.roots([-A + 1j * B, -2j * B - 1j * k, A + 1j * B])
+        g2, g1, g0 = spec._quadratic()
+        roots = np.roots([g2, g1 - 1j * k, g0])
         fp = complex(roots[np.argmin(np.abs(roots))])
         return ClassificationResult(kind="Elliptic", discriminant=D,
                                     fixed_point=fp)
@@ -471,18 +473,15 @@ def koebe_map(k, z):
 
 
 def koebe_inverse(k, w):
-    """Principal-branch inverse of K_k; K_k^{-1}(K_k(z)) = z on the disk."""
-    return _koebe_inverse(_nonzero("k", k), _finite_complex("w", w))
+    """Principal-branch inverse of K_k, ``_koebe_inverse(ik, w)``."""
+    return _koebe_inverse(1j * _nonzero("k", k), _finite_complex("w", w))
 
 
-def _koebe_inverse(k, w):
-    # unchecked: find_fixed_point's transfer map stops on a non-finite w
-    s = cmath.sqrt(4.0 * complex(w) / (1j * k) + 1.0)
+def _koebe_inverse(c, w):
+    # the z with c z/(1-z)^2 = w (principal branch), c = ik or k^2/2;
+    # unchecked: the zero searches' transfer maps stop on a non-finite w
+    s = cmath.sqrt(4.0 * complex(w) / c + 1.0)
     return (s - 1.0) / (s + 1.0)
-
-
-def _generator_value(spec, k, z):
-    return spec._bp_field(z) - 1j * k * z
 
 
 def _interior_zero(field, transfer, margin):
@@ -542,16 +541,17 @@ def _interior_zero(field, transfer, margin):
 def find_fixed_point(spec, k):
     """Locate the interior zero of the rotating-frame generator, if any.
 
-    Strategy: iterate F(z) = K_k^{-1}(p(z)) from the origin (a strict
-    contraction for large |k|); if that stalls, run Newton's method on
-    the generator from a 5x8 polar grid of starts.  A zero counts only
-    when |generator| <= 1e-11 and the point is strictly interior.
-    Returns None when no interior zero is found, which is how the
-    non-elliptic cases answer.
+    The generator is (z-1)^2 p(z) - c z, c = ik.  Strategy: iterate
+    F(z) = _koebe_inverse(c, p(z)) = K_k^{-1}(p(z)) from the origin (a
+    strict contraction for large |k|); if that stalls, run Newton's
+    method on the generator from a 5x8 polar grid of starts.  A zero
+    counts only when |generator| <= 1e-11 and the point is strictly
+    interior.  Returns None when no interior zero is found, which is how
+    the non-elliptic cases answer.
     """
-    k = _nonzero("k", k)
-    return _interior_zero(lambda z: _generator_value(spec, k, z),
-                          lambda z: _koebe_inverse(k, spec._value(z)), 1e-6)
+    c = 1j * _nonzero("k", k)
+    return _interior_zero(lambda z: _generator_value(spec, c, z),
+                          lambda z: _koebe_inverse(c, spec._value(z)), 1e-6)
 
 
 def boundary_fixed_points(k):

@@ -447,6 +447,23 @@ def taylor_coefficients(spec, n):
     return spec._taylor(_count("n", n, 0))
 
 
+def _generator_value(spec, c, z):
+    """(z - 1)^2 p(z) - c z, unchecked: the rotating-frame field of the
+    drive e^{ikt} for c = ik, the Ito drift of e^{ikB_t} for c = k^2/2."""
+    return spec._bp_field(z) - c * z
+
+
+def _automorphism_parameters(spec):
+    """(A, B) when the field (g2, g1, g0) = ``spec._quadratic()`` is that
+    of Automorphism(A, B), i.e. g2 = -conj(g0) and g1 = -2i Im g0 with
+    A + Bi = g0 (cayley, const-i and ``taylor:<b>i`` among them); else
+    None."""
+    g = spec._quadratic()
+    if g is None or g[0] != -g[2].conjugate() or g[1] != -2j * g[2].imag:
+        return None
+    return g[2].real, g[2].imag
+
+
 def automorphism_generator(A, B, k, z):
     """Rotating-frame generator of the automorphism spec, evaluated at z.
 
@@ -472,7 +489,7 @@ def berkson_porta_p0(spec, k, tau0, z):
     """
     z = _disk_point("z", z)
     tau0 = _finite_complex("tau0", tau0)
-    num = spec._bp_field(z) - 1j * _finite("k", k) * z
+    num = _generator_value(spec, 1j * _finite("k", k), z)
     den = (z - tau0) * (tau0.conjugate() * z - 1.0)
     if abs(den) < 1e-14:
         raise SingularPointError(

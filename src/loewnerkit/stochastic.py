@@ -40,12 +40,13 @@ from .deterministic import (
     Trajectory,
     _driven_field,
     _interior_zero,
+    _koebe_inverse,
     _normalize_sample_times,
 )
 from .herglotz import (Cayley, CayleyLinear, DomainError, Error, Taylor,
                        _count, _disk_point, _finite, _finite_array,
-                       _finite_complex, _nonzero, _positive, _time,
-                       taylor_coefficients)
+                       _finite_complex, _generator_value, _nonzero, _positive,
+                       _time, taylor_coefficients)
 
 __all__ = [
     "ZeroNotFoundError",
@@ -233,7 +234,8 @@ CovarianceReference = namedtuple("CovarianceReference",
 
 def derive_path_seed(root_seed, index):
     """Stable per-path seed: path ``index`` of ensemble ``root_seed``."""
-    ss = np.random.SeedSequence((int(root_seed), int(index)))
+    ss = np.random.SeedSequence((_count("root_seed", root_seed, 0),
+                                 _count("index", index, 0)))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
@@ -250,12 +252,13 @@ def sample_brownian(seed, dt, n_steps):
     """
     dt = _positive("dt", dt)
     n_steps = _count("n_steps", n_steps, 0)
-    gen = np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(int(seed))))
+    seed = _count("seed", seed, 0)
+    gen = np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(seed)))
     increments = gen.standard_normal(n_steps) * math.sqrt(dt)
     values = np.empty(n_steps + 1)
     values[0] = 0.0
     np.cumsum(increments, out=values[1:])
-    return BrownianPath(dt=dt, values=values, seed=int(seed))
+    return BrownianPath(dt=dt, values=values, seed=seed)
 
 
 # numpy.random.SeedSequence hash constants (pool of 4 uint32 words)
@@ -1005,7 +1008,7 @@ def apply_generator(spec, k, z, f, fprime=None, fsecond=None):
         h = 1e-5
         d2 = (complex(f(z + h)) - 2.0 * complex(f(z))
               + complex(f(z - h))) / (h * h)
-    drift = -0.5 * k * k * z + spec._bp_field(z)
+    drift = _generator_value(spec, 0.5 * k * k, z)
     return drift * d1 - 0.5 * k * k * z * z * d2
 
 
@@ -1021,34 +1024,24 @@ def virasoro_coefficients(spec, k, N):
     """
     N = _count("N", N, -1)
     k = _finite("k", k)
-    a = taylor_coefficients(spec, N + 1)
-
-    def coeff(m):
-        return a[m] if m >= 0 else 0.0
-
-    c = {}
-    for n in range(-1, N + 1):
-        c[n] = -(coeff(n + 1) - 2.0 * coeff(n) + coeff(n - 1))
+    # a[n + 2] is a_n, with the two zeros a_{-2}, a_{-1} in front
+    a = [0.0, 0.0] + taylor_coefficients(spec, N + 1)
+    c = {n: -(a[n + 3] - 2.0 * a[n + 2] + a[n + 1]) for n in range(-1, N + 1)}
     return c, 0.5 * k ** 2
 
 
 def find_stochastic_zero(spec, k):
-    """Zero of the SDE drift -k^2/2 z + (z-1)^2 p(z) in the open disk.
+    """Zero of the SDE drift (z-1)^2 p(z) - c z, c = k^2/2, in the disk.
 
-    Same two-phase search as the deterministic fixed-point finder: a
-    contraction-style iteration of the inverse of (k^2/2) z/(1-z)^2
-    composed with p, then Newton from a 5x8 polar grid.  Unlike the
-    deterministic case the zero always exists, so failure raises.
+    find_fixed_point's search with c = k^2/2 in place of ik: iterate
+    z -> _koebe_inverse(c, p(z)) from the origin, then Newton from a 5x8
+    polar grid.  Unlike the deterministic case the zero always exists,
+    so failure raises.
     """
     k = _nonzero("k", k)
-    k2h = 0.5 * k * k
-
-    def inv_kappa(w):
-        s = cmath.sqrt(4.0 * w / k2h + 1.0)
-        return (s - 1.0) / (s + 1.0)
-
-    z = _interior_zero(lambda z: -k2h * z + spec._bp_field(z),
-                       lambda z: inv_kappa(spec._value(z)), 1e-9)
+    c = 0.5 * k * k
+    z = _interior_zero(lambda z: _generator_value(spec, c, z),
+                       lambda z: _koebe_inverse(c, spec._value(z)), 1e-9)
     if z is not None:
         return z
     raise ZeroNotFoundError("no interior drift zero found for %s at k=%r"
@@ -1063,11 +1056,11 @@ def solve_moment_hierarchy(spec, k, z, t_end, M, truncation, closure="zero",
                            sample_times=None):
     """Solve the coupled moment system for mu_m(t) = E Psi_t(z)^m.
 
-    d mu_m/dt = a_0 m mu_{m-1} + (a_1 - 2a_0 - m k^2/2) m mu_m
-                + sum_{n>=1} (a_{n-1} - 2a_n + a_{n+1}) m mu_{m+n},
-    with mu_0 = 1, cut at order ``truncation``.  closure="zero" drops
-    moments above the cut; "frozen" holds them at their initial values
-    z^j (tail coefficients through order truncation+1).
+    d mu_m/dt = E A Psi^m with A z^m = -m sum_n c_n z^(m+n) - (k^2/2)
+    m^2 z^m, the ladder coefficients c_n of ``virasoro_coefficients``
+    (n >= -1), mu_0 = 1, cut at order ``truncation``.  closure="zero"
+    drops moments above the cut; "frozen" holds them at their initial
+    values z^j (tail coefficients through order truncation+1).
 
     The cut system d mu/dt = L mu + c is linear and is solved exactly:
     exp(gap [[L, c], [0, 0]]) (Van Loan) carries the state between sample
@@ -1086,22 +1079,20 @@ def solve_moment_hierarchy(spec, k, z, t_end, M, truncation, closure="zero",
     z = _disk_point("z", z, closed=True)
     t_end = _time("t_end", t_end)
     k = _finite("k", k)
-    a = taylor_coefficients(spec, truncation + 1)
-    d = [0.0] + [a[n - 1] - 2.0 * a[n] + a[n + 1] for n in range(1, truncation + 1)]
+    T = truncation
+    c, l0_squared = virasoro_coefficients(spec, k, T)
 
     # state (mu_1, ..., mu_T, mu_0 = 1): column j - 1 holds mu_j, so mu_0
     # sits at column -1 == T, which also takes the frozen tail
-    T = truncation
     G = np.zeros((T + 1, T + 1), dtype=complex)
     for m in range(1, T + 1):
         i = m - 1
-        G[i, i - 1] = a[0] * m
-        G[i, i] = (a[1] - 2.0 * a[0] - 0.5 * m * k * k) * m
-        for n in range(1, T - m + 1):
-            G[i, i + n] = d[n] * m
+        for n in range(-1, T - m + 1):
+            G[i, i + n] = -m * c[n]
+        G[i, i] -= l0_squared * m * m
         if closure == "frozen":
             for n in range(T - m + 1, T + 1):
-                G[i, T] += d[n] * m * z ** (m + n)
+                G[i, T] -= m * c[n] * z ** (m + n)
 
     if sample_times is None:
         sample_times = np.linspace(0.0, t_end, 65)
@@ -1340,7 +1331,7 @@ def backward_equation_residual(spec, k, f, t, z, n_samples, seed=0,
     start = np.concatenate(([z], z + fit_radius * np.exp(1j * angles)))
     # A u = drift(z) c1 - k^2 z^2 c2 with the Cauchy coefficients
     # c_m = mean(u_circle e^{-im angle}) / r^m, as one weight per point
-    drift_z = -0.5 * k * k * z + spec._bp_field(z)
+    drift_z = _generator_value(spec, 0.5 * k * k, z)
     weights = (drift_z / (P * fit_radius) * np.exp(-1j * angles)
                - k * k * z * z / (P * fit_radius ** 2) * np.exp(-2j * angles))
 

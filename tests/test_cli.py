@@ -126,6 +126,20 @@ def test_evolve_det_closed_orbit(capsys, tmp_path):
     assert manifest["stats"]["rejections"] >= 0
 
 
+def test_evolve_det_samples_on_the_step_grid(capsys, tmp_path):
+    # dt 0.3 does not divide 1: the grid rounds it to 1/3 and ends on 1.0
+    out = tmp_path / "grid.csv"
+    rc, _, _ = run(capsys, ["evolve", "--spec", "cayley", "--k", "1",
+                            "--t-end", "1", "--dt", "0.3", "--mode", "det",
+                            "--out", str(out)])
+    assert rc == 0
+    times = [float(row[0]) for row in read_rows(out)[1:]]
+    assert times == pytest.approx([0.0, 1.0 / 3, 2.0 / 3, 1.0], abs=1e-16)
+    assert times[-1] == 1.0
+    manifest = json.loads((tmp_path / "grid.csv.manifest.json").read_text())
+    assert manifest["config"]["dt_used"] == 1.0 / 3
+
+
 def test_evolve_zero_duration(capsys, tmp_path):
     out = tmp_path / "zero.csv"
     rc, _, _ = run(capsys, [
@@ -308,8 +322,23 @@ def test_classify_explicit_parameters(capsys):
 
 
 def test_classify_rejects_generic_spec(capsys):
-    rc, _, _ = run(capsys, ["classify", "--spec", "cayley", "--k", "1"])
-    assert rc == 2
+    # fields that are not automorphism fields: linear, not quadratic, or
+    # a constant p with Re p > 0
+    for spec in ("cayley-linear", "exponential", "taylor:1,0.5", "taylor:1.0"):
+        rc, _, _ = run(capsys, ["classify", "--spec", spec, "--k", "1"])
+        assert rc == 2, spec
+
+
+@pytest.mark.parametrize("spec, A, B", [("cayley", "1", "0"),
+                                        ("taylor:0.5i", "0", "0.5")])
+def test_classify_spec_reads_its_automorphism_parameters(capsys, spec, A, B):
+    rc, by_spec, _ = run(capsys, ["classify", "--spec", spec, "--k", "2.5",
+                                  "--closed-check"])
+    assert rc == 0
+    rc, by_params, _ = run(capsys, ["classify", "--A", A, "--B", B,
+                                    "--k", "2.5", "--closed-check"])
+    assert rc == 0
+    assert by_spec == by_params
 
 
 def test_classify_missing_parameters(capsys):
@@ -482,16 +511,24 @@ def test_parser_is_built_once():
     (["evolve", "--spec", "taylor:nan", "--k", "1", "--t-end", "1"], None),
     (["moments", "--spec", "cayley", "--k", "1", "--points", "0"], None),
     (["classify", "--A", "1", "--B", "0"], "k = inf\n"),
+    (["evolve", "--spec", "cayley", "--k", "1", "--t-end", "1",
+      "--mode", "random", "--seed", "-1"], None),
+    (["bounds", "--spec", "cayley", "--r0", "0.3", "--t", "1",
+      "--paths", "4"], "seed = -1\n"),
 ])
 def test_bad_values_are_usage_errors(capsys, tmp_path, args, config):
+    seeded = "--seed" in args or (config or "").startswith("seed")
     if args[0] not in ("bounds", "classify"):
         args = args + ["--out", str(tmp_path / "x.csv")]
     if config is not None:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(config)
         args = args + ["--config", str(cfg)]
-    rc, _, _ = run(capsys, args)
+    rc, _, err = run(capsys, args)
     assert rc == 2
+    # a bad seed names its flag, also when a config line gave it
+    if seeded:
+        assert "--seed" in err
 
 
 # the library call behind each subcommand (module, name), and a command

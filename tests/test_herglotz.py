@@ -137,6 +137,22 @@ def test_other_fields_are_not_quadratic():
     assert hg.Taylor([2.0, 0.0])._quadratic() == (2.0, -4.0, 2.0)
 
 
+def test_automorphism_parameters_of_the_catalogue():
+    for spec, params in ((hg.Cayley(), (1.0, 0.0)),
+                         (hg.ConstantImaginary(), (0.0, 1.0)),
+                         (hg.Taylor([0.5j]), (0.0, 0.5)),
+                         (hg.CayleyLinear(), None), (hg.Exponential(), None),
+                         (hg.Taylor([1.0]), None),
+                         (hg.Taylor([1.0, 0.5]), None)):
+        assert hg._automorphism_parameters(spec) == params, spec
+
+
+@settings(max_examples=200, deadline=None)
+@given(A=_PARAMETER.map(abs), B=_PARAMETER)
+def test_automorphism_parameters_round_trip(A, B):
+    assert hg._automorphism_parameters(hg.Automorphism(A, B)) == (A, B)
+
+
 def test_automorphism_generator_value():
     # polynomial route and field route agree; value checked offline
     got = hg.automorphism_generator(0.0, 1.0, 0.5, 1j)

@@ -305,9 +305,10 @@ def test_block_escape_names_the_path(monkeypatch):
 
 
 @hs.composite
-def admissible_taylor(draw):
+def admissible_taylor(draw, max_degree=4):
     # a real a0 at least sum |a_n| keeps Re p >= 0 on the disk
-    tail = draw(hs.lists(hs.complex_numbers(max_magnitude=1.0), max_size=4))
+    tail = draw(hs.lists(hs.complex_numbers(max_magnitude=1.0),
+                         max_size=max_degree))
     a0 = sum(abs(c) for c in tail) + draw(hs.floats(0.0, 1.0))
     return hg.Taylor([a0 + draw(hs.floats(-1.0, 1.0)) * 1j] + tail)
 
@@ -922,6 +923,36 @@ def test_virasoro_tables():
     assert c[0] == 2j * B
     assert c[1] == A - 1j * B
     assert c[2] == 0.0 and c[3] == 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=admissible_taylor(max_degree=3), k=hs.floats(-2.0, 2.0),
+       z=hs.complex_numbers(max_magnitude=0.8), data=hs.data())
+def test_ladder_expansion_is_the_generator_and_the_moment_slope(spec, k, z,
+                                                                data):
+    # A z^m = -m sum_{n=-1}^{N+1} c_n z^(m+n) - (k^2/2) m^2 z^m for p of
+    # degree N, checked against apply_generator with exact derivatives
+    # and against the t = 0 slope of the moment table, whose hierarchy
+    # is built from the same c_n; orders m + N + 1 <= T see no cut
+    N = len(spec.coefficients) - 1
+    T = data.draw(hs.integers(N + 2, 10), label="truncation")
+    c, l0_squared = st.virasoro_coefficients(spec, k, N + 1)
+    eps = 1e-7
+    table = st.solve_moment_hierarchy(spec, k, z, 2.0 * eps, T, T,
+                                      sample_times=[0.0, eps, 2.0 * eps])
+    for m in range(1, T - N):
+        terms = [-m * c[n] * z ** (m + n) for n in range(-1, N + 2)]
+        terms.append(-l0_squared * m * m * z ** m)
+        ladder = sum(terms)
+        # relative to the terms' own size, as the sum may cancel to 0
+        scale = sum(abs(t) for t in terms)
+        direct = st.apply_generator(
+            spec, k, z, lambda w: w ** m, fprime=lambda w: m * w ** (m - 1),
+            fsecond=lambda w: m * (m - 1) * w ** max(m - 2, 0))
+        assert abs(ladder - direct) <= 1e-12 * scale, m
+        mu = table.moment(m)
+        slope = (-3.0 * mu[0] + 4.0 * mu[1] - mu[2]) / (2.0 * eps)
+        assert abs(slope - ladder) <= 1e-7, m
 
 
 def test_find_stochastic_zero_closed_form():
