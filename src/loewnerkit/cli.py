@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import dataclasses
 import functools
 import json
 import math
@@ -104,6 +105,8 @@ _finite_float = _flag(_finite)
 _positive_float = _flag(_positive)
 _count_flag = _flag(_count, 0)
 _positive_count = _flag(_count, 1)
+# boundary_image takes at least 16 points
+_image_points = _flag(_count, 16)
 _complex_flag = _flag(lambda name, text: _finite_complex(name,
                                                          parse_complex(text)))
 
@@ -184,20 +187,22 @@ def cmd_evolve(args, parser):
     t_end = args.t_end
     # every mode samples on the uniform grid that lands exactly on t_end
     n_steps, dt_used = stochastic._step_grid(t_end, args.dt)
+    times = np.linspace(0.0, t_end, n_steps + 1)
     if args.mode == "det":
         cfg = EvolutionConfig(k=args.k, t_end=t_end, dt=min(dt_used, 0.05))
-        traj = evolve_phi(spec, cfg, args.z0,
-                          np.linspace(0.0, t_end, n_steps + 1))
+        traj = evolve_phi(spec, cfg, args.z0, times)
         tau = cmath.exp(1j * args.k * t_end)
     else:
         path = stochastic.sample_brownian(args.seed, dt_used, n_steps)
         if args.mode == "random":
             traj = stochastic.evolve_phi_pathwise(spec, args.k, args.z0,
-                                                  path, path.time_grid())
+                                                  path, times)
             tau = cmath.exp(1j * args.k * path.values[-1])
         else:
-            traj = stochastic.evolve_psi_sde(spec, args.k, args.z0, path,
-                                             scheme=args.scheme)
+            # the path grid n dt_used can overshoot t_end by an ulp
+            traj = dataclasses.replace(
+                stochastic.evolve_psi_sde(spec, args.k, args.z0, path,
+                                          scheme=args.scheme), times=times)
             tau = 1.0 + 0.0j
     _write_text(args.out, traj.to_csv())
     outputs = [args.out]
@@ -311,7 +316,8 @@ def cmd_boundary(args, parser):
         path = stochastic.sample_brownian(args.seed, dt_used, n_steps)
         theta = stochastic.simulate_boundary_diffusion(
             args.A, args.B, args.k, args.theta0, path)
-        _write_csv(args.out, "t,theta", [path.time_grid(), theta])
+        _write_csv(args.out, "t,theta",
+                   [np.linspace(0.0, args.t_end, n_steps + 1), theta])
         outputs.append(args.out)
         extra = {"dt_used": dt_used}
     return Written(outputs, args.out + ".manifest.json", extra=extra)
@@ -397,7 +403,8 @@ def build_parser():
     p.add_argument("--spec", help="alternative to --A/--B")
     p.add_argument("--closed-check", action="store_true",
                    dest="closed_check")
-    p.add_argument("--max-den", type=int, default=64, dest="max_den")
+    p.add_argument("--max-den", type=_positive_count, default=64,
+                   dest="max_den")
     _add_config(p)
     registry["classify"] = (p, cmd_classify)
 
@@ -409,8 +416,10 @@ def build_parser():
     p.add_argument("--k", type=_finite_float, required=True)
     p.add_argument("--z0", type=_complex_flag, default=0j)
     p.add_argument("--t-end", type=_finite_float, default=1.0, dest="t_end")
-    p.add_argument("--m", type=int, default=1, help="highest reported order")
-    p.add_argument("--truncation", type=int, default=12)
+    p.add_argument("--m", type=_positive_count, default=1,
+                   help="highest reported order")
+    p.add_argument("--truncation", type=_positive_count, default=12,
+                   help="order of the cut, at least --m")
     p.add_argument("--closure", choices=("zero", "frozen"), default="zero")
     p.add_argument("--points", type=_positive_count, default=65)
     p.add_argument("--out", default="moments.csv")
@@ -441,7 +450,7 @@ def build_parser():
     p.add_argument("--spec")
     p.add_argument("--k", type=_finite_float, required=True)
     p.add_argument("--t", type=_finite_float, help="image time")
-    p.add_argument("--points", type=int, default=256)
+    p.add_argument("--points", type=_image_points, default=256)
     p.add_argument("--A", type=_finite_float)
     p.add_argument("--B", type=_finite_float)
     p.add_argument("--theta0", type=_finite_float, default=1.0)
@@ -460,7 +469,7 @@ def build_parser():
         epilog="fig1: three SVG panels of the evolved disk boundary for "
                "the exponential spec, k=1.")
     p.add_argument("--which", default="fig1")
-    p.add_argument("--points", type=int, default=256)
+    p.add_argument("--points", type=_image_points, default=256)
     p.add_argument("--out-dir", default=".", dest="out_dir")
     _add_config(p)
     _add_manifest(p, default="<out-dir>/fig1.manifest.json")

@@ -14,15 +14,25 @@ which is what most of the analysis targets: classification of the flow
 family, closed-orbit detection via commensurability of the two rotation
 rates, and interior fixed-point location via the inverse Koebe map.
 
-Numerics are a hand-rolled adaptive Dormand-Prince 5(4) pair.  It is
-kept local (rather than delegating to a library solver) because the
-step-acceptance rule enforces disk containment on top of the local
-error test, and failure must report the exact time reached.  The step
-is written out stage by stage and reuses its last stage as the next
-step's first (six field evaluations per attempt).  Its sums keep the
-order of the tableau loop it replaced, so outputs and step counts are
-bit-identical to that loop; the error norm keeps ``np.abs`` because
-CPython's complex ``abs`` rounds differently and would move results.
+Two solvers share the evolution, chosen by the spec alone.  When the
+field is a quadratic polynomial (``spec._quadratic()``: cayley-linear,
+cayley, const-i, every automorphism and constant Taylor specs), the
+psi equation is a Riccati equation with constant coefficients, and its
+flow over a cell is the Moebius map of one 2x2 exponential
+(``_mobius_cells``, which the Brownian drive shares with B_t = t
+replaced by the path); the sample gaps are cut into equal cells no
+wider than ``dt`` and walked exactly (method "mobius-exact").
+
+Every other spec runs a hand-rolled adaptive Dormand-Prince 5(4) pair
+(method "dp45").  It is kept local (rather than delegating to a
+library solver) because the step-acceptance rule enforces disk
+containment on top of the local error test, and failure must report
+the exact time reached.  The step is written out stage by stage and
+reuses its last stage as the next step's first (six field evaluations
+per attempt).  Its sums keep the order of the tableau loop it replaced,
+so outputs and step counts are bit-identical to that loop; the error
+norm keeps ``np.abs`` because CPython's complex ``abs`` rounds
+differently and would move results.
 """
 
 from __future__ import annotations
@@ -52,6 +62,7 @@ from .herglotz import (
 
 __all__ = [
     "StiffnessError",
+    "DiskEscapeError",
     "EvolutionConfig",
     "Trajectory",
     "ClassificationResult",
@@ -81,6 +92,18 @@ class StiffnessError(Error):
         self.t_reached = t_reached
 
 
+class DiskEscapeError(Error):
+    """A solution left the closed unit disk or is not finite.
+
+    ``t_reached`` is the first recorded time at which the solution lies
+    outside the disk by more than the containment tolerance.
+    """
+
+    def __init__(self, message, t_reached):
+        super().__init__(message)
+        self.t_reached = t_reached
+
+
 # --------------------------------------------------------------------------
 # domain types
 # --------------------------------------------------------------------------
@@ -96,10 +119,13 @@ class EvolutionConfig:
     t_end : float
         Final time, nonnegative.
     dt : float
-        Base step: initial trial step and upper bound for the adaptive
-        integrator.
+        Base step.  On a quadratic spec it caps the width of the exact
+        Moebius cells; otherwise it is the initial trial step and upper
+        bound of the adaptive integrator.
     rtol, atol : float
-        Local error control, accepted when err <= rtol*|phi| + atol.
+        Local error control of the adaptive integrator, accepted when
+        err <= rtol*|phi| + atol; the exact cells of a quadratic spec
+        leave them unused.
 
     Every field must be finite; a NaN or infinite value is a
     ValueError, never a numerical failure of the integrator.
@@ -338,6 +364,122 @@ def _normalize_sample_times(sample_times, t_end):
 
 
 # --------------------------------------------------------------------------
+# exact Moebius cells for the quadratic fields
+# --------------------------------------------------------------------------
+
+def _mobius_cells(g, k, b, h):
+    """Entries (e00, e01, e10, e11) of each cell's Moebius matrix.
+
+    For a quadratic field g2 w^2 + g1 w + g0 the rotating-frame state
+    psi = phi / tau, tau = e^{ikB}, solves the Riccati equation
+    psi' = g2 psi^2 + (g1 - ik B') psi + g0, whose flow is
+    psi -> (e00 psi + e01) / (e10 psi + e11) with E solving
+    E' = [[(g1 - ik B')/2, g0], [-g2, -(g1 - ik B')/2]] E (Schiff and
+    Shnider, SIAM J. Numer. Anal. 36(5), 1999).  On a cell of width h
+    where B is linear, B' = dB/h is constant, so E is the exponential of
+    one traceless matrix [[a, p], [q, -a]] with a = (g1 h - ik dB)/2,
+    p = g0 h and q = -g2 h:
+
+        E = cosh(d) I + sinh(d)/d [[a, p], [q, -a]],  d^2 = a^2 + pq,
+
+    the cell's exact flow, with no truncation error.
+
+    Args:
+        g: (g2, g1, g0), from ``spec._quadratic()``.
+        k: noise amplitude.
+        b: B at the knots, knots along the last axis, any leading axes.
+        h: the cell widths, broadcast against the cells ``b[..., 1:]``;
+            a cell of width 0 only turns psi by e^{-ik dB}.
+
+    Returns:
+        Four complex arrays of the cells' shape.
+    """
+    g2, g1, g0 = g
+    a = 0.5 * g1 * h - 0.5j * k * (b[..., 1:] - b[..., :-1])
+    p = g0 * h
+    q = -g2 * h
+    d = np.sqrt(a * a + p * q)
+    cosh = np.cosh(d)
+    # sinh(d)/d is even in d, so either root serves; it is 1 at d = 0
+    # (a cell of width 0 at k = 0, for one)
+    if np.count_nonzero(d) == d.size:
+        sinhc = np.sinh(d) / d
+    else:
+        sinhc = np.divide(np.sinh(d), d, out=np.ones_like(d), where=d != 0.0)
+    s00 = sinhc * a
+    return cosh + s00, sinhc * p, sinhc * q, cosh - s00
+
+
+# the method a walk through the Moebius cells reports
+_MOBIUS = "mobius-exact"
+
+
+def _first_escape(values):
+    """Index of the first value outside the closed disk, or None; of a
+    2-d array, the first row with a value outside."""
+    # written so that a NaN modulus counts as outside
+    outside = ~(np.abs(values) <= 1.0 + CONTAINMENT_TOL)
+    if outside.ndim > 1:
+        outside = outside.any(axis=1)
+    return int(np.argmax(outside)) if np.count_nonzero(outside) else None
+
+
+def _cell_knots(ts, dt):
+    """(knots, at): the knots that cut each gap of the sample times
+    ``ts`` into equal cells no wider than ``dt``, and the knot index of
+    each sample time.  A sample time is a knot bit for bit.  A gap
+    within a relative 1e-9 of a multiple of dt takes that many cells, so
+    a sample grid of spacing dt, whose gaps round to dt give or take an
+    ulp, takes one cell per gap."""
+    ts = np.asarray(ts, dtype=float)
+    gaps = ts[1:] - ts[:-1]
+    cells = np.maximum(1, np.ceil(gaps / dt - 1e-9)).astype(np.intp)
+    at = np.concatenate(([0], np.cumsum(cells)))
+    gap = np.repeat(np.arange(len(gaps)), cells)
+    knots = np.empty(at[-1] + 1)
+    knots[:-1] = ts[gap] + gaps[gap] * ((np.arange(at[-1]) - at[gap])
+                                        / cells[gap])
+    knots[-1] = ts[-1]
+    return knots, at
+
+
+def _mobius_walk(g, k, z0, ts, dt):
+    """(psi at the sample times ``ts``, cells stepped) of the drive
+    e^{ikt} for the quadratic field g = (g2, g1, g0).
+
+    The drive is the Brownian one with B_t = t, so the knots serve as
+    the path values of ``_mobius_cells``.  ``z0`` is a complex or a 1-d
+    array of points, which then walk together (values one row per
+    sample time); only the rows at sample times are kept.  Cells no
+    wider than ``dt`` keep cosh(d) bounded on long runs.
+
+    Raises:
+        DiskEscapeError: psi is not finite or outside the closed disk at
+            a sample time (the cells' entries overflow, e.g. at
+            k = 1e200, and a NaN stays NaN); the first such time is
+            ``t_reached``.
+    """
+    knots, at = _cell_knots(ts, dt)
+    cells = _mobius_cells(g, k, knots, knots[1:] - knots[:-1])
+    # the cell after which each sample time is read, the first at z0
+    last = set((at[1:] - 1).tolist())
+    y = z0
+    psi = [y]
+    for j, (e00, e01, e10, e11) in enumerate(
+            zip(*(c.tolist() for c in cells))):
+        y = (e00 * y + e01) / (e10 * y + e11)
+        if j in last:
+            psi.append(y)
+    psi = np.asarray(psi)
+    j = _first_escape(psi)
+    if j is not None:
+        t = float(ts[j])
+        raise DiskEscapeError("%s solution escapes the unit disk at t=%.6g"
+                              % (_MOBIUS, t), t_reached=t)
+    return psi, len(knots) - 1
+
+
+# --------------------------------------------------------------------------
 # evolution
 # --------------------------------------------------------------------------
 
@@ -351,32 +493,75 @@ def _driven_field(spec, tau_of):
     return field
 
 
-def _evolve(cfg, z0, sample_times, field, frame):
+def _solve(spec, cfg, z0, ts, frame):
+    """(values at the sample times ``ts``, stats) of the drive e^{ikt}
+    from z0, a complex or a 1-d array of points, in ``frame``.
+
+    A quadratic spec walks the exact Moebius cells and turns psi into
+    phi = e^{ikt} psi at the sample times; any other spec runs the DP
+    pair on the phi-frame field tau g(phi / tau) or the psi-frame
+    generator.  stats: steps (DP steps or cells), rejections (0 for the
+    cells) and the method, "mobius-exact" or "dp45".
+    """
+    k = cfg.k
+    g = spec._quadratic()
+    if g is not None:
+        psi, steps = _mobius_walk(g, k, z0, ts, cfg.dt)
+        if frame == "phi":
+            # transposed, so the factor of sample j meets row j also
+            # when each row holds many points
+            psi = (psi.T * np.exp(1j * k * np.asarray(ts))).T
+        return psi, {"steps": steps, "rejections": 0, "method": _MOBIUS}
+    if frame == "phi":
+        field = _driven_field(spec, lambda t: cmath.exp(1j * k * t))
+    else:
+        c = 1j * k
+
+        def field(t, y):
+            return _generator_value(spec, c, y)
+    values, stats = _integrate(field, z0, ts, cfg)
+    stats["method"] = "dp45"
+    return values, stats
+
+
+def _evolve(spec, cfg, z0, sample_times, frame):
     z0 = _disk_point("z0", z0, closed=True)
     ts = _normalize_sample_times(sample_times, cfg.t_end)
-    values, stats = _integrate(field, z0, ts, cfg)
+    values, stats = _solve(spec, cfg, z0, ts, frame)
     return Trajectory(times=np.array(ts), values=np.array(values),
                       frame=frame, config=cfg, stats=stats)
 
 
 def evolve_phi(spec, cfg, z0, sample_times):
-    """Integrate the driven evolution phi_t from z0, sampled at the
-    given times.
+    """Solve the driven evolution phi_t from z0, sampled at the given
+    times.
 
-    The field is evaluated as tau(t) * g(phi / tau(t)) where
-    g(w) = (w - 1)^2 p(w) is the spec's cancelled form, so trajectories
-    may graze the driving point without a division blow-up.
+    A quadratic spec (``spec._quadratic()``) is solved exactly: its
+    rotating-frame flow is walked through Moebius cells no wider than
+    ``cfg.dt`` and phi = e^{ikt} psi is formed at the sample times
+    (stats method "mobius-exact", rejections 0).  Any other spec is
+    integrated by adaptive Dormand-Prince (method "dp45") on the field
+    tau(t) * g(phi / tau(t)), where g(w) = (w - 1)^2 p(w) is the spec's
+    cancelled form, so trajectories may graze the driving point without
+    a division blow-up.
+
+    Raises:
+        DiskEscapeError: the exact solution is not finite or leaves the
+            closed disk (its cells overflow).
+        StiffnessError: the adaptive step underflowed or its budget ran
+            out.
     """
-    k = cfg.k
-    field = _driven_field(spec, lambda t: cmath.exp(1j * k * t))
-    return _evolve(cfg, z0, sample_times, field, "phi")
+    return _evolve(spec, cfg, z0, sample_times, "phi")
 
 
 def evolve_psi(spec, cfg, z0, sample_times):
-    """Integrate the autonomous rotating-frame evolution psi_t from z0."""
-    c = 1j * cfg.k
-    return _evolve(cfg, z0, sample_times,
-                   lambda t, y: _generator_value(spec, c, y), "psi")
+    """Solve the autonomous rotating-frame evolution psi_t from z0.
+
+    The solver and the errors are those of ``evolve_phi``: exact Moebius
+    cells on a quadratic spec, adaptive Dormand-Prince on the generator
+    (z - 1)^2 p(z) - ikz otherwise.
+    """
+    return _evolve(spec, cfg, z0, sample_times, "psi")
 
 
 # --------------------------------------------------------------------------
@@ -608,9 +793,11 @@ def implicit_solution_residual(A, B, k, z, t, psi_t):
 def boundary_image(spec, k, t, n_points):
     """Image of the near-boundary circle under phi_t, for plotting.
 
-    Applies evolve_phi to n_points equispaced points of radius
-    1 - 1e-6 (the flow lives on the open disk), all in one vectorized
-    integration; a failure raises that integration's error.
+    Applies phi_t to n_points equispaced points of radius 1 - 1e-6 (the
+    flow lives on the open disk), all in one vectorized solve with the
+    solver of ``evolve_phi``: exact Moebius cells no wider than
+    min(0.05, t) on a quadratic spec, adaptive Dormand-Prince otherwise.
+    A failure raises that solver's error.
     """
     n_points = _count("n_points", n_points, 16)
     t = _time("t", t)
@@ -620,6 +807,5 @@ def boundary_image(spec, k, t, n_points):
     if t == 0.0:
         return [complex(v) for v in z0]
     cfg = EvolutionConfig(k=k, t_end=t, dt=min(0.05, t), rtol=1e-10, atol=1e-12)
-    field = _driven_field(spec, lambda tt: cmath.exp(1j * k * tt))
-    values, _ = _integrate(field, z0, [0.0, t], cfg)
+    values, _ = _solve(spec, cfg, z0, [0.0, t], "phi")
     return [complex(v) for v in values[-1]]

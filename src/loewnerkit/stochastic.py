@@ -36,11 +36,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deterministic import (
-    CONTAINMENT_TOL,
+    DiskEscapeError,
     Trajectory,
+    _MOBIUS,
     _driven_field,
+    _first_escape,
     _interior_zero,
     _koebe_inverse,
+    _mobius_cells,
     _normalize_sample_times,
 )
 from .herglotz import (Cayley, CayleyLinear, DomainError, Error, Taylor,
@@ -112,18 +115,6 @@ def quad(*args, **kwargs):
 
 class ZeroNotFoundError(Error):
     """The drift zero search exhausted all starts without converging."""
-
-
-class DiskEscapeError(Error):
-    """A pathwise solution left the closed unit disk or is not finite.
-
-    ``t_reached`` is the first recorded time at which the solution lies
-    outside the disk by more than the containment tolerance.
-    """
-
-    def __init__(self, message, t_reached):
-        super().__init__(message)
-        self.t_reached = t_reached
 
 
 class MomentTruncationError(Error):
@@ -457,60 +448,6 @@ def _mc_estimate(parts):
 # --------------------------------------------------------------------------
 # pathwise random ODE
 # --------------------------------------------------------------------------
-
-def _mobius_cells(g, k, b, h):
-    """Entries (e00, e01, e10, e11) of each cell's Moebius matrix.
-
-    For a quadratic field g2 w^2 + g1 w + g0 the rotating-frame state
-    psi = phi / tau, tau = e^{ikB}, solves the Riccati equation
-    psi' = g2 psi^2 + (g1 - ik B') psi + g0, whose flow is
-    psi -> (e00 psi + e01) / (e10 psi + e11) with E solving
-    E' = [[(g1 - ik B')/2, g0], [-g2, -(g1 - ik B')/2]] E (Schiff and
-    Shnider, SIAM J. Numer. Anal. 36(5), 1999).  On a cell of width h
-    where B is linear, B' = dB/h is constant, so E is the exponential of
-    one traceless matrix [[a, p], [q, -a]] with a = (g1 h - ik dB)/2,
-    p = g0 h and q = -g2 h:
-
-        E = cosh(d) I + sinh(d)/d [[a, p], [q, -a]],  d^2 = a^2 + pq,
-
-    the cell's exact flow, with no truncation error.
-
-    Args:
-        g: (g2, g1, g0), from ``spec._quadratic()``.
-        k: noise amplitude.
-        b: B at the knots, knots along the last axis, any leading axes.
-        h: the cell widths, broadcast against the cells ``b[..., 1:]``;
-            a cell of width 0 only turns psi by e^{-ik dB}.
-
-    Returns:
-        Four complex arrays of the cells' shape.
-    """
-    g2, g1, g0 = g
-    a = 0.5 * g1 * h - 0.5j * k * (b[..., 1:] - b[..., :-1])
-    p = g0 * h
-    q = -g2 * h
-    d = np.sqrt(a * a + p * q)
-    cosh = np.cosh(d)
-    # sinh(d)/d is even in d, so either root serves; it is 1 at d = 0
-    # (a cell of width 0 at k = 0, for one)
-    if np.count_nonzero(d) == d.size:
-        sinhc = np.sinh(d) / d
-    else:
-        sinhc = np.divide(np.sinh(d), d, out=np.ones_like(d), where=d != 0.0)
-    s00 = sinhc * a
-    return cosh + s00, sinhc * p, sinhc * q, cosh - s00
-
-
-# the method evolve_phi_pathwise reports for the Moebius cells
-_MOBIUS = "mobius-exact"
-
-
-def _first_escape(values):
-    """Index of the first value outside the closed disk, or None."""
-    # written so that a NaN modulus counts as outside
-    outside = ~(np.abs(values) <= 1.0 + CONTAINMENT_TOL)
-    return int(np.argmax(outside)) if np.count_nonzero(outside) else None
-
 
 def _escape_error(method, t, where=""):
     """DiskEscapeError of a pathwise solution first outside at time t."""

@@ -1,5 +1,6 @@
-"""Shared test plumbing: the acceptance-criteria report, and the
-Moebius map of exp(tH) that the rotating-drive oracles compare against.
+"""Shared test plumbing: the acceptance-criteria report, the Moebius
+map of exp(tH) that the rotating-drive oracles compare against, and the
+fields the adaptive integrator solves for the rotating drive.
 
 test_acceptance.py records one line per criterion through
 record_criterion; the terminal-summary hook prints the collected lines
@@ -8,6 +9,8 @@ regardless of output capturing.
 """
 
 import cmath
+
+from loewnerkit import deterministic, herglotz
 
 _CRITERIA = {}
 
@@ -34,3 +37,12 @@ def moebius_exp(H, t, z):
     c = cmath.cosh(t * d)
     s = t if d == 0 else cmath.sinh(t * d) / d
     return ((c + s * h00) * z + s * h01) / (s * h10 * z + c - s * h00)
+
+
+def dp_fields(spec, k):
+    """The fields ``deterministic._integrate`` takes for the drive
+    e^{ikt}, by frame: tau g(phi / tau) and the generator g(psi) - ik psi."""
+    c = 1j * k
+    return {"phi": deterministic._driven_field(
+                spec, lambda t: cmath.exp(1j * k * t)),
+            "psi": lambda t, y: herglotz._generator_value(spec, c, y)}

@@ -213,6 +213,64 @@ def test_evolve_random_samples_on_the_path_grid(capsys, tmp_path):
     assert times == [j * (1.0 / 33) for j in range(34)]
 
 
+def test_evolve_det_manifest_records_the_method(capsys, tmp_path):
+    # t_end 0.5 at dt 0.01: 50 sample gaps of one exact cell each
+    for spec, method in (("cayley", "mobius-exact"),
+                         ("automorphism:1,0.5", "mobius-exact"),
+                         ("taylor:0.5+2i", "mobius-exact"),
+                         ("exponential", "dp45"), ("taylor:1,0.5", "dp45")):
+        out = tmp_path / "d.csv"
+        rc, _, _ = run(capsys, [
+            "evolve", "--spec", spec, "--k", "1", "--z0", "0.3",
+            "--t-end", "0.5", "--mode", "det", "--out", str(out)])
+        assert rc == 0
+        stats = json.loads((tmp_path / "d.csv.manifest.json").read_text())[
+            "stats"]
+        assert stats["method"] == method
+        if method == "mobius-exact":
+            assert stats == {"steps": 50, "rejections": 0, "method": method}
+
+
+@pytest.mark.parametrize("args", [
+    ["evolve", "--spec", "cayley", "--k", "1", "--mode", "random"],
+    ["evolve", "--spec", "cayley", "--k", "1", "--mode", "sde"],
+    ["evolve", "--spec", "cayley", "--k", "1", "--mode", "det"],
+    ["boundary", "--what", "diffusion", "--A", "1", "--B", "0", "--k", "1"],
+], ids=["random", "sde", "det", "diffusion"])
+def test_last_row_is_exactly_t_end(capsys, tmp_path, args):
+    # 3 steps of 0.212 / 3: the path grid's 3 * dt_used is
+    # 0.21200000000000002, one ulp past the end
+    out = tmp_path / "end.csv"
+    rc, _, _ = run(capsys, args + ["--t-end", "0.212", "--dt", "0.07",
+                                   "--out", str(out)])
+    assert rc == 0
+    times = [float(row[0]) for row in read_rows(out)[1:]]
+    assert len(times) == 4
+    assert times[-1] == 0.212
+    assert times == [j * (0.212 / 3) for j in range(3)] + [0.212]
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["moments", "--spec", "cayley", "--k", "1", "--m", "0"], "--m"),
+    (["moments", "--spec", "cayley", "--k", "1", "--truncation", "0"],
+     "--truncation"),
+    (["moments", "--spec", "cayley", "--k", "1", "--m", "1.5"], "--m"),
+    (["classify", "--A", "1", "--B", "0", "--k", "3", "--closed-check",
+      "--max-den", "0"], "--max-den"),
+    (["boundary", "--spec", "cayley", "--k", "1", "--t", "1",
+      "--points", "4"], "--points"),
+    (["figures", "--points", "15"], "--points"),
+])
+def test_integer_flags_name_their_flag(capsys, tmp_path, args, flag):
+    if args[0] in ("moments", "boundary"):
+        args = args + ["--out", str(tmp_path / "x.csv")]
+    elif args[0] == "figures":
+        args = args + ["--out-dir", str(tmp_path / "f")]
+    rc, _, err = run(capsys, args)
+    assert rc == 2
+    assert "argument %s:" % flag in err
+
+
 def test_evolve_sde_mode(capsys, tmp_path):
     out = tmp_path / "sde.csv"
     rc, _, _ = run(capsys, [
@@ -449,6 +507,14 @@ def escaping_row(j, block=0):
     pytest.param(["bounds", "--spec", "cayley", "--r0", "0.99", "--t", "2",
                   "--k", "1e200", "--dt", "0.2", "--paths", "3", "--seed",
                   "0"], marks=_OVERFLOWS),
+    # the exact cells of the rotating drive overflow in their first cell
+    pytest.param(["evolve", "--mode", "det", "--t-end", "1",
+                  "--spec", "taylor:1e308", "--k", "1"], marks=_OVERFLOWS),
+    pytest.param(["evolve", "--mode", "det", "--t-end", "1",
+                  "--spec", "cayley", "--k", "1e200"], marks=_OVERFLOWS),
+    pytest.param(["evolve", "--mode", "det", "--t-end", "1",
+                  "--spec", "automorphism:1e200,0", "--k", "1"],
+                 marks=_OVERFLOWS),
 ])
 def test_disk_escape_exits_as_numerical_failure(capsys, tmp_path, monkeypatch,
                                                 args):

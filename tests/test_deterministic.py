@@ -177,7 +177,7 @@ def test_automorphism_flow_is_the_moebius_map_of_exp_tH(A, B, kind, u, radius,
     spec = hg.Automorphism(A, B)
     got_psi = det.evolve_psi(spec, cfg(k, t, dt=min(0.01, t)), z, [t])
     got_phi = det.evolve_phi(spec, cfg(k, t, dt=min(0.01, t)), z, [t])
-    # Dormand-Prince at rtol 1e-10: 5.3e-10 was the worst of 300 draws
+    # exact cells of width 0.01 against one exponential
     assert abs(got_psi.values[-1] - psi) <= 1e-8
     assert abs(got_phi.values[-1] - cmath.exp(1j * k * t) * psi) <= 1e-8
 
@@ -198,6 +198,93 @@ def test_evolve_reports_stats():
     tr = det.evolve_phi(hg.Cayley(), cfg(1.0, 1.0), 0.0, [1.0])
     assert tr.stats["steps"] > 0
     assert tr.stats["rejections"] >= 0
+
+
+@pytest.mark.parametrize("spec, method", [
+    (hg.CayleyLinear(), "mobius-exact"), (hg.Cayley(), "mobius-exact"),
+    (hg.ConstantImaginary(), "mobius-exact"),
+    (hg.Automorphism(1.0, 0.5), "mobius-exact"),
+    (hg.Taylor([0.5 + 2j]), "mobius-exact"),
+    (hg.Exponential(), "dp45"), (hg.Taylor([1.0, 0.5 + 0.25j]), "dp45"),
+])
+def test_evolve_method_follows_the_spec(spec, method):
+    # gaps 0.25 and 0.75 at dt 0.1: 3 + 8 equal cells
+    for evolve in (det.evolve_phi, det.evolve_psi):
+        tr = evolve(spec, cfg(1.0, 1.0, dt=0.1), 0.3, [0.25, 1.0])
+        assert tr.stats["method"] == method
+        if method == "mobius-exact":
+            assert tr.stats == {"steps": 11, "rejections": 0,
+                                "method": method}
+
+
+@settings(max_examples=200, deadline=None)
+@given(times=hs.lists(hs.floats(0.0, 5.0), min_size=1, max_size=8),
+       dt=hs.floats(1e-3, 1.0))
+def test_cell_knots_hold_the_sample_times(times, dt):
+    ts = det._normalize_sample_times(times, 5.0)
+    knots, at = det._cell_knots(ts, dt)
+    assert np.array_equal(knots[at], ts)
+    widths = np.diff(knots)
+    # a width is a difference of knots, rounded at the knots' magnitude
+    slack = 4.0 * np.finfo(float).eps * max(1.0, ts[-1])
+    assert np.all(widths > 0.0)
+    assert np.all(widths <= dt * (1.0 + 1e-9) + slack)
+    # each gap is cut into equal cells
+    for i in range(len(ts) - 1):
+        assert np.ptp(widths[at[i]:at[i + 1]]) <= slack
+
+
+def quadratic_specs():
+    return hs.one_of(
+        hs.sampled_from([hg.CayleyLinear(), hg.Cayley(),
+                         hg.ConstantImaginary()]),
+        hs.builds(hg.Automorphism, hs.floats(0.0, 2.0), hs.floats(-2.0, 2.0)),
+        hs.builds(lambda re, im: hg.Taylor([complex(re, im)]),
+                  hs.floats(0.0, 2.0), hs.floats(-2.0, 2.0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=quadratic_specs(), k=hs.floats(-5.0, 5.0),
+       radius=hs.floats(0.0, 0.99), angle=hs.floats(0.0, 2.0 * math.pi),
+       t_end=hs.floats(0.05, 2.0), dt=hs.floats(0.005, 0.1),
+       u=hs.floats(0.0, 1.0))
+def test_exact_cells_agree_with_dormand_prince(spec, k, radius, angle,
+                                               t_end, dt, u):
+    # the quadratic specs no longer reach the integrator through evolve_*
+    # and boundary_image; it still solves their fields as any other
+    z0 = radius * cmath.exp(1j * angle)
+    config = cfg(k, t_end, dt=min(dt, t_end))
+    ts = det._normalize_sample_times([u * t_end, t_end], t_end)
+    fields = conftest.dp_fields(spec, k)
+    for frame, evolve in (("phi", det.evolve_phi), ("psi", det.evolve_psi)):
+        tr = evolve(spec, config, z0, ts)
+        assert tr.stats["method"] == "mobius-exact"
+        want, _ = det._integrate(fields[frame], z0, ts, config)
+        assert np.max(np.abs(tr.values - np.array(want))) <= 1e-8, frame
+        assert np.max(np.abs(tr.values)) <= 1.0, frame
+    points = np.array(det.boundary_image(spec, k, t_end, 16))
+    z = (1.0 - 1e-6) * np.exp(2j * math.pi * np.arange(16) / 16)
+    want, _ = det._integrate(fields["phi"], z, [0.0, t_end],
+                             cfg(k, t_end, dt=min(0.05, t_end)))
+    assert np.max(np.abs(points - want[-1])) <= 1e-8
+    assert np.max(np.abs(points)) <= 1.0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("spec, k", [
+    (hg.Taylor([1e308]), 1.0), (hg.Cayley(), 1e200),
+    (hg.Automorphism(1e200, 0.0), 1.0),
+])
+def test_exact_cells_that_overflow_are_a_numerical_failure(spec, k):
+    # the cells turn NaN: an Error with the time reached, never the
+    # ValueError of a Trajectory outside the disk
+    for evolve in (det.evolve_phi, det.evolve_psi):
+        with pytest.raises(det.DiskEscapeError) as info:
+            evolve(spec, cfg(k, 1.0), 0.0, [1.0])
+        assert info.value.t_reached == 1.0
+        assert not isinstance(info.value, ValueError)
+    with pytest.raises(det.DiskEscapeError):
+        det.boundary_image(spec, k, 1.0, 16)
 
 
 # ---------------------------------------------------------------- closed forms
@@ -540,9 +627,10 @@ def test_boundary_image_automorphism_preserves_circle():
 
 
 def test_boundary_image_failure_keeps_time_reached():
-    class Outward:
+    class Outward(hg.HerglotzSpec):
         # constant field: the phi-frame velocity tau(t) carries the
-        # near-boundary points out of the disk
+        # near-boundary points out of the disk; not a quadratic spec, so
+        # the adaptive integrator runs
         def _bp_field(self, w):
             return 1.0 + 0.0 * w
 
