@@ -19,9 +19,10 @@ field is a quadratic polynomial (``spec._quadratic()``: cayley-linear,
 cayley, const-i, every automorphism and constant Taylor specs), the
 psi equation is a Riccati equation with constant coefficients, and its
 flow over a cell is the Moebius map of one 2x2 exponential
-(``_mobius_cells``, which the Brownian drive shares with B_t = t
-replaced by the path); the sample gaps are cut into equal cells no
-wider than ``dt`` and walked exactly (method "mobius-exact").
+(``_mobius_cells``); the sample gaps are cut into equal cells no wider
+than ``dt`` and walked exactly (method "mobius-exact") by
+``_mobius_walk``, which the Brownian drive shares with B_t = t replaced
+by the path.
 
 Every other spec runs a hand-rolled adaptive Dormand-Prince 5(4) pair
 (method "dp45").  It is kept local (rather than delegating to a
@@ -412,6 +413,16 @@ def _mobius_cells(g, k, b, h):
 
 # the method a walk through the Moebius cells reports
 _MOBIUS = "mobius-exact"
+# _mobius_walk builds about this many Moebius cells at a time: each takes
+# about ten complex temporaries, and in the mc_pathwise benchmark chunks
+# of 4096 cells and more raised the peak RSS by 0.6 MiB and up
+_CELL_VALUES = 1 << 10
+
+
+def _escape_error(solution, t):
+    """DiskEscapeError of the ``solution`` first outside at time t."""
+    return DiskEscapeError("%s solution escapes the unit disk at t=%.6g"
+                           % (solution, t), t_reached=float(t))
 
 
 def _first_escape(values):
@@ -430,7 +441,8 @@ def _cell_knots(ts, dt):
     each sample time.  A sample time is a knot bit for bit.  A gap
     within a relative 1e-9 of a multiple of dt takes that many cells, so
     a sample grid of spacing dt, whose gaps round to dt give or take an
-    ulp, takes one cell per gap."""
+    ulp, takes one cell per gap.  Cells no wider than dt keep cosh(d)
+    bounded on long runs."""
     ts = np.asarray(ts, dtype=float)
     gaps = ts[1:] - ts[:-1]
     cells = np.maximum(1, np.ceil(gaps / dt - 1e-9)).astype(np.intp)
@@ -443,40 +455,41 @@ def _cell_knots(ts, dt):
     return knots, at
 
 
-def _mobius_walk(g, k, z0, ts, dt):
-    """(psi at the sample times ``ts``, cells stepped) of the drive
-    e^{ikt} for the quadratic field g = (g2, g1, g0).
+# the decorator costs less per call than a with statement
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _mobius_walk(g, k, z0, b, h, at):
+    """psi at the sorted knot indices ``at``, one row per entry, through
+    the Moebius cells of the quadratic field g = (g2, g1, g0).
 
-    The drive is the Brownian one with B_t = t, so the knots serve as
-    the path values of ``_mobius_cells``.  ``z0`` is a complex or a 1-d
-    array of points, which then walk together (values one row per
-    sample time); only the rows at sample times are kept.  Cells no
-    wider than ``dt`` keep cosh(d) bounded on long runs.
-
-    Raises:
-        DiskEscapeError: psi is not finite or outside the closed disk at
-            a sample time (the cells' entries overflow, e.g. at
-            k = 1e200, and a NaN stays NaN); the first such time is
-            ``t_reached``.
+    The one loop that applies ``_mobius_cells``, for both drives.  ``b``
+    is B at the knots, one path (1-d) or one path per row (2-d); ``h``
+    the cell widths, an array or a number.  psi starts at ``z0`` (knot
+    0), a complex or an array of points that walk together.  The cells
+    are built _CELL_VALUES at a time (at least one column of a 2-d b),
+    so a long walk never holds them all.  An overflowing cell turns psi
+    into NaN for good, which the caller's containment check reports,
+    without a warning.
     """
-    knots, at = _cell_knots(ts, dt)
-    cells = _mobius_cells(g, k, knots, knots[1:] - knots[:-1])
-    # the cell after which each sample time is read, the first at z0
-    last = set((at[1:] - 1).tolist())
+    rowwise = b.ndim > 1
+    width = max(1, _CELL_VALUES // len(b)) if rowwise else _CELL_VALUES
+    # how many times each knot is kept
+    counts = np.bincount(at, minlength=b.shape[-1]).tolist()
     y = z0
-    psi = [y]
-    for j, (e00, e01, e10, e11) in enumerate(
-            zip(*(c.tolist() for c in cells))):
-        y = (e00 * y + e01) / (e10 * y + e11)
-        if j in last:
-            psi.append(y)
-    psi = np.asarray(psi)
-    j = _first_escape(psi)
-    if j is not None:
-        t = float(ts[j])
-        raise DiskEscapeError("%s solution escapes the unit disk at t=%.6g"
-                              % (_MOBIUS, t), t_reached=t)
-    return psi, len(knots) - 1
+    psi = [y] * counts[0]
+    for first in range(0, b.shape[-1] - 1, width):
+        cells = _mobius_cells(g, k, b[..., first:first + width + 1],
+                              h[first:first + width] if np.ndim(h) else h)
+        # one path's entries as Python complexes; the rows of a 2-d b a
+        # column of cells at a time
+        for n, e00, e01, e10, e11 in zip(
+                counts[first + 1:first + width + 1],
+                *(c.T if rowwise else c.tolist() for c in cells)):
+            y = (e00 * y + e01) / (e10 * y + e11)
+            if n:
+                psi.append(y)
+                if n > 1:
+                    psi += [y] * (n - 1)
+    return np.asarray(psi)
 
 
 # --------------------------------------------------------------------------
@@ -506,12 +519,17 @@ def _solve(spec, cfg, z0, ts, frame):
     k = cfg.k
     g = spec._quadratic()
     if g is not None:
-        psi, steps = _mobius_walk(g, k, z0, ts, cfg.dt)
+        knots, at = _cell_knots(ts, cfg.dt)
+        psi = _mobius_walk(g, k, z0, knots, knots[1:] - knots[:-1], at)
+        j = _first_escape(psi)
+        if j is not None:
+            raise _escape_error(_MOBIUS, ts[j])
         if frame == "phi":
             # transposed, so the factor of sample j meets row j also
             # when each row holds many points
             psi = (psi.T * np.exp(1j * k * np.asarray(ts))).T
-        return psi, {"steps": steps, "rejections": 0, "method": _MOBIUS}
+        return psi, {"steps": len(knots) - 1, "rejections": 0,
+                     "method": _MOBIUS}
     if frame == "phi":
         field = _driven_field(spec, lambda t: cmath.exp(1j * k * t))
     else:
@@ -795,9 +813,10 @@ def boundary_image(spec, k, t, n_points):
 
     Applies phi_t to n_points equispaced points of radius 1 - 1e-6 (the
     flow lives on the open disk), all in one vectorized solve with the
-    solver of ``evolve_phi``: exact Moebius cells no wider than
-    min(0.05, t) on a quadratic spec, adaptive Dormand-Prince otherwise.
-    A failure raises that solver's error.
+    solver of ``evolve_phi``: on a quadratic spec, exact Moebius cells no
+    wider than min(0.05, t), which ``_mobius_walk`` applies to every
+    point at once; adaptive Dormand-Prince otherwise.  A failure raises
+    that solver's error.
     """
     n_points = _count("n_points", n_points, 16)
     t = _time("t", t)

@@ -40,10 +40,11 @@ from .deterministic import (
     Trajectory,
     _MOBIUS,
     _driven_field,
+    _escape_error,
     _first_escape,
     _interior_zero,
     _koebe_inverse,
-    _mobius_cells,
+    _mobius_walk,
     _normalize_sample_times,
 )
 from .herglotz import (Cayley, CayleyLinear, DomainError, Error, Taylor,
@@ -92,10 +93,6 @@ _BLOCK_FLOATS = 1 << 22
 # _exp_trapezoid integrates a block this many path values at a time, and
 # _psi_sde_block makes about this many step multipliers at a time
 _CHUNK_VALUES = 1 << 16
-# _phi_pathwise_rows builds about this many Moebius cells at a time: each
-# takes about ten complex temporaries, and in the mc_pathwise benchmark
-# chunks of 4096 cells and more raised the peak RSS by 0.6 MiB and up
-_CELL_VALUES = 1 << 10
 
 
 # scipy is imported on first use: its linalg and integrate modules take
@@ -449,13 +446,6 @@ def _mc_estimate(parts):
 # pathwise random ODE
 # --------------------------------------------------------------------------
 
-def _escape_error(method, t, where=""):
-    """DiskEscapeError of a pathwise solution first outside at time t."""
-    t = float(t)
-    return DiskEscapeError("%spathwise %s solution escapes the unit disk "
-                           "at t=%.6g" % (where, method, t), t_reached=t)
-
-
 def evolve_phi_pathwise(spec, k, z0, path, sample_times):
     """Integrate the random ODE for phi_t along one Brownian path.
 
@@ -465,9 +455,10 @@ def evolve_phi_pathwise(spec, k, z0, path, sample_times):
     partial cells to land exactly on requested sample times).  A spec
     whose field is quadratic (``spec._quadratic()``) walks the rotating
     frame psi = e^{-ikB} phi through the exact Moebius map of each cell
-    (``_mobius_cells``, method "mobius-exact") and turns psi into phi only
-    at the sample times; any other spec takes one RK4 step per cell
-    (method "rk4").  ``stats`` records the cells stepped and the method.
+    (``_mobius_walk``, method "mobius-exact"), which keeps psi only at
+    the sample times, where it is turned into phi; any other spec takes
+    one RK4 step per cell (method "rk4").  ``stats`` records the cells
+    stepped and the method.
 
     Args:
         spec: Herglotz spec of the field.
@@ -508,20 +499,15 @@ def evolve_phi_pathwise(spec, k, z0, path, sample_times):
     if g is not None:
         method = _MOBIUS
         b = _interpolate(B, dt, knots)
-        cells = _mobius_cells(g, k, b, h_steps * stepped)
         # psi = e^{-ikB} phi starts at z0, since B_0 = 0
-        y = z0
-        at_knot = [y]
-        for e00, e01, e10, e11 in zip(*(c.tolist() for c in cells)):
-            y = (e00 * y + e01) / (e10 * y + e11)
-            at_knot.append(y)
-        out = np.asarray(at_knot)[at] * np.exp(1j * k * b[at])
+        out = (_mobius_walk(g, k, z0, b, h_steps * stepped, at)
+               * np.exp(1j * k * b[at]))
     else:
         method = "rk4"
         out = np.asarray(_rk4_walk(spec, k, z0, B, dt, knots, h_steps))[at]
     j = _first_escape(out)
     if j is not None:
-        raise _escape_error(method, ts[j])
+        raise _escape_error("pathwise " + method, ts[j])
     return Trajectory(times=ts, values=out, frame="phi", config=None,
                       stats={"steps": int(np.count_nonzero(stepped)),
                              "method": method})
@@ -564,22 +550,16 @@ def _phi_pathwise_rows(spec, k, z0, rows, dt):
 
     ``rows`` holds path values on the grid dt, one path per row, and
     each row takes the cells ``evolve_phi_pathwise`` takes on its grid.
-    The field must be quadratic: its Moebius cells are applied to psi
-    one column at a time across all rows, building about _CELL_VALUES
-    cells at a time (at least one column), and psi is turned into phi at
-    the last column.  No containment check: ``_phi_pathwise_blocks``
-    names the escaping row.
+    The field must be quadratic: ``_mobius_walk`` applies its Moebius
+    cells to psi across all rows, and psi is turned into phi at the last
+    column.  No containment check: ``_phi_pathwise_blocks`` names the
+    escaping row.
     """
-    g = spec._quadratic()
-    n_rows, n_cols = rows.shape
-    # psi = e^{-ikB} phi, which starts at z0 on every row
-    y = np.full(n_rows, complex(z0))
-    width = max(1, _CELL_VALUES // max(1, n_rows))
-    for first in range(0, n_cols - 1, width):
-        cells = _mobius_cells(g, k, rows[:, first:first + width + 1], dt)
-        for e00, e01, e10, e11 in zip(*(c.T for c in cells)):
-            y = (e00 * y + e01) / (e10 * y + e11)
-    return y * np.exp(1j * k * rows[:, -1])
+    # psi = e^{-ikB} phi, which starts at z0 on every row; the width is
+    # the number dt, as an array would round some cells' products apart
+    psi = _mobius_walk(spec._quadratic(), k, np.full(len(rows), complex(z0)),
+                       rows, dt, [rows.shape[1] - 1])
+    return psi[-1] * np.exp(1j * k * rows[:, -1])
 
 
 def _phi_pathwise_blocks(spec, k, z0, root_seed, n_paths, t, dt):
@@ -603,8 +583,8 @@ def _phi_pathwise_blocks(spec, k, z0, root_seed, n_paths, t, dt):
         j = _first_escape(phi)
         if j is not None:
             j += first
-            raise _escape_error(_MOBIUS, t, "path %d (seed %d): "
-                                % (j, derive_path_seed(root_seed, j)))
+            raise _escape_error("path %d (seed %d): pathwise %s" % (
+                j, derive_path_seed(root_seed, j), _MOBIUS), t)
         first += len(phi)
         yield phi
 

@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import re
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -472,10 +473,6 @@ def test_bounds_monte_carlo_check(capsys):
     assert d["mc"]["max"] <= d["upper"] + 1e-9
 
 
-# these runs overflow to NaN, which counts as leaving the disk
-_OVERFLOWS = pytest.mark.filterwarnings("ignore::RuntimeWarning")
-
-
 def escaping_row(j, block=0):
     """Block solver that runs the real one and puts row j of block number
     ``block`` outside the disk."""
@@ -499,35 +496,40 @@ def escaping_row(j, block=0):
     # every bounds spec takes the Moebius cells; the solver is made to fail
     ["bounds", "--spec", "cayley", "--r0", "0.99", "--t", "2", "--k", "30",
      "--dt", "0.2", "--paths", "20", "--seed", "0"],
-    pytest.param(["evolve", "--spec", "taylor:1e308", "--k", "1",
-                  "--t-end", "1", "--mode", "random"], marks=_OVERFLOWS),
-    pytest.param(["evolve", "--spec", "cayley", "--k", "1e200", "--t-end",
-                  "1", "--mode", "sde"], marks=_OVERFLOWS),
+    ["evolve", "--spec", "taylor:1e308", "--k", "1", "--t-end", "1",
+     "--mode", "random"],
+    ["evolve", "--spec", "cayley", "--k", "1e200", "--t-end", "1",
+     "--mode", "sde"],
     # (k dB)^2 overflows in the first cell of every path
-    pytest.param(["bounds", "--spec", "cayley", "--r0", "0.99", "--t", "2",
-                  "--k", "1e200", "--dt", "0.2", "--paths", "3", "--seed",
-                  "0"], marks=_OVERFLOWS),
+    ["bounds", "--spec", "cayley", "--r0", "0.99", "--t", "2", "--k", "1e200",
+     "--dt", "0.2", "--paths", "3", "--seed", "0"],
     # the exact cells of the rotating drive overflow in their first cell
-    pytest.param(["evolve", "--mode", "det", "--t-end", "1",
-                  "--spec", "taylor:1e308", "--k", "1"], marks=_OVERFLOWS),
-    pytest.param(["evolve", "--mode", "det", "--t-end", "1",
-                  "--spec", "cayley", "--k", "1e200"], marks=_OVERFLOWS),
-    pytest.param(["evolve", "--mode", "det", "--t-end", "1",
-                  "--spec", "automorphism:1e200,0", "--k", "1"],
-                 marks=_OVERFLOWS),
+    ["evolve", "--mode", "det", "--t-end", "1", "--spec", "taylor:1e308",
+     "--k", "1"],
+    ["evolve", "--mode", "det", "--t-end", "1", "--spec", "cayley",
+     "--k", "1e200"],
+    ["evolve", "--mode", "det", "--t-end", "1",
+     "--spec", "automorphism:1e200,0", "--k", "1"],
+    ["evolve", "--mode", "random", "--t-end", "1", "--spec", "cayley",
+     "--k", "1e200"],
+    ["boundary", "--spec", "cayley", "--k", "1e200", "--t", "1"],
 ])
 def test_disk_escape_exits_as_numerical_failure(capsys, tmp_path, monkeypatch,
                                                 args):
     named = ""
-    if args[0] == "evolve":
+    if args[0] != "bounds":
         args = args + ["--out", str(tmp_path / "x.csv")]
     elif "1e200" in args:
         # every path escapes; the message names the first
         named = "path 0 (seed %d)" % stochastic.derive_path_seed(0, 0)
     else:
         monkeypatch.setattr(stochastic, "_phi_pathwise_rows", escaping_row(4))
-    rc, _, err = run(capsys, args)
+    # an overflow to NaN warns of nothing: stderr is the one error line
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, _, err = run(capsys, args)
     assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert "escapes the unit disk" in err and named in err
     assert not (tmp_path / "x.csv").exists()
 

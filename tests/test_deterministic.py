@@ -270,7 +270,6 @@ def test_exact_cells_agree_with_dormand_prince(spec, k, radius, angle,
     assert np.max(np.abs(points)) <= 1.0
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("spec, k", [
     (hg.Taylor([1e308]), 1.0), (hg.Cayley(), 1e200),
     (hg.Automorphism(1e200, 0.0), 1.0),

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -279,7 +280,6 @@ def test_block_rows_match_the_path_solver():
             assert abs(phi[j] - want) <= 1e-13
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_block_escape_names_the_path(monkeypatch):
     # at k = 2e154 a cell whose |k dB| passes about 2.7e154 overflows to
     # NaN; on root seed 1 that happens first on path 2, which blocks of 2
@@ -302,6 +302,69 @@ def test_block_escape_names_the_path(monkeypatch):
                              % st.derive_path_seed(1, 2)) as info:
         next(blocks)
     assert info.value.t_reached == 2.0
+
+
+@pytest.mark.parametrize("cell_values", [1, 5])
+def test_chunk_width_moves_no_bit(monkeypatch, cell_values):
+    # the walk builds its cells a chunk at a time; every chunk width gives
+    # the values and stats of the default one
+    spec, k = hg.Automorphism(1.0, 0.3), 2.5
+    cfg = dm.EvolutionConfig(k=k, t_end=3.0, dt=1e-3)
+    path = st.sample_brownian(4, 0.01, 300)
+    off_grid = [0.123456, 1.5 + 1e-7, 2.9999]
+
+    def outputs():
+        runs = [evolve(spec, cfg, 0.6 - 0.2j, [1.0, 2.5, 3.0])
+                for evolve in (dm.evolve_phi, dm.evolve_psi)]
+        runs += [st.evolve_phi_pathwise(spec, k, 0.9j, path, times)
+                 for times in (path.time_grid(), off_grid)]
+        values = ([tr.values for tr in runs]
+                  + [np.array(dm.boundary_image(spec, k, 1.3, 16))]
+                  + list(st._phi_pathwise_blocks(spec, 30.0, 0.99, 1, 40,
+                                                 2.0, 0.2)))
+        return values, [tr.stats for tr in runs]
+
+    want, want_stats = outputs()
+    assert want_stats[0]["steps"] == 3000
+    monkeypatch.setattr(dm, "_CELL_VALUES", cell_values)
+    got, got_stats = outputs()
+    assert got_stats == want_stats and len(got) == len(want)
+    for w, g in zip(want, got):
+        assert np.array_equal(w, g)
+
+
+def test_pathwise_samples_within_1e_12_read_one_knot():
+    # both sample times read the knot at 0.5, so the walk keeps it twice
+    path = st.sample_brownian(2, 0.1, 10)
+    tr = st.evolve_phi_pathwise(hg.Cayley(), 3.0, 0.4j, path,
+                                [0.5, 0.5 + 1e-13, 1.0])
+    want = st.evolve_phi_pathwise(hg.Cayley(), 3.0, 0.4j, path, [0.5, 1.0])
+    assert tr.values[1] == tr.values[2] == want.values[1]
+
+
+@pytest.mark.parametrize("long_walk", ["rotating", "pathwise"])
+def test_long_walk_memory_is_bounded(long_walk):
+    # the cells are built a chunk at a time and only the sampled states
+    # are kept, so a walk of 2e5 cells holds a few arrays of its knots
+    spec = hg.Cayley()
+    if long_walk == "rotating":
+        cfg = dm.EvolutionConfig(k=1.3, t_end=200.0, dt=1e-3)
+
+        def walk():
+            return dm.evolve_phi(spec, cfg, 0.3j, [200.0])
+    else:
+        path = st.sample_brownian(1, 1e-5, 200_000)
+
+        def walk():
+            return st.evolve_phi_pathwise(spec, 2.0, 0.5, path, [2.0])
+    tracemalloc.start()
+    try:
+        tr = walk()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tr.stats["steps"] == 200_000
+    assert peak < 20 * 2 ** 20
 
 
 @hs.composite
