@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__, stochastic
 from .deterministic import (
     EvolutionConfig,
-    boundary_image,
+    _boundary_images,
     classify_semigroup,
     evolve_phi,
     is_closed_trajectory,
@@ -55,8 +55,9 @@ _UNRECORDED = ("help", "config", "manifest")
 
 class Written(NamedTuple):
     """What a file-producing command wrote: its outputs, the default
-    manifest path, what the run reports about itself (evolve: steps,
-    rejections or projections) and computed config entries (dt_used)."""
+    manifest path, what the run reports about itself (evolve, boundary
+    image, figures: steps, rejections or projections, and the method)
+    and computed config entries (dt_used)."""
 
     outputs: list
     manifest: str
@@ -293,11 +294,12 @@ def cmd_bounds(args, parser):
 
 def cmd_boundary(args, parser):
     outputs = []
-    extra = None
+    extra = stats = None
     if args.what == "image":
         _require(args, parser, "spec", "t")
         spec = parse_spec(args.spec)
-        points = boundary_image(spec, args.k, args.t, args.points)
+        (points,), stats = _boundary_images(spec, args.k, [args.t],
+                                            args.points)
         angles = 2.0 * math.pi * np.arange(len(points)) / len(points)
         _write_csv(args.out, "angle,re,im",
                    [angles, np.real(points), np.imag(points)])
@@ -320,7 +322,8 @@ def cmd_boundary(args, parser):
                    [np.linspace(0.0, args.t_end, n_steps + 1), theta])
         outputs.append(args.out)
         extra = {"dt_used": dt_used}
-    return Written(outputs, args.out + ".manifest.json", extra=extra)
+    return Written(outputs, args.out + ".manifest.json", stats=stats,
+                   extra=extra)
 
 
 _FIG1_TIMES = (("a", math.pi / 4.0, "t = pi/4"),
@@ -329,20 +332,25 @@ _FIG1_TIMES = (("a", math.pi / 4.0, "t = pi/4"),
 
 
 def cmd_figures(args, parser):
+    """fig1: the boundary image at each of _FIG1_TIMES, one panel each,
+    all from one solve that takes the panel times as its sample times;
+    the manifest carries that solve's stats."""
     if args.which != "fig1":
         parser.error("unknown figure %r (available: fig1)" % args.which)
     os.makedirs(args.out_dir, exist_ok=True)
-    spec = Exponential()
+    images, stats = _boundary_images(Exponential(), 1.0,
+                                     [t for _, t, _ in _FIG1_TIMES],
+                                     args.points)
     outputs = []
-    for tag, t, title in _FIG1_TIMES:
-        points = boundary_image(spec, 1.0, t, args.points)
+    for (tag, t, title), points in zip(_FIG1_TIMES, images):
         closed = list(points) + [points[0]]
         svg = render_disk_svg([(closed, "#1f77b4")],
                               tau=cmath.exp(1j * t), title=title)
         out_path = os.path.join(args.out_dir, "fig1_%s.svg" % tag)
         _write_text(out_path, svg)
         outputs.append(out_path)
-    return Written(outputs, os.path.join(args.out_dir, "fig1.manifest.json"))
+    return Written(outputs, os.path.join(args.out_dir, "fig1.manifest.json"),
+                   stats=stats)
 
 
 # --------------------------------------------------------------------------

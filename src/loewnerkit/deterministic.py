@@ -274,31 +274,40 @@ def _integrate(field, y0, sample_times, cfg):
 
     ``y0`` is a complex scalar or ndarray; the error test and the
     containment test (always enforced) reduce elementwise by max.  An
+    array attempt takes the modulus |y5| once and uses it three times:
+    as the finiteness pre-test (a finite max|y5| means every point is
+    finite, so ``np.isfinite`` runs only when it is not), for the
+    containment test and for the error scale atol + rtol |y5|.  A
+    non-finite y5 shrinks the step by 0.25, one outside the disk (an
+    overflowing modulus of finite points among them) by 0.5.  An
     accepted step hands its last stage on as the next first stage; a
     rejected one keeps its first stage, since t and y are unchanged.
     Returns (values_at_sample_times, stats).
     """
     atol, rtol = cfg.atol, cfg.rtol
+    # assess(y5, err) -> (shrink of a rejected attempt or None, error ratio)
     if np.ndim(y0):
         y = np.asarray(y0, dtype=complex)
 
-        def finite(v):
-            return bool(np.isfinite(v).all())
-
-        def modulus(v):
-            return float(np.max(np.abs(v)))
-
-        def error_ratio(v, e):
-            return float(np.max(np.abs(e) / (atol + rtol * np.abs(v))))
+        def assess(v, e):
+            r = np.abs(v)
+            m = float(np.max(r))
+            if not math.isfinite(m) and not np.isfinite(v).all():
+                return 0.25, None
+            if m > 1.0 + CONTAINMENT_TOL:
+                return 0.5, None
+            return None, float(np.max(np.abs(e) / (atol + rtol * r)))
     else:
         y = complex(y0)
-        finite = cmath.isfinite
-        modulus = abs
 
-        # np.abs, not abs: CPython's complex abs rounds differently, and
-        # this ratio feeds the step size of every later step
-        def error_ratio(v, e):
-            return float(np.abs(e) / (atol + rtol * np.abs(v)))
+        def assess(v, e):
+            if not cmath.isfinite(v):
+                return 0.25, None
+            if abs(v) > 1.0 + CONTAINMENT_TOL:
+                return 0.5, None
+            # np.abs, not abs: CPython's complex abs rounds differently,
+            # and this ratio feeds the step size of every later step
+            return None, float(np.abs(e) / (atol + rtol * np.abs(v)))
     t = float(sample_times[0])
     out = [y]
     steps = 0
@@ -324,15 +333,11 @@ def _integrate(field, y0, sample_times, cfg):
             if k1 is None:
                 k1 = field(t, y)
             y_new, err, k7 = _dp_step(field, t, y, h_use, k1)
-            if not finite(y_new):
+            shrink, ratio = assess(y_new, err)
+            if shrink is not None:
                 rejections += 1
-                h = h_use * 0.25
+                h = h_use * shrink
                 continue
-            if modulus(y_new) > 1.0 + CONTAINMENT_TOL:
-                rejections += 1
-                h = h_use * 0.5
-                continue
-            ratio = error_ratio(y_new, err)
             if ratio <= 1.0:
                 t += h_use
                 y = y_new
@@ -808,23 +813,43 @@ def implicit_solution_residual(A, B, k, z, t, psi_t):
 # boundary image
 # --------------------------------------------------------------------------
 
-def boundary_image(spec, k, t, n_points):
-    """Image of the near-boundary circle under phi_t, for plotting.
+def _boundary_images(spec, k, ts, n_points):
+    """(images, stats): the image of the near-boundary circle under
+    phi_t at each time of ``ts``, in their order, from one solve.
 
-    Applies phi_t to n_points equispaced points of radius 1 - 1e-6 (the
-    flow lives on the open disk), all in one vectorized solve with the
-    solver of ``evolve_phi``: on a quadratic spec, exact Moebius cells no
-    wider than min(0.05, t), which ``_mobius_walk`` applies to every
-    point at once; adaptive Dormand-Prince otherwise.  A failure raises
-    that solver's error.
+    The n_points equispaced points of radius 1 - 1e-6 (the flow lives on
+    the open disk) walk together through one ``_solve`` over the sorted
+    grid of 0 and the times, with the solver of ``evolve_phi`` and
+    dt = min(0.05, max(ts)): on a quadratic spec, exact Moebius cells no
+    wider than dt, which ``_mobius_walk`` applies to every point at once;
+    adaptive Dormand-Prince otherwise, its step carried from one sample
+    time to the next, so the images after the first are sample times of
+    the same run rather than solves of their own.  images[j] is a list
+    of n_points complexes; stats are the solve's steps, rejections and
+    method.  A failure raises that solver's error.
     """
     n_points = _count("n_points", n_points, 16)
-    t = _time("t", t)
+    ts = [_time("t", t) for t in ts]
     k = _finite("k", k)
     angles = 2.0 * math.pi * np.arange(n_points) / n_points
     z0 = (1.0 - 1e-6) * np.exp(1j * angles)
-    if t == 0.0:
-        return [complex(v) for v in z0]
-    cfg = EvolutionConfig(k=k, t_end=t, dt=min(0.05, t), rtol=1e-10, atol=1e-12)
-    values, _ = _solve(spec, cfg, z0, [0.0, t], "phi")
-    return [complex(v) for v in values[-1]]
+    grid = sorted({0.0, *ts})
+    t_end = grid[-1]
+    # a grid of 0 alone solves nothing; its dt only has to be valid
+    cfg = EvolutionConfig(k=k, t_end=t_end, dt=min(0.05, t_end) or 0.05,
+                          rtol=1e-10, atol=1e-12)
+    values, stats = _solve(spec, cfg, z0, grid, "phi")
+    return [[complex(v) for v in values[grid.index(t)]] for t in ts], stats
+
+
+def boundary_image(spec, k, t, n_points):
+    """Image of the near-boundary circle under phi_t, for plotting.
+
+    ``_boundary_images`` at the one time t: n_points equispaced points
+    of radius 1 - 1e-6 solved together over [0, t] with the solver of
+    ``evolve_phi``, exact Moebius cells no wider than min(0.05, t) on a
+    quadratic spec and adaptive Dormand-Prince otherwise.  Returns a
+    list of n_points complexes; a failure raises that solver's error.
+    """
+    (points,), _ = _boundary_images(spec, k, [t], n_points)
+    return points

@@ -5,13 +5,14 @@ import math
 import re
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hs
 
-from loewnerkit import Error, __version__, cli, stochastic
+from loewnerkit import Error, __version__, cli, deterministic, stochastic
 from loewnerkit.deterministic import StiffnessError
-from loewnerkit.herglotz import Cayley, DomainError
+from loewnerkit.herglotz import Cayley, DomainError, Exponential
 
 
 def run(capsys, args):
@@ -617,13 +618,13 @@ LIBRARY_CALLS = {
         "moments", "--spec", "cayley", "--k", "1", "--out", "{tmp}/m.csv"]),
     "bounds": (stochastic, "growth_bounds", [
         "bounds", "--spec", "cayley", "--r0", "0.3", "--t", "0.5"]),
-    "boundary-image": (cli, "boundary_image", [
+    "boundary-image": (cli, "_boundary_images", [
         "boundary", "--spec", "cayley", "--k", "1", "--t", "0.1",
         "--out", "{tmp}/b.csv"]),
     "boundary-diffusion": (stochastic, "simulate_boundary_diffusion", [
         "boundary", "--what", "diffusion", "--A", "1", "--B", "0", "--k", "1",
         "--t-end", "0.1", "--out", "{tmp}/b.csv"]),
-    "figures": (cli, "boundary_image", [
+    "figures": (cli, "_boundary_images", [
         "figures", "--out-dir", "{tmp}/f"]),
 }
 
@@ -699,6 +700,17 @@ def test_boundary_image_csv_and_svg(capsys, tmp_path):
     assert "polyline" in svg.read_text()
 
 
+def test_boundary_image_manifest_reports_the_solve(capsys, tmp_path):
+    out = tmp_path / "img.csv"
+    rc, _, _ = run(capsys, ["boundary", "--spec", "cayley", "--k", "1",
+                            "--t", "0.8", "--out", str(out)])
+    assert rc == 0
+    manifest = json.loads((tmp_path / "img.csv.manifest.json").read_text())
+    # 0.8 in exact cells no wider than 0.05
+    assert manifest["stats"] == {"steps": 16, "rejections": 0,
+                                 "method": "mobius-exact"}
+
+
 def test_boundary_diffusion_angle_domain(capsys, tmp_path):
     out = tmp_path / "diff.csv"
     rc, _, _ = run(capsys, [
@@ -729,6 +741,36 @@ def test_figures_fig1_writes_three_closed_curves(capsys, tmp_path):
         (tmp_path / "figs" / "fig1.manifest.json").read_text())
     assert manifest["command"] == "figures"
     assert len(manifest["outputs"]) == 3
+
+
+def test_figures_manifest_reports_the_one_solve(capsys, tmp_path):
+    # the three panels are sample times of one Dormand-Prince run
+    rc, _, _ = run(capsys, ["figures", "--points", "64",
+                            "--out-dir", str(tmp_path)])
+    assert rc == 0
+    stats = json.loads((tmp_path / "fig1.manifest.json").read_text())["stats"]
+    times = [t for _, t, _ in cli._FIG1_TIMES]
+    z0 = (1.0 - 1e-6) * np.exp(2j * np.pi * np.arange(64) / 64)
+    config = deterministic.EvolutionConfig(k=1.0, t_end=times[-1], dt=0.05)
+    _, want = deterministic._solve(Exponential(), config, z0, [0.0] + times,
+                                   "phi")
+    assert stats == want
+    assert stats["method"] == "dp45"
+
+
+def test_figures_solve_once(capsys, tmp_path, monkeypatch):
+    calls = []
+    solve = deterministic._solve
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(deterministic, "_solve", counted)
+    rc, _, _ = run(capsys, ["figures", "--points", "16",
+                            "--out-dir", str(tmp_path)])
+    assert rc == 0
+    assert len(calls) == 1
 
 
 def test_figures_unknown_name(capsys, tmp_path):

@@ -643,6 +643,41 @@ def test_boundary_image_rejects_few_points():
         det.boundary_image(hg.Exponential(), 1.0, 0.5, 8)
 
 
+# the panel times of the CLI's fig1
+FIG1_TIMES = [math.pi / 4.0, math.pi / 2.0, 3.0 * math.pi / 4.0]
+
+
+@pytest.mark.parametrize("n_points", [16, 257])
+@pytest.mark.parametrize("text", ["exponential", "taylor:1,0.5", "cayley"])
+def test_boundary_images_agree_with_separate_solves(text, n_points):
+    # one solve with the panels as sample times against one solve per
+    # panel: the first panel takes the same steps, the later ones move
+    # only as far as the step sequence does
+    spec = hg.parse_spec(text)
+    images, stats = det._boundary_images(spec, 1.0, FIG1_TIMES, n_points)
+    alone = [det.boundary_image(spec, 1.0, t, n_points) for t in FIG1_TIMES]
+    assert np.array_equal(images[0], alone[0])
+    for got, want in zip(images[1:], alone[1:]):
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-9
+    assert stats["method"] == ("mobius-exact" if spec._quadratic()
+                               else "dp45")
+
+
+def test_boundary_images_follow_the_order_of_the_times():
+    spec = hg.Exponential()
+    ts = [math.pi / 2.0, 0.0, math.pi / 4.0, math.pi / 2.0]
+    images, _ = det._boundary_images(spec, 1.0, ts, 16)
+    ordered, _ = det._boundary_images(spec, 1.0, sorted(set(ts)), 16)
+    assert images == [ordered[2], ordered[0], ordered[1], ordered[2]]
+
+
+@pytest.mark.parametrize("text", ["exponential", "cayley"])
+def test_boundary_images_at_zero_time_solve_nothing(text):
+    images, stats = det._boundary_images(hg.parse_spec(text), 1.0, [0.0], 32)
+    assert images == [det.boundary_image(hg.parse_spec(text), 1.0, 0.0, 32)]
+    assert stats["steps"] == stats["rejections"] == 0
+
+
 # ---------------------------------------------------------------- serialization
 
 def test_trajectory_csv_round_trip():

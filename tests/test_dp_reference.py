@@ -193,6 +193,69 @@ def test_failure_time_matches_loop_form(reference):
     assert got.value.t_reached == want.value.t_reached
 
 
+# ---------------------------------------------------------------- edge attempts
+
+def _tripwire(field, t0, points, value):
+    """``field`` with ``points`` of its value set to ``value`` on its
+    first call past t0, and the list that records that call's time.
+    The call is a later stage of the attempt that first reaches past
+    t0, the same stage in the library and in the loop form: only their
+    first stages, at the current time, differ in number.  The value is
+    assigned, so no arithmetic warning is raised."""
+    fired = []
+
+    def tripped(t, y):
+        out = field(t, y)
+        if t > t0 and not fired:
+            fired.append(t)
+            out = np.array(out)
+            out[points] = value
+        return out
+
+    return tripped, fired
+
+
+def _assert_same_tripped_run(field, t0, points, value, y0, times, cfg):
+    got_field, fired = _tripwire(field, t0, points, value)
+    got, got_stats = det._integrate(got_field, y0, times, cfg)
+    want, want_stats = _ref_integrate(_tripwire(field, t0, points, value)[0],
+                                      y0, times, cfg)
+    assert fired
+    assert np.array_equal(np.array(got), np.array(want))
+    assert got_stats == want_stats
+    assert got_stats["rejections"] > 0
+
+
+# t0 just short of the first attempt's last stage (h = dt = 0.05), and
+# one in the middle of the run
+@pytest.mark.parametrize("t0, points, value", [
+    (0.045, [3], complex("nan+nanj")),
+    (0.61, [0, 5, 11], complex(float("nan"), 0.0)),
+], ids=["first-attempt", "mid-run"])
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.text_form())
+def test_points_turning_nan_mid_step_match_loop_form(spec, t0, points, value):
+    # a non-finite y5 takes the 0.25 shrink, whatever its modulus reads
+    y0 = 0.9 * np.exp(0.5j * np.arange(16))
+    cfg = det.EvolutionConfig(k=1.5, t_end=1.0, dt=0.05)
+    for field in conftest.dp_fields(spec, 1.5).values():
+        _assert_same_tripped_run(field, t0, points, value, y0,
+                                 [0.0, 0.5, 1.0], cfg)
+
+
+def test_overflowing_modulus_of_finite_points_matches_loop_form():
+    # the first attempt (h = dt = 8) gets C at its sixth stage alone, so
+    # one point of y5 has components near 1.3e308: finite, with a modulus
+    # that overflows to inf, which takes the 0.5 shrink of an escape; the
+    # linear field stays finite at that point
+    def field(t, y):
+        return (-0.1 + 0.5j) * y
+
+    cfg = det.EvolutionConfig(k=0.0, t_end=16.0, dt=8.0)
+    _assert_same_tripped_run(field, 7.5, [2], complex(1.25e308, 1.25e308),
+                             0.9 * np.exp(0.5j * np.arange(8)),
+                             [0.0, 8.0, 16.0], cfg)
+
+
 # ---------------------------------------------------------------- stage reuse
 
 def _counting_field(spec, k):
