@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 numerical failure, 2 usage error.  Every
 command is deterministic given its full flag set (seeds included).
-File-producing commands (evolve, moments, boundary, figures) write a
-JSON run manifest to --manifest or to a default path by their outputs;
-its ``config`` records every option of the subcommand, so re-running
+File-producing commands (evolve, moments, boundary, figures) return
+their outputs as text; ``write_run`` writes them, then a JSON run
+manifest to --manifest or to a default path by the outputs; its
+``config`` records every option of the subcommand, so re-running
 with it reproduces the same bytes.  Each ``key = value`` line of a
 ``--config`` file is read as the flag ``--key=value`` ahead of the
 explicit flags, so those win; an unknown key is a usage error.
@@ -28,6 +29,7 @@ import numpy as np
 
 from . import __version__, stochastic
 from .deterministic import (
+    _DT_CAP,
     EvolutionConfig,
     _boundary_images,
     classify_semigroup,
@@ -54,32 +56,38 @@ _UNRECORDED = ("help", "config", "manifest")
 
 
 class Written(NamedTuple):
-    """What a file-producing command wrote: its outputs, the default
-    manifest path, what the run reports about itself (evolve, boundary
-    image, figures: steps, rejections or projections, and the method)
-    and computed config entries (dt_used)."""
+    """What a file-producing command computed, none of it written yet:
+    ``files``, the ordered (path, text) pairs of its outputs, the
+    default manifest path, what the run reports about itself (evolve,
+    boundary image, figures: steps, rejections or projections, and the
+    method) and computed config entries (dt_used)."""
 
-    outputs: list
+    files: list
     manifest: str
     stats: dict | None = None
     extra: dict | None = None
 
 
-def write_manifest(args, sub, written, wall_time_s):
-    """Write the manifest of one run of subcommand ``sub`` to
-    --manifest, else to ``written.manifest``; Error if an output is
-    missing or empty.  ``config`` is every option of ``sub`` (less
-    _UNRECORDED) plus ``written.extra``."""
-    for out in written.outputs:
-        if not os.path.exists(out) or os.path.getsize(out) == 0:
-            raise Error("output file missing or empty: %s" % out)
+def write_run(args, sub, written, started):
+    """Write one run of subcommand ``sub``, the only place the CLI
+    writes a file: each of ``written.files`` in order, Error if one is
+    left missing or empty, then the manifest to --manifest, else to
+    ``written.manifest``.  ``wall_time_s`` runs from ``started`` (a
+    time.monotonic reading) to the last output; ``config`` is every
+    option of ``sub`` (less _UNRECORDED) plus ``written.extra``."""
+    for path, text in written.files:
+        with open(path, "w") as fh:
+            fh.write(text)
+        if not os.path.exists(path) or os.path.getsize(path) == 0:
+            raise Error("output file missing or empty: %s" % path)
+    wall_time_s = time.monotonic() - started
     config = {a.dest: _jsonable(getattr(args, a.dest)) for a in sub._actions
               if a.dest not in _UNRECORDED}
     config.update(written.extra or {})
     record = {"schema": MANIFEST_SCHEMA, "command": args.command,
               "config": config, "seed": getattr(args, "seed", None),
-              "outputs": list(written.outputs), "version": __version__,
-              "wall_time_s": wall_time_s}
+              "outputs": [path for path, _ in written.files],
+              "version": __version__, "wall_time_s": wall_time_s}
     if written.stats is not None:
         record["stats"] = written.stats
     with open(args.manifest or written.manifest, "w") as fh:
@@ -118,17 +126,13 @@ def _jsonable(value):
     return value
 
 
-def _write_text(path, text):
-    with open(path, "w") as fh:
-        fh.write(text)
-
-
-def _write_csv(path, header, columns):
-    """Header line, then one row per entry of the equal-length columns;
-    every number as %.17g, which round-trips a double."""
+def _csv(header, columns):
+    """CSV text: the header line, then one row per entry of the
+    equal-length columns; every number as %.17g, which round-trips a
+    double."""
     rows = np.column_stack(columns).tolist()
-    _write_text(path, "\n".join([header] + [",".join("%.17g" % x for x in row)
-                                           for row in rows]) + "\n")
+    return "\n".join([header] + [",".join("%.17g" % x for x in row)
+                                 for row in rows]) + "\n"
 
 
 def _require(args, parser, *dests):
@@ -142,13 +146,13 @@ def _require(args, parser, *dests):
 # SVG rendering (self-contained, no external assets)
 # --------------------------------------------------------------------------
 
-def render_disk_svg(curves, tau=None, title=None, size=480):
-    """Unit-disk figure: boundary circle, curves, optional tau marker.
-
-    curves: iterable of (points, color) with points a complex sequence.
-    Returns the SVG document as a string.
+def render_disk_svg(points, tau, title):
+    """Unit-disk figure: the dashed boundary circle, the blue curve
+    through ``points`` (a complex sequence), a red marker at the
+    driving point ``tau`` and ``title`` above.  Returns the SVG
+    document as a string.
     """
-    pad = 24.0
+    size, pad = 480, 24.0
     radius = (size - 2.0 * pad) / 2.0
     cx = cy = size / 2.0
 
@@ -162,20 +166,14 @@ def render_disk_svg(curves, tau=None, title=None, size=480):
         '<rect width="%d" height="%d" fill="#ffffff"/>' % (size, size),
         '<circle cx="%.2f" cy="%.2f" r="%.2f" fill="none" stroke="#999999" '
         'stroke-width="1" stroke-dasharray="4 3"/>' % (cx, cy, radius),
+        '<polyline points="%s" fill="none" stroke="#1f77b4" '
+        'stroke-width="1.5"/>'
+        % " ".join("%.3f,%.3f" % xy(complex(z)) for z in points),
+        '<circle cx="%.3f" cy="%.3f" r="5" fill="#d62728"/>' % xy(tau),
+        '<text x="%.1f" y="%.1f" font-family="sans-serif" font-size="14" '
+        'fill="#333333">%s</text>' % (pad, pad - 6.0, title),
+        "</svg>",
     ]
-    for points, color in curves:
-        coords = " ".join("%.3f,%.3f" % xy(complex(z)) for z in points)
-        parts.append('<polyline points="%s" fill="none" stroke="%s" '
-                     'stroke-width="1.5"/>' % (coords, color))
-    if tau is not None:
-        tx, ty = xy(complex(tau))
-        parts.append('<circle cx="%.3f" cy="%.3f" r="5" fill="#d62728"/>'
-                     % (tx, ty))
-    if title:
-        parts.append('<text x="%.1f" y="%.1f" font-family="sans-serif" '
-                     'font-size="14" fill="#333333">%s</text>'
-                     % (pad, pad - 6.0, title))
-    parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
@@ -190,7 +188,7 @@ def cmd_evolve(args, parser):
     n_steps, dt_used = stochastic._step_grid(t_end, args.dt)
     times = np.linspace(0.0, t_end, n_steps + 1)
     if args.mode == "det":
-        cfg = EvolutionConfig(k=args.k, t_end=t_end, dt=min(dt_used, 0.05))
+        cfg = EvolutionConfig(k=args.k, t_end=t_end, dt=min(dt_used, _DT_CAP))
         traj = evolve_phi(spec, cfg, args.z0, times)
         tau = cmath.exp(1j * args.k * t_end)
     else:
@@ -205,15 +203,12 @@ def cmd_evolve(args, parser):
                 stochastic.evolve_psi_sde(spec, args.k, args.z0, path,
                                           scheme=args.scheme), times=times)
             tau = 1.0 + 0.0j
-    _write_text(args.out, traj.to_csv())
-    outputs = [args.out]
+    files = [(args.out, traj.to_csv())]
     if args.svg:
-        svg = render_disk_svg([(traj.values, "#1f77b4")], tau=tau,
-                              title="%s  k=%s  %s frame"
-                              % (spec.text_form(), args.k, traj.frame))
-        _write_text(args.svg, svg)
-        outputs.append(args.svg)
-    return Written(outputs, args.out + ".manifest.json", stats=traj.stats,
+        files.append((args.svg, render_disk_svg(
+            traj.values, tau, "%s  k=%s  %s frame"
+            % (spec.text_form(), args.k, traj.frame))))
+    return Written(files, args.out + ".manifest.json", stats=traj.stats,
                    extra={"dt_used": dt_used})
 
 
@@ -262,10 +257,9 @@ def cmd_moments(args, parser):
         spec, args.k, args.z0, args.t_end, args.m, args.truncation,
         closure=args.closure, sample_times=times)
     header = "t" + "".join(",re_mu%d,im_mu%d" % (m, m) for m in table.orders)
-    _write_csv(args.out, header,
-               [table.times] + [part for mu in table.values.T
-                                for part in (mu.real, mu.imag)])
-    return Written([args.out], args.out + ".manifest.json")
+    text = _csv(header, [table.times] + [part for mu in table.values.T
+                                         for part in (mu.real, mu.imag)])
+    return Written([(args.out, text)], args.out + ".manifest.json")
 
 
 def cmd_bounds(args, parser):
@@ -293,37 +287,28 @@ def cmd_bounds(args, parser):
 
 
 def cmd_boundary(args, parser):
-    outputs = []
-    extra = stats = None
     if args.what == "image":
         _require(args, parser, "spec", "t")
         spec = parse_spec(args.spec)
         (points,), stats = _boundary_images(spec, args.k, [args.t],
                                             args.points)
         angles = 2.0 * math.pi * np.arange(len(points)) / len(points)
-        _write_csv(args.out, "angle,re,im",
-                   [angles, np.real(points), np.imag(points)])
-        outputs.append(args.out)
+        files = [(args.out, _csv("angle,re,im", [angles, np.real(points),
+                                                 np.imag(points)]))]
         if args.svg:
-            closed = list(points) + [points[0]]
-            svg = render_disk_svg([(closed, "#1f77b4")],
-                                  tau=cmath.exp(1j * args.k * args.t),
-                                  title="%s  k=%s  t=%.6g"
-                                  % (spec.text_form(), args.k, args.t))
-            _write_text(args.svg, svg)
-            outputs.append(args.svg)
-    else:
-        _require(args, parser, "A", "B", "t_end")
-        n_steps, dt_used = stochastic._step_grid(args.t_end, args.dt)
-        path = stochastic.sample_brownian(args.seed, dt_used, n_steps)
-        theta = stochastic.simulate_boundary_diffusion(
-            args.A, args.B, args.k, args.theta0, path)
-        _write_csv(args.out, "t,theta",
-                   [np.linspace(0.0, args.t_end, n_steps + 1), theta])
-        outputs.append(args.out)
-        extra = {"dt_used": dt_used}
-    return Written(outputs, args.out + ".manifest.json", stats=stats,
-                   extra=extra)
+            # the image is a closed curve: back to its first point
+            files.append((args.svg, render_disk_svg(
+                points + points[:1], cmath.exp(1j * args.k * args.t),
+                "%s  k=%s  t=%.6g" % (spec.text_form(), args.k, args.t))))
+        return Written(files, args.out + ".manifest.json", stats=stats)
+    _require(args, parser, "A", "B", "t_end")
+    n_steps, dt_used = stochastic._step_grid(args.t_end, args.dt)
+    path = stochastic.sample_brownian(args.seed, dt_used, n_steps)
+    theta = stochastic.simulate_boundary_diffusion(
+        args.A, args.B, args.k, args.theta0, path)
+    text = _csv("t,theta", [np.linspace(0.0, args.t_end, n_steps + 1), theta])
+    return Written([(args.out, text)], args.out + ".manifest.json",
+                   extra={"dt_used": dt_used})
 
 
 _FIG1_TIMES = (("a", math.pi / 4.0, "t = pi/4"),
@@ -335,21 +320,14 @@ def cmd_figures(args, parser):
     """fig1: the boundary image at each of _FIG1_TIMES, one panel each,
     all from one solve that takes the panel times as its sample times;
     the manifest carries that solve's stats."""
-    if args.which != "fig1":
-        parser.error("unknown figure %r (available: fig1)" % args.which)
     os.makedirs(args.out_dir, exist_ok=True)
     images, stats = _boundary_images(Exponential(), 1.0,
                                      [t for _, t, _ in _FIG1_TIMES],
                                      args.points)
-    outputs = []
-    for (tag, t, title), points in zip(_FIG1_TIMES, images):
-        closed = list(points) + [points[0]]
-        svg = render_disk_svg([(closed, "#1f77b4")],
-                              tau=cmath.exp(1j * t), title=title)
-        out_path = os.path.join(args.out_dir, "fig1_%s.svg" % tag)
-        _write_text(out_path, svg)
-        outputs.append(out_path)
-    return Written(outputs, os.path.join(args.out_dir, "fig1.manifest.json"),
+    files = [(os.path.join(args.out_dir, "fig1_%s.svg" % tag),
+              render_disk_svg(points + points[:1], cmath.exp(1j * t), title))
+             for (tag, t, title), points in zip(_FIG1_TIMES, images)]
+    return Written(files, os.path.join(args.out_dir, "fig1.manifest.json"),
                    stats=stats)
 
 
@@ -476,7 +454,7 @@ def build_parser():
         help="regenerate the reference figure panels",
         epilog="fig1: three SVG panels of the evolved disk boundary for "
                "the exponential spec, k=1.")
-    p.add_argument("--which", default="fig1")
+    p.add_argument("--which", choices=("fig1",), default="fig1")
     p.add_argument("--points", type=_image_points, default=256)
     p.add_argument("--out-dir", default=".", dest="out_dir")
     _add_config(p)
@@ -551,7 +529,7 @@ def main(argv=None):
         started = time.monotonic()
         result = run(args, sub)
         if isinstance(result, Written):
-            write_manifest(args, sub, result, time.monotonic() - started)
+            write_run(args, sub, result, started)
             return 0
         return result
     except SystemExit as exc:
@@ -559,10 +537,7 @@ def main(argv=None):
     except (ValueError, argparse.ArgumentTypeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except Error as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (Error, OSError, MemoryError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -83,6 +83,9 @@ __all__ = [
 
 CONTAINMENT_TOL = 1e-9
 MIN_STEP = 1e-14
+# the widest step of a boundary image and of the CLI's deterministic
+# evolve: exact cells no wider, or Dormand-Prince's first trial and bound
+_DT_CAP = 0.05
 
 
 class StiffnessError(Error):
@@ -833,11 +836,11 @@ def _boundary_images(spec, k, ts, n_points):
     k = _finite("k", k)
     angles = 2.0 * math.pi * np.arange(n_points) / n_points
     z0 = (1.0 - 1e-6) * np.exp(1j * angles)
-    grid = sorted({0.0, *ts})
+    grid = _normalize_sample_times(ts, max(ts, default=0.0))
     t_end = grid[-1]
     # a grid of 0 alone solves nothing; its dt only has to be valid
-    cfg = EvolutionConfig(k=k, t_end=t_end, dt=min(0.05, t_end) or 0.05,
-                          rtol=1e-10, atol=1e-12)
+    cfg = EvolutionConfig(k=k, t_end=t_end,
+                          dt=min(_DT_CAP, t_end) or _DT_CAP)
     values, stats = _solve(spec, cfg, z0, grid, "phi")
     return [[complex(v) for v in values[grid.index(t)]] for t in ts], stats
 

@@ -633,7 +633,7 @@ INJECTED_ERRORS = [
     (ValueError, 2), (DomainError, 2), (argparse.ArgumentTypeError, 2),
     (StiffnessError, 1), (stochastic.DiskEscapeError, 1),
     (stochastic.MomentTruncationError, 1), (stochastic.ZeroNotFoundError, 1),
-    (Error, 1), (OSError, 1),
+    (Error, 1), (OSError, 1), (MemoryError, 1),
 ]
 
 
@@ -775,8 +775,10 @@ def test_figures_solve_once(capsys, tmp_path, monkeypatch):
 
 def test_figures_unknown_name(capsys, tmp_path):
     rc, _, _ = run(capsys, ["figures", "--which", "fig9",
-                            "--out-dir", str(tmp_path)])
+                            "--out-dir", str(tmp_path / "figs")])
     assert rc == 2
+    # refused while parsing, before the out-dir is made
+    assert not (tmp_path / "figs").exists()
 
 
 # ---------------------------------------------------------------- config
@@ -884,23 +886,27 @@ def parsed(argv):
     return args, registry[args.command][0]
 
 
-def test_manifest_refuses_missing_output(tmp_path):
+def test_manifest_refuses_missing_output(capsys, tmp_path):
+    # an output in a missing directory is an OSError, exit 1 on the
+    # command line, and no manifest is written
     args, sub = parsed(file_command("evolve", tmp_path))
-    written = cli.Written([str(tmp_path / "ghost.csv")],
+    written = cli.Written([(str(tmp_path / "no" / "ghost.csv"), "t\n")],
                           str(tmp_path / "m.json"))
-    with pytest.raises(Error, match="missing or empty"):
-        cli.write_manifest(args, sub, written, 0.0)
+    with pytest.raises(OSError):
+        cli.write_run(args, sub, written, 0.0)
     assert not (tmp_path / "m.json").exists()
+    rc, _, err = run(capsys, file_command("evolve", tmp_path / "no"))
+    assert rc == 1
+    assert err.startswith("error: ")
+    assert not (tmp_path / "no").exists()
 
 
 def test_manifest_refuses_empty_output(tmp_path):
-    empty = tmp_path / "empty.csv"
-    empty.write_text("")
     args, sub = parsed(file_command("evolve", tmp_path))
+    written = cli.Written([(str(tmp_path / "empty.csv"), "")],
+                          str(tmp_path / "m.json"))
     with pytest.raises(Error, match="missing or empty"):
-        cli.write_manifest(args, sub, cli.Written([str(empty)],
-                                                  str(tmp_path / "m.json")),
-                           0.0)
+        cli.write_run(args, sub, written, 0.0)
     assert not (tmp_path / "m.json").exists()
 
 
