@@ -70,16 +70,18 @@ class Written(NamedTuple):
 
 def write_run(args, sub, written, started):
     """Write one run of subcommand ``sub``, the only place the CLI
-    writes a file: each of ``written.files`` in order, Error if one is
-    left missing or empty, then the manifest to --manifest, else to
-    ``written.manifest``.  ``wall_time_s`` runs from ``started`` (a
-    time.monotonic reading) to the last output; ``config`` is every
-    option of ``sub`` (less _UNRECORDED) plus ``written.extra``."""
+    writes a file: each of ``written.files`` in order, Error ahead of
+    one whose text is empty (the text, not the file's size on disk, so
+    /dev/null or a pipe is a valid output), then the manifest to
+    --manifest, else to ``written.manifest``.  ``wall_time_s`` runs
+    from ``started`` (a time.monotonic reading) to the last output;
+    ``config`` is every option of ``sub`` (less _UNRECORDED) plus
+    ``written.extra``."""
     for path, text in written.files:
+        if not text:
+            raise Error("output file missing or empty: %s" % path)
         with open(path, "w") as fh:
             fh.write(text)
-        if not os.path.exists(path) or os.path.getsize(path) == 0:
-            raise Error("output file missing or empty: %s" % path)
     wall_time_s = time.monotonic() - started
     config = {a.dest: _jsonable(getattr(args, a.dest)) for a in sub._actions
               if a.dest not in _UNRECORDED}

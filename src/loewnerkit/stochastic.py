@@ -95,14 +95,71 @@ _BLOCK_FLOATS = 1 << 22
 _CHUNK_VALUES = 1 << 16
 
 
-# scipy is imported on first use: its linalg and integrate modules take
-# most of an import of this package, and only two functions need them
+# Padé numerator coefficients b_0..b_m of degree m and the bound theta_m
+# on ||A||_1 below which the [m/m] approximant of exp is exact to double
+# precision (Higham 2005, eq. 2.11 and Table 2.3)
+_PADE_B = {
+    3: (120., 60., 12., 1.),
+    5: (30240., 15120., 3360., 420., 30., 1.),
+    7: (17297280., 8648640., 1995840., 277200., 25200., 1512., 56., 1.),
+    9: (17643225600., 8821612800., 2075673600., 302702400., 30270240.,
+        2162160., 110880., 3960., 90., 1.),
+    13: (64764752532480000., 32382376266240000., 7771770303897600.,
+         1187353796428800., 129060195264000., 10559470521600.,
+         670442572800., 33522128640., 1323241920., 40840800., 960960.,
+         16380., 182., 1.),
+}
+_PADE_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
+               (7, 9.504178996162932e-1), (9, 2.097847961257068e0),
+               (13, 5.371920351148152e0))
+# rows of coefficients on the even powers I, A^2, A^4, ...: for m <= 9 the
+# odd b (U = A U0) and the even b (V); for m = 13 the parts of
+# U = A (A^6 U1 + U0) and V = A^6 V1 + V0, which need powers up to A^6
+_PADE_ROWS = {m: np.array([b[1::2], b[0::2]])
+              for m, b in _PADE_B.items() if m < 13}
+_PADE_ROWS[13] = np.array([_PADE_B[13][1:9:2], (0.,) + _PADE_B[13][9::2],
+                           _PADE_B[13][0:8:2], (0.,) + _PADE_B[13][8::2]])
+
 
 def expm(a):
-    """scipy.linalg.expm(a), imported on the first call."""
-    from scipy.linalg import expm as scipy_expm
-    return scipy_expm(a)
+    """exp of a square matrix, or of each matrix of a stack a[..., :, :],
+    by scaling and squaring (Higham 2005, Algorithm 2.3): the smallest
+    Padé degree in 3, 5, 7, 9 whose bound covers the largest 1-norm,
+    else degree 13 on a / 2^s squared s times.  A stack whose 1-norm
+    is not finite gives all NaN, without a warning; squares past the
+    double range give inf or NaN entries."""
+    a = np.asarray(a, dtype=np.result_type(a, 1.0))
+    norm = float(np.abs(a).sum(axis=-2).max(initial=0.0))
+    if not math.isfinite(norm):
+        return np.full(a.shape, np.nan, dtype=a.dtype)
+    for m, theta in _PADE_THETA:
+        if norm <= theta:
+            break
+    # past theta_13 the loop ends on m = 13: halve a s times
+    s = math.ceil(math.log2(norm / theta)) if norm > theta else 0
+    a = a * 2.0 ** -s
+    rows = _PADE_ROWS[m]
+    powers = np.empty((rows.shape[1],) + a.shape, dtype=a.dtype)
+    powers[0] = np.eye(a.shape[-1])
+    np.matmul(a, a, out=powers[1])
+    for j in range(2, len(powers)):
+        np.matmul(powers[j - 1], powers[1], out=powers[j])
+    w = (rows @ powers.reshape(len(powers), -1)).reshape(
+        (len(rows),) + a.shape)
+    if m == 13:
+        u = a @ (powers[3] @ w[1] + w[0])
+        v = powers[3] @ w[3] + w[2]
+    else:
+        u = a @ w[0]
+        v = w[1]
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
 
+
+# scipy.integrate is imported on first use: it takes most of an import
+# of this package, and only generator_annihilator needs it
 
 def quad(*args, **kwargs):
     """scipy.integrate.quad(*args, **kwargs), imported on the first call."""
@@ -944,7 +1001,7 @@ def virasoro_coefficients(spec, k, N):
     # a[n + 2] is a_n, with the two zeros a_{-2}, a_{-1} in front
     a = [0.0, 0.0] + taylor_coefficients(spec, N + 1)
     c = {n: -(a[n + 3] - 2.0 * a[n + 2] + a[n + 1]) for n in range(-1, N + 1)}
-    return c, 0.5 * k ** 2
+    return c, 0.5 * k * k
 
 
 def find_stochastic_zero(spec, k):
@@ -981,7 +1038,9 @@ def solve_moment_hierarchy(spec, k, z, t_end, M, truncation, closure="zero",
 
     The cut system d mu/dt = L mu + c is linear and is solved exactly:
     exp(gap [[L, c], [0, 0]]) (Van Loan) carries the state between sample
-    times, one ``scipy.linalg.expm`` per distinct gap, no step control.
+    times, one in-package Padé ``expm`` (scaling and squaring, no SciPy)
+    over the stack of distinct gaps, no step control.  Once k^2/2
+    overflows the generator is not finite and the moments are NaN.
 
     Returns:
         MomentTable with orders 1..M.
@@ -1016,13 +1075,15 @@ def solve_moment_hierarchy(spec, k, z, t_end, M, truncation, closure="zero",
     ts = _normalize_sample_times(sample_times, t_end)
     state = np.array([z ** m for m in range(1, T + 1)] + [1.0], dtype=complex)
     rows = [state]
-    propagators = {}
-    for t0, t1 in zip(ts, ts[1:]):
-        gap = t1 - t0
-        if gap not in propagators:
-            propagators[gap] = expm(gap * G)
-        state = propagators[gap] @ state
-        rows.append(state)
+    gaps, which = np.unique(np.diff(ts), return_inverse=True)
+    # once k^2/2 overflows (|k| > ~1.3e154) G has infinite entries and
+    # every state is NaN, and a huge finite G (automorphism:1e200,0) can
+    # overflow expm's squares; the check below reports both
+    with np.errstate(over="ignore", invalid="ignore"):
+        propagators = expm(gaps[:, None, None] * G)
+        for i in which:
+            state = propagators[i] @ state
+            rows.append(state)
     values = np.array(rows)[:, :M]
     worst = float(np.max(np.abs(values)))
     if not worst <= 1.0 + _MOMENT_TOL:

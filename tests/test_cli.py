@@ -434,12 +434,16 @@ def test_moments_truncation_failure_exits_one(capsys, tmp_path):
 
 
 def test_moments_non_finite_failure_exits_one(capsys, tmp_path):
+    # k^2/2 overflows at k = 1e160: one error line, no traceback
     out = tmp_path / "mom.csv"
-    rc, _, err = run(capsys, ["moments", "--spec", "cayley", "--k", "1e20",
-                              "--out", str(out)])
-    assert rc == 1
-    assert "non-finite moment" in err
-    assert not out.exists()
+    for closure in ("zero", "frozen"):
+        rc, _, err = run(capsys, ["moments", "--spec", "cayley", "--k",
+                                  "1e160", "--closure", closure,
+                                  "--out", str(out)])
+        assert rc == 1
+        assert "non-finite moment" in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------- bounds
@@ -899,6 +903,16 @@ def test_manifest_refuses_missing_output(capsys, tmp_path):
     assert rc == 1
     assert err.startswith("error: ")
     assert not (tmp_path / "no").exists()
+
+
+def test_output_to_dev_null_is_written(capsys, tmp_path):
+    # the check is on the text handed to write_run, not the size on disk
+    man = tmp_path / "run.json"
+    rc, _, err = run(capsys, ["evolve", "--spec", "cayley", "--k", "1",
+                              "--t-end", "1", "--out", "/dev/null",
+                              "--manifest", str(man)])
+    assert (rc, err) == (0, "")
+    assert json.loads(man.read_text())["outputs"] == ["/dev/null"]
 
 
 def test_manifest_refuses_empty_output(tmp_path):

@@ -988,6 +988,14 @@ def test_virasoro_tables():
     assert c[2] == 0.0 and c[3] == 0.0
 
 
+def test_virasoro_l0_squared_overflows_to_inf():
+    # past |k| ~ 1.34e154, k^2/2 is not a double: inf, not OverflowError
+    for k in (1e154, 1e160, -1e300):
+        _, l0sq = st.virasoro_coefficients(hg.Cayley(), k, 2)
+        assert l0sq == k * k / 2.0
+    assert st.virasoro_coefficients(hg.Cayley(), 1e160, 2)[1] == math.inf
+
+
 class _Drawn:
     """Stands in for ``hs.data()`` in an explicit example: every draw
     gives ``value``."""
@@ -1221,10 +1229,22 @@ def test_moment_hierarchy_truncation_is_numerical_failure():
 
 
 def test_moment_hierarchy_non_finite_is_numerical_failure():
-    # at k = 1e20 the generator's entries reach 1e41 and expm returns NaN
+    # at k = 1e160, k^2/2 overflows, the generator has infinite entries
+    # and expm returns NaN
     with pytest.raises(st.MomentTruncationError, match="non-finite") as info:
-        st.solve_moment_hierarchy(hg.Cayley(), 1e20, 0.3, 1.0, 2, 6)
+        st.solve_moment_hierarchy(hg.Cayley(), 1e160, 0.3, 1.0, 2, 6)
     assert not isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("closure", ["zero", "frozen"])
+def test_moment_hierarchy_decays_at_huge_k(closure):
+    # at k = 1e20 the generator's entries reach 1e41 but are finite: the
+    # exact flow sends every moment to 0 once t > 0
+    table = st.solve_moment_hierarchy(hg.Cayley(), 1e20, 0.3, 1.0, 2, 6,
+                                      closure=closure)
+    assert np.all(np.isfinite(table.values))
+    assert np.allclose(table.values[0], [0.3, 0.09], rtol=0, atol=1e-15)
+    assert np.max(np.abs(table.values[1:])) <= 1e-12
 
 
 @hs.composite
