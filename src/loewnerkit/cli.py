@@ -494,14 +494,22 @@ def _load_config(path):
     return values
 
 
+@functools.lru_cache(maxsize=None)
+def _config_parser(prog):
+    """The parser that finds --config among a subcommand's flags, built
+    once per subcommand; it reports errors under the subcommand's
+    ``prog``."""
+    pre = argparse.ArgumentParser(prog=prog, add_help=False,
+                                  allow_abbrev=False)
+    pre.add_argument("--config")
+    return pre
+
+
 def _config_flags(sub, argv):
     """The flags standing for the --config file named in ``argv`` (the
     last one wins): ``--option=value`` per line, a store-true option
     bare when its value is true and left out otherwise."""
-    pre = argparse.ArgumentParser(prog=sub.prog, add_help=False,
-                                  allow_abbrev=False)
-    pre.add_argument("--config")
-    path = pre.parse_known_args(argv)[0].config
+    path = _config_parser(sub.prog).parse_known_args(argv)[0].config
     if path is None:
         return []
     actions = {a.dest: a for a in sub._actions}

@@ -272,6 +272,17 @@ def _dp_step(field, t, y, h, k1):
     return y5, err, k7
 
 
+def _array_max(a):
+    """The largest element of a non-empty array, NaN if it holds one.
+
+    a's element at its argmax, which stops at the first NaN: the value
+    of np.max(a) without np.max's Python wrapper, in about a quarter of
+    its time at a few hundred points.
+    """
+    flat = a.reshape(-1)
+    return flat[flat.argmax()]
+
+
 def _integrate(field, y0, sample_times, cfg):
     """Drive the DP 5(4) pair through ``sample_times``.
 
@@ -294,12 +305,12 @@ def _integrate(field, y0, sample_times, cfg):
 
         def assess(v, e):
             r = np.abs(v)
-            m = float(np.max(r))
+            m = float(_array_max(r))
             if not math.isfinite(m) and not np.isfinite(v).all():
                 return 0.25, None
             if m > 1.0 + CONTAINMENT_TOL:
                 return 0.5, None
-            return None, float(np.max(np.abs(e) / (atol + rtol * r)))
+            return None, float(_array_max(np.abs(e) / (atol + rtol * r)))
     else:
         y = complex(y0)
 

@@ -86,10 +86,13 @@ BROWNIAN_ALGORITHM_ID = "philox-gauss-cumsum-v1"
 _MOMENT_TOL = 1e-8
 
 # ensembles are processed in path blocks of at most _BLOCK_PATHS paths
-# and _BLOCK_FLOATS steps (32 MiB of path values); a smaller cap makes
-# the long-path blocks slower
+# and _BLOCK_FLOATS steps (16 MiB of path values).  Against a 2^22 cap
+# this took the mc_blocked benchmark's peak RSS from 93 to 57 MiB with
+# no wall time change resolved (2-core x86-64 VM); a 2^20 cap reached
+# 50 MiB but cost 6-15% wall, as its more, shorter blocks run the
+# per-step SDE loop more often
 _BLOCK_PATHS = 8192
-_BLOCK_FLOATS = 1 << 22
+_BLOCK_FLOATS = 1 << 21
 # _exp_trapezoid integrates a block this many path values at a time, and
 # _psi_sde_block makes about this many step multipliers at a time
 _CHUNK_VALUES = 1 << 16
@@ -447,10 +450,13 @@ def _path_blocks(fn, root_seed, n_samples, dt, n_steps, width=1):
 
     Block sizes are a fixed function of (n_samples, n_steps, width): at
     most _BLOCK_PATHS states, ``width`` of them per path, and
-    _BLOCK_FLOATS steps per block (the cap counts n_steps per path, not
-    the n_steps + 1 values a row holds).  Every block is drawn into the
-    leading rows of one buffer, allocated once per ensemble, so fn must
-    not keep a reference to its block: the next block overwrites it.
+    _BLOCK_FLOATS = 2^21 steps per block (the cap counts n_steps per
+    path, not the n_steps + 1 values a row holds).  Every block is drawn
+    into the leading rows of one buffer of at most about 16 MiB,
+    allocated once per ensemble, so fn must not keep a reference to its
+    block: the next block overwrites it.  A path's row is the same in
+    any blocking, but an estimate summed block by block moves at the ulp
+    level when the blocking changes.
     """
     cap = max(1, min(_BLOCK_PATHS // width, _BLOCK_FLOATS // max(1, n_steps)))
     buf = np.empty((min(cap, n_samples), n_steps + 1))
@@ -853,6 +859,9 @@ def _psi_sde_block(spec, k, psi0, paths, dt, scheme, record_cols=None):
     # one multiplier per row, a column of them for a 2-d state
     rows_c = chunk if psi.ndim == 1 else chunk[:, :, None]
     r = np.empty(psi.shape)
+    # r.max() read as r's element at its argmax, which stops at the first
+    # NaN: the same value in a third of the time at a few hundred rows
+    flat = r.reshape(-1)
     snapshots = {}
     projections = 0
     for first in range(0, n_steps, width):
@@ -867,7 +876,7 @@ def _psi_sde_block(spec, k, psi0, paths, dt, scheme, record_cols=None):
             np.abs(psi, out=r)
             # a NaN maximum builds the mask too, which leaves a NaN state
             # unprojected and NaN to the end
-            if not r.max() < 1.0:
+            if not flat[flat.argmax()] < 1.0:
                 mask = r >= 1.0
                 projections += int(np.count_nonzero(mask))
                 psi[mask] *= (1.0 - 1e-12) / r[mask]

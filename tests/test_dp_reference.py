@@ -16,6 +16,8 @@ import cmath
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import conftest
 from loewnerkit import deterministic as det
@@ -254,6 +256,22 @@ def test_overflowing_modulus_of_finite_points_matches_loop_form():
     _assert_same_tripped_run(field, 7.5, [2], complex(1.25e308, 1.25e308),
                              0.9 * np.exp(0.5j * np.arange(8)),
                              [0.0, 8.0, 16.0], cfg)
+
+
+# ---------------------------------------------------------------- reduction
+
+moduli = hs.floats(0.0) | hs.just(float("nan"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=hs.lists(moduli, min_size=1, max_size=64),
+       rows=hs.integers(1, 4))
+def test_array_max_reads_np_max(values, rows):
+    # the controller's reduction: np.max's value, NaN included, of
+    # moduli and error ratios (never negative), 1-d and 2-d
+    for a in (np.array(values), np.array(values * rows).reshape(rows, -1)):
+        got, want = det._array_max(a), np.max(a)
+        assert got == want or (np.isnan(got) and np.isnan(want))
 
 
 # ---------------------------------------------------------------- stage reuse

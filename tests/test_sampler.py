@@ -162,6 +162,27 @@ def test_default_cap_holds_one_path_buffer():
     assert peak < 1.2 * block_bytes
 
 
+# whole ensembles of 4.2M and 4.1M path steps, at the default caps: each
+# holds at most 16 MiB of path values at a time (a 2^22 cap held 32 MiB
+# and peaked at about 34 MiB)
+WHOLE_ENSEMBLES = {
+    "expectation": lambda: st.expectation_Tt(
+        hg.CayleyLinear(), 1.0, 2.0, 0.3, lambda w: w, 2100, 5),
+    "covariance": lambda: st.covariance_mc(1.0, 1.0, 4096, 3, dt=1e-3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WHOLE_ENSEMBLES))
+def test_ensemble_peak_memory_is_at_most_20_mib(name):
+    tracemalloc.start()
+    try:
+        WHOLE_ENSEMBLES[name]()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 2**20
+
+
 _SCIPY_AFTER = """
 import sys
 import loewnerkit, loewnerkit.cli

@@ -238,6 +238,7 @@ def test_circle_block_matches_reference(spec, scheme):
     start = np.concatenate(([z], z + radius * np.exp(1j * angles)))
     rows = st._path_rows(3, 0, 5, 0.005, 60)
     psi0 = np.broadcast_to(start, (len(rows), 17))
+    projected = 0
     for k in KS:
         got = st._psi_sde_block(spec, k, psi0, rows, 0.005, scheme,
                                 record_cols={29, 31})
@@ -247,6 +248,9 @@ def test_circle_block_matches_reference(spec, scheme):
         _assert_same_block(got, want)
         _assert_near_block(got, _additive_psi_sde_block(
             spec, k, psi0, rows, 0.005, scheme, record_cols={29, 31}))
+        projected += want[2]
+    # the largest k carries circle points out of the disk
+    assert projected > 0
 
 
 # ---------------------------------------------------------------- chunks
@@ -326,28 +330,47 @@ def test_non_finite_state_fails_at_the_same_time(spec, scheme):
         assert str(got.value) == str(want.value)
 
 
+def _check_one_non_finite_path(spec, scheme, psi0, monkeypatch):
+    rows = st._path_rows(11, 0, 9, DT, N_STEPS)
+    # one infinite value in one path: that path's states are NaN from the
+    # sixth step on, while the other paths keep being projected
+    rows[4, 6] = math.inf
+    cols = {5, 6, 40, N_STEPS}
+    with pytest.raises(st.DiskEscapeError) as want:
+        _ref_psi_sde_block(spec, 3.0, psi0, rows, DT, scheme,
+                           record_cols=cols)
+    with pytest.raises(st.DiskEscapeError) as got:
+        st._psi_sde_block(spec, 3.0, psi0, rows, DT, scheme,
+                          record_cols=cols)
+    assert got.value.t_reached == want.value.t_reached
+    assert str(got.value) == str(want.value)
+    # the states and projection counts behind the error
+    monkeypatch.setattr(st, "_raise_non_finite", lambda scheme, t: None)
+    want = _ref_psi_sde_block(spec, 3.0, psi0, rows, DT, scheme,
+                              record_cols=cols)
+    got = st._psi_sde_block(spec, 3.0, psi0, rows, DT, scheme,
+                            record_cols=cols)
+    finite = np.isfinite(want[0]).reshape(len(rows), -1).all(axis=1)
+    assert finite.tolist() == [i != 4 for i in range(len(rows))]
+    assert np.isnan(want[0][4]).all()
+    assert want[2] > 0
+    _assert_same_block(got, want)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.text_form())
 def test_one_non_finite_path_leaves_the_others_stepping(spec, scheme,
                                                         monkeypatch):
-    rows = st._path_rows(11, 0, 9, DT, N_STEPS)
-    # one infinite value in one path: that path's state is NaN from the
-    # sixth step on, while the other paths keep being projected
-    rows[4, 6] = math.inf
-    cols = {5, 6, 40, N_STEPS}
-    with pytest.raises(st.DiskEscapeError) as want:
-        _ref_psi_sde_block(spec, 3.0, Z0, rows, DT, scheme, record_cols=cols)
-    with pytest.raises(st.DiskEscapeError) as got:
-        st._psi_sde_block(spec, 3.0, Z0, rows, DT, scheme, record_cols=cols)
-    assert got.value.t_reached == want.value.t_reached
-    assert str(got.value) == str(want.value)
-    # the states and projection counts behind the error
-    monkeypatch.setattr(st, "_raise_non_finite", lambda scheme, t: None)
-    want = _ref_psi_sde_block(spec, 3.0, Z0, rows, DT, scheme,
-                              record_cols=cols)
-    got = st._psi_sde_block(spec, 3.0, Z0, rows, DT, scheme,
-                            record_cols=cols)
-    assert np.isfinite(want[0]).sum() == len(rows) - 1
-    assert want[2] > 0
-    _assert_same_block(got, want)
+    _check_one_non_finite_path(spec, scheme, Z0, monkeypatch)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.text_form())
+def test_one_non_finite_circle_leaves_the_others_stepping(spec, scheme,
+                                                          monkeypatch):
+    # the backward residual's 2-d state: a point and 16 around it per path
+    ring = Z0 + 0.02 * np.exp(2j * math.pi * np.arange(16) / 16)
+    psi0 = np.broadcast_to(np.concatenate(([Z0], ring)), (9, 17))
+    _check_one_non_finite_path(spec, scheme, psi0, monkeypatch)
