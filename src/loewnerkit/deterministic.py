@@ -41,7 +41,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections import namedtuple
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -195,17 +195,6 @@ class Trajectory:
         for t, v in zip(self.times, self.values):
             lines.append("%.17g,%.17g,%.17g,%s" % (t, v.real, v.imag, self.frame))
         return "\n".join(lines) + "\n"
-
-    def to_json_record(self):
-        """Render as a plain dict ready for json.dump."""
-        rec = {
-            "frame": self.frame,
-            "times": [float(t) for t in self.times],
-            "values": [[float(v.real), float(v.imag)] for v in self.values],
-            "config": asdict(self.config) if self.config is not None else None,
-            "stats": dict(self.stats) if self.stats is not None else None,
-        }
-        return rec
 
 
 @dataclass(frozen=True)

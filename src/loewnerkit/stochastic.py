@@ -29,7 +29,9 @@ values B, one row per path, each row bit-identical to
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import threading
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -90,7 +92,9 @@ _MOMENT_TOL = 1e-8
 # this took the mc_blocked benchmark's peak RSS from 93 to 57 MiB with
 # no wall time change resolved (2-core x86-64 VM); a 2^20 cap reached
 # 50 MiB but cost 6-15% wall, as its more, shorter blocks run the
-# per-step SDE loop more often
+# per-step SDE loop more often.  A block then holds at most
+# _BLOCK_FLOATS + _BLOCK_PATHS values (n_steps + 1 per row), and so does
+# the one spare buffer _path_blocks keeps between ensembles
 _BLOCK_PATHS = 8192
 _BLOCK_FLOATS = 1 << 21
 # _exp_trapezoid integrates a block this many path values at a time, and
@@ -161,13 +165,41 @@ def expm(a):
     return r
 
 
-# scipy.integrate is imported on first use: it takes most of an import
-# of this package, and only generator_annihilator needs it
+@functools.cache
+def _gauss_legendre():
+    """Nodes and weights of the 20-node Gauss-Legendre rule on [-1, 1],
+    made on first use: numpy.polynomial and the eigensolver behind
+    leggauss add about 0.5 MiB to a process that never needs them."""
+    return np.polynomial.legendre.leggauss(20)
 
-def quad(*args, **kwargs):
-    """scipy.integrate.quad(*args, **kwargs), imported on the first call."""
-    from scipy.integrate import quad as scipy_quad
-    return scipy_quad(*args, **kwargs)
+
+def _exp_integral(scale, B, amp, a, b):
+    """integral_a^b exp(scale (s B - amp cos s)) ds by composite 20-node
+    Gauss-Legendre.
+
+    The exponent's slope is at most scale (|B| + amp), so panels of
+    width 2 / (scale (|B| + amp)) see it move by at most 2; the panels
+    are summed a chunk at a time, so memory stays bounded however many
+    a small k needs.  An integral past the double range raises
+    OverflowError.
+    """
+    nodes, weights = _gauss_legendre()
+    n = max(1, math.ceil(abs(b - a) * scale * (abs(B) + amp) / 2.0))
+    width = (b - a) / n
+    per_chunk = max(1, _CHUNK_VALUES // len(nodes))
+    offsets = 0.5 * width * (nodes + 1.0)
+    parts = []
+    with np.errstate(over="ignore"):
+        for first in range(0, n, per_chunk):
+            left = a + width * np.arange(first, min(n, first + per_chunk))
+            s = left[:, None] + offsets
+            values = np.exp(scale * (s * B - amp * np.cos(s)))
+            parts.append(float(values.sum(axis=0) @ weights))
+    total = 0.5 * width * math.fsum(parts)
+    if not math.isfinite(total):
+        raise OverflowError("exp(4 (s Im p0 - |p0| cos s) / k^2) overflows "
+                            "on [%r, %r]" % (a, b))
+    return total
 
 
 class ZeroNotFoundError(Error):
@@ -445,6 +477,40 @@ def _as_lists(state):
             for name, value in state.items()}
 
 
+# the spare path buffer, None while an ensemble holds it: _path_blocks
+# reuses one buffer across ensembles, where a new buffer per ensemble
+# left glibc's heap holding freed ones and made the process's peak RSS
+# depend on the order of its ensembles
+_spare = None
+_spare_lock = threading.Lock()
+
+
+def _take_buffer(n_values):
+    """A flat float buffer of at least n_values: the spare if it is free
+    and large enough, else a new one.  A smaller spare is dropped, unless
+    n_values is above the cap, which leaves the spare as it is."""
+    global _spare
+    if n_values > _BLOCK_FLOATS + _BLOCK_PATHS:
+        return np.empty(n_values)
+    with _spare_lock:
+        buf, _spare = _spare, None
+    if buf is not None and len(buf) >= n_values:
+        return buf
+    del buf  # free a smaller spare before the larger buffer is made
+    return np.empty(n_values)
+
+
+def _give_back(buf):
+    """Keep buf as the spare, unless it is above the block cap or a
+    spare at least as large is kept already."""
+    global _spare
+    if len(buf) > _BLOCK_FLOATS + _BLOCK_PATHS:
+        return
+    with _spare_lock:
+        if _spare is None or len(_spare) < len(buf):
+            _spare = buf
+
+
 def _path_blocks(fn, root_seed, n_samples, dt, n_steps, width=1):
     """fn of the path matrix of paths 0..n_samples-1, block after block.
 
@@ -452,18 +518,31 @@ def _path_blocks(fn, root_seed, n_samples, dt, n_steps, width=1):
     most _BLOCK_PATHS states, ``width`` of them per path, and
     _BLOCK_FLOATS = 2^21 steps per block (the cap counts n_steps per
     path, not the n_steps + 1 values a row holds).  Every block is drawn
-    into the leading rows of one buffer of at most about 16 MiB,
-    allocated once per ensemble, so fn must not keep a reference to its
-    block: the next block overwrites it.  A path's row is the same in
+    into the leading rows of one buffer: the process's spare, taken when
+    the ensemble starts and given back when it ends, also by an
+    exception or by closing the generator.  The spare is replaced by a
+    larger one only when a block needs more room, and is never kept
+    above _BLOCK_FLOATS + _BLOCK_PATHS values (about 16 MiB); a block of
+    one row longer than that gets its own buffer, and so does an
+    ensemble that starts while another holds the spare (in another
+    thread, or as an interleaved generator).  So fn must not keep a
+    reference to its block: the next block, or the next ensemble,
+    overwrites it.  A path's row is the same in
     any blocking, but an estimate summed block by block moves at the ulp
     level when the blocking changes.
     """
     cap = max(1, min(_BLOCK_PATHS // width, _BLOCK_FLOATS // max(1, n_steps)))
-    buf = np.empty((min(cap, n_samples), n_steps + 1))
-    for first in range(0, n_samples, cap):
-        rows = min(cap, n_samples - first)
-        yield fn(_path_rows(root_seed, first, rows, dt, n_steps,
-                            out=buf[:rows]))
+    shape = (min(cap, n_samples), n_steps + 1)
+    size = shape[0] * shape[1]
+    flat = _take_buffer(size)
+    try:
+        buf = flat[:size].reshape(shape)
+        for first in range(0, n_samples, cap):
+            rows = min(cap, n_samples - first)
+            yield fn(_path_rows(root_seed, first, rows, dt, n_steps,
+                                out=buf[:rows]))
+    finally:
+        _give_back(flat)
 
 
 def _step_grid(t, dt):
@@ -1228,9 +1307,9 @@ def generator_annihilator(A, B, k, theta, c1, c2):
     """Annihilating function of the circle diffusion's generator.
 
     f(theta) = c1 + c2 * integral_0^theta exp(4 (s Im p0 - |p0| cos s)
-    / k^2) ds, by adaptive quadrature.  Array input is evaluated by
-    cumulative per-segment quadrature in sorted order with compensated
-    summation, so finite differences of neighboring outputs see
+    / k^2) ds, by composite Gauss-Legendre quadrature.  Array input is
+    evaluated by cumulative per-segment quadrature in sorted order with
+    compensated summation, so finite differences of neighboring outputs see
     quadrature noise near machine precision rather than independent
     1e-10 relative errors.  A scalar theta takes the same path as a
     0-d array and returns a complex.
@@ -1240,10 +1319,6 @@ def generator_annihilator(A, B, k, theta, c1, c2):
     B = _finite("B", B)
     amp = math.hypot(A, B)
     scale = 4.0 / (k * k)
-
-    def w(s):
-        return math.exp(scale * (s * B - amp * math.cos(s)))
-
     c1 = _finite_complex("c1", c1)
     c2 = _finite_complex("c2", c2)
     thetas = _finite_array("theta", theta)
@@ -1256,8 +1331,7 @@ def generator_annihilator(A, B, k, theta, c1, c2):
     for idx in order:
         th = float(flat[idx])
         if th != prev:
-            seg, _ = quad(w, prev, th, epsabs=1e-13, epsrel=1e-11, limit=500)
-            term = c2 * seg
+            term = c2 * _exp_integral(scale, B, amp, prev, th)
             y = term - comp
             t_new = acc + y
             comp = (t_new - acc) - y

@@ -692,15 +692,6 @@ def test_trajectory_csv_round_trip():
     assert abs(complex(float(re), float(im)) - tr.values[-1]) < 1e-15
 
 
-def test_trajectory_json_record():
-    tr = det.evolve_psi(hg.Cayley(), cfg(1.0, 1.0), 0.0, [1.0])
-    rec = tr.to_json_record()
-    assert rec["frame"] == "psi"
-    assert rec["config"]["k"] == 1.0
-    assert rec["stats"]["steps"] > 0
-    assert len(rec["times"]) == len(rec["values"])
-
-
 def test_stiffness_error_reports_time():
     # an inadmissible polynomial field blowing up outside the disk:
     # force it by integrating with an initial point on the boundary and

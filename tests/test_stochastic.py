@@ -570,7 +570,7 @@ def test_non_finite_inputs_are_usage_errors(call, monkeypatch):
     # quadrature is run or any orbit is integrated
     monkeypatch.setattr(st, "_path_rows", refuse)
     monkeypatch.setattr(st, "expm", refuse)
-    monkeypatch.setattr(st, "quad", refuse)
+    monkeypatch.setattr(st, "_exp_integral", refuse)
     monkeypatch.setattr(dm, "_integrate", refuse)
     with pytest.raises(ValueError):  # DomainError is a ValueError
         call()
@@ -1419,6 +1419,27 @@ def test_annihilator_quadrature_value():
     assert np.all(vals == 3.0 + 1.0j)
     with pytest.raises(ValueError):
         st.generator_annihilator(1.0, 0.0, 0.0, 1.0, 0.0, 1.0)
+
+
+def test_annihilator_quadrature_matches_adaptive_quadrature():
+    integrate = pytest.importorskip("scipy.integrate")
+    cases = ((1.0, 0.0, 1.0), (0.5, 0.3, 1.2), (1.0, 0.5, 1.0),
+             (2.0, -1.0, 1.5), (0.3, 0.0, 0.7), (1.0, 2.0, 2.0),
+             (0.1, 0.1, 0.5))
+    for A, B, k in cases:
+        amp = math.hypot(A, B)
+        for theta in (0.3, 1.0, 2.5, math.pi, 2.0 * math.pi):
+            want, _ = integrate.quad(
+                lambda s: math.exp(4.0 * (s * B - amp * math.cos(s)) / k**2),
+                0.0, theta, epsabs=1e-13, epsrel=1e-11, limit=500)
+            got = st.generator_annihilator(A, B, k, theta, 0.0, 1.0)
+            assert got == pytest.approx(want, rel=1e-12), (A, B, k, theta)
+
+
+def test_annihilator_overflow_raises():
+    # exp(1600 (-cos s)) passes the double range before s = 3
+    with pytest.raises(OverflowError):
+        st.generator_annihilator(1.0, 0.0, 0.05, 3.0, 0.0, 1.0)
 
 
 def test_annihilator_scalar_array_consistency():
