@@ -102,63 +102,43 @@ _BLOCK_FLOATS = 1 << 21
 _CHUNK_VALUES = 1 << 16
 
 
-# Padé numerator coefficients b_0..b_m of degree m and the bound theta_m
-# on ||A||_1 below which the [m/m] approximant of exp is exact to double
-# precision (Higham 2005, eq. 2.11 and Table 2.3)
-_PADE_B = {
-    3: (120., 60., 12., 1.),
-    5: (30240., 15120., 3360., 420., 30., 1.),
-    7: (17297280., 8648640., 1995840., 277200., 25200., 1512., 56., 1.),
-    9: (17643225600., 8821612800., 2075673600., 302702400., 30270240.,
-        2162160., 110880., 3960., 90., 1.),
-    13: (64764752532480000., 32382376266240000., 7771770303897600.,
-         1187353796428800., 129060195264000., 10559470521600.,
-         670442572800., 33522128640., 1323241920., 40840800., 960960.,
-         16380., 182., 1.),
-}
-_PADE_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
-               (7, 9.504178996162932e-1), (9, 2.097847961257068e0),
-               (13, 5.371920351148152e0))
-# rows of coefficients on the even powers I, A^2, A^4, ...: for m <= 9 the
-# odd b (U = A U0) and the even b (V); for m = 13 the parts of
-# U = A (A^6 U1 + U0) and V = A^6 V1 + V0, which need powers up to A^6
-_PADE_ROWS = {m: np.array([b[1::2], b[0::2]])
-              for m, b in _PADE_B.items() if m < 13}
-_PADE_ROWS[13] = np.array([_PADE_B[13][1:9:2], (0.,) + _PADE_B[13][9::2],
-                           _PADE_B[13][0:8:2], (0.,) + _PADE_B[13][8::2]])
+# Padé numerator coefficients b_0..b_13 of degree 13 and the bound
+# theta_13 on ||A||_1 below which the [13/13] approximant of exp is exact
+# to double precision (Higham 2005, eq. 2.11 and Table 2.3)
+_PADE_B = (64764752532480000., 32382376266240000., 7771770303897600.,
+           1187353796428800., 129060195264000., 10559470521600.,
+           670442572800., 33522128640., 1323241920., 40840800., 960960.,
+           16380., 182., 1.)
+_PADE_THETA = 5.371920351148152e0
+# rows of b / b_0 on the even powers I, A^2, A^4, A^6 for the parts of
+# U = A (A^6 U1 + U0) and V = A^6 V1 + V0; over b_0, V is I + O(A^2), so
+# exp(0) is I exactly
+_PADE_ROWS = np.array([_PADE_B[1:9:2], (0.,) + _PADE_B[9::2],
+                       _PADE_B[0:8:2], (0.,) + _PADE_B[8::2]]) / _PADE_B[0]
 
 
 def expm(a):
     """exp of a square matrix, or of each matrix of a stack a[..., :, :],
-    by scaling and squaring (Higham 2005, Algorithm 2.3): the smallest
-    Padé degree in 3, 5, 7, 9 whose bound covers the largest 1-norm,
-    else degree 13 on a / 2^s squared s times.  A stack whose 1-norm
-    is not finite gives all NaN, without a warning; squares past the
-    double range give inf or NaN entries."""
+    by scaling and squaring (Higham 2005, Algorithm 2.3, degree 13 only):
+    the [13/13] Padé approximant of a / 2^s, with s the least that brings
+    the stack's largest 1-norm under theta_13, squared s times.  A stack
+    whose 1-norm is not finite gives all NaN, without a warning; squares
+    past the double range give inf or NaN entries."""
     a = np.asarray(a, dtype=np.result_type(a, 1.0))
     norm = float(np.abs(a).sum(axis=-2).max(initial=0.0))
     if not math.isfinite(norm):
         return np.full(a.shape, np.nan, dtype=a.dtype)
-    for m, theta in _PADE_THETA:
-        if norm <= theta:
-            break
-    # past theta_13 the loop ends on m = 13: halve a s times
-    s = math.ceil(math.log2(norm / theta)) if norm > theta else 0
+    s = (math.ceil(math.log2(norm / _PADE_THETA)) if norm > _PADE_THETA
+         else 0)
     a = a * 2.0 ** -s
-    rows = _PADE_ROWS[m]
-    powers = np.empty((rows.shape[1],) + a.shape, dtype=a.dtype)
+    powers = np.empty((4,) + a.shape, dtype=a.dtype)
     powers[0] = np.eye(a.shape[-1])
     np.matmul(a, a, out=powers[1])
-    for j in range(2, len(powers)):
-        np.matmul(powers[j - 1], powers[1], out=powers[j])
-    w = (rows @ powers.reshape(len(powers), -1)).reshape(
-        (len(rows),) + a.shape)
-    if m == 13:
-        u = a @ (powers[3] @ w[1] + w[0])
-        v = powers[3] @ w[3] + w[2]
-    else:
-        u = a @ w[0]
-        v = w[1]
+    np.matmul(powers[1], powers[1], out=powers[2])
+    np.matmul(powers[2], powers[1], out=powers[3])
+    w = (_PADE_ROWS @ powers.reshape(4, -1)).reshape(powers.shape)
+    u = a @ (powers[3] @ w[1] + w[0])
+    v = powers[3] @ w[3] + w[2]
     r = np.linalg.solve(v - u, v + u)
     for _ in range(s):
         r = r @ r
@@ -287,6 +267,9 @@ class MomentTable:
 
     def moment(self, m):
         """Column of mu_m over all times."""
+        if m not in self.orders:
+            raise ValueError("order %r is not in the table, whose orders "
+                             "are %s" % (m, list(self.orders)))
         return self.values[:, self.orders.index(m)]
 
 
@@ -1126,8 +1109,10 @@ def solve_moment_hierarchy(spec, k, z, t_end, M, truncation, closure="zero",
 
     The cut system d mu/dt = L mu + c is linear and is solved exactly:
     exp(gap [[L, c], [0, 0]]) (Van Loan) carries the state between sample
-    times, one in-package Padé ``expm`` (scaling and squaring, no SciPy)
-    over the stack of distinct gaps, no step control.  Once k^2/2
+    times, one in-package degree-13 Padé ``expm`` (scaling and squaring,
+    no SciPy) over the stack of distinct gaps, no step control.  Gaps
+    within a relative 1e-12 of each other count as one, so a uniform
+    grid such as np.linspace takes one exponential.  Once k^2/2
     overflows the generator is not finite and the moments are NaN.
 
     Returns:
@@ -1163,7 +1148,15 @@ def solve_moment_hierarchy(spec, k, z, t_end, M, truncation, closure="zero",
     ts = _normalize_sample_times(sample_times, t_end)
     state = np.array([z ** m for m in range(1, T + 1)] + [1.0], dtype=complex)
     rows = [state]
-    gaps, which = np.unique(np.diff(ts), return_inverse=True)
+    # one propagator per distinct gap: sorted gaps within a relative
+    # 1e-12 of the one before share one, taken at their mean, so the
+    # last-bit spread of a np.linspace grid's gaps costs one exponential
+    steps = np.diff(ts)
+    order = np.argsort(steps)
+    ordered = steps[order]
+    group = np.cumsum(np.diff(ordered, prepend=ordered[:1]) > 1e-12 * ordered)
+    which = group[np.argsort(order)]
+    gaps = np.bincount(group, ordered) / np.bincount(group)
     # once k^2/2 overflows (|k| > ~1.3e154) G has infinite entries and
     # every state is NaN, and a huge finite G (automorphism:1e200,0) can
     # overflow expm's squares; the check below reports both

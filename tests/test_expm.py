@@ -56,7 +56,7 @@ def test_expm_times_expm_of_negative_is_identity(entries):
     assert norm1(ea @ eb - np.eye(n)) <= 1e-12 * norm1(ea) * norm1(eb)
 
 
-# one 1-norm inside each degree's band (3, 5, 7, 9, 13) and two past
+# 1-norms from far below theta_13 to just under it, and two past
 # theta_13, where the scaled matrix is squared
 BAND_NORMS = [0.01, 0.1, 0.6, 1.5, 4.0, 30.0, 300.0]
 
@@ -75,9 +75,9 @@ def test_expm_matches_scipy(n, dtype, target):
 
 
 def test_expm_of_a_stack_is_the_expm_of_each_matrix():
-    # the degree and scaling follow the stack's largest 1-norm, so a
-    # matrix of the same norm gives the same bits as on its own, and a
-    # smaller one the same value to rounding
+    # the scaling follows the stack's largest 1-norm, so a matrix of
+    # the same norm gives the same bits as on its own, and a smaller one
+    # the same value to rounding
     g = random_matrix(np.random.default_rng(5), 6, complex, 1.0)
     stack = np.array([g, 0.01 * g, -g, 3.0 * g, g.T])
     got = st.expm(stack)

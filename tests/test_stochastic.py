@@ -1314,6 +1314,94 @@ def test_moment_table_vs_expectation():
         assert abs(est.mean - table.moment(m)[-1]) <= 3.0 * est.std_error, m
 
 
+def test_moment_of_a_missing_order_names_it():
+    table = st.solve_moment_hierarchy(hg.Cayley(), 1.0, 0.3, 1.0, 2, 6)
+    with pytest.raises(ValueError, match=r"order 3 .* orders are \[1, 2\]"):
+        table.moment(3)
+
+
+def counting_expm(monkeypatch):
+    """Wrap st.expm; the returned list grows by each matrix passed."""
+    seen, real = [], st.expm
+
+    def expm(a):
+        seen.extend(np.reshape(a, (-1,) + np.shape(a)[-2:]))
+        return real(a)
+
+    monkeypatch.setattr(st, "expm", expm)
+    return seen
+
+
+@pytest.mark.parametrize("spec", CATALOGUE, ids=lambda s: s.text_form())
+@pytest.mark.parametrize("closure", ["zero", "frozen"])
+@pytest.mark.parametrize("T", [4, 12, 32, 64])
+def test_expm_of_moment_generators_matches_scipy(spec, closure, T,
+                                                 monkeypatch):
+    # the solver's own gap * G, for one gap at a time; T = 64 is the
+    # largest truncation the hierarchy is meant to reach
+    from scipy.linalg import expm as scipy_expm
+
+    seen = counting_expm(monkeypatch)
+    for k in (0.5, 1.5, 3.0):
+        for gap in (1 / 64, 1 / 8, 1.0):
+            seen.clear()
+            try:
+                st.solve_moment_hierarchy(spec, k, 0.3 + 0.2j, gap, 1, T,
+                                          closure=closure,
+                                          sample_times=[0.0, gap])
+            except st.MomentTruncationError:
+                pass
+            (a,) = seen
+            want = scipy_expm(a)
+            err = np.abs(st.expm(a) - want).sum(axis=0).max()
+            assert err <= 1e-12 * np.abs(want).sum(axis=0).max(), (k, gap)
+
+
+@pytest.mark.parametrize("times, matrices", [
+    (np.linspace(0.0, 1.7, 65), 1),
+    (np.linspace(0.0, 2.9, 4097), 1),
+    ([0.0, 0.1, 0.2, 0.5, 0.6, 0.9], 2),
+    ([0.0], 0),
+])
+def test_moment_hierarchy_takes_one_exponential_per_gap(times, matrices,
+                                                        monkeypatch):
+    # a np.linspace grid's gaps differ in their last bits, but within a
+    # relative 1e-12 they are one gap
+    seen = counting_expm(monkeypatch)
+    table = st.solve_moment_hierarchy(hg.Cayley(), 1.0, 0.3, 2.9, 2, 8,
+                                      sample_times=times)
+    assert len(seen) == matrices
+    assert len(table.times) == len(times)
+
+
+def test_moment_hierarchy_at_t_end_zero_is_the_initial_row(monkeypatch):
+    seen = counting_expm(monkeypatch)
+    table = st.solve_moment_hierarchy(hg.Cayley(), 1.0, 0.3, 0.0, 2, 8)
+    assert not seen
+    assert np.array_equal(table.times, [0.0])
+    assert np.array_equal(table.values, [[0.3, 0.3 ** 2]])
+
+
+@pytest.mark.parametrize("closure", ["zero", "frozen"])
+def test_moment_hierarchy_matches_one_expm_per_step(closure, monkeypatch):
+    spec, k, z, T = hg.Exponential(), 1.5, 0.3 + 0.2j, 12
+    times = [0.0, 0.1, 0.25, 0.3, 1.0]
+    real = st.expm
+    seen = counting_expm(monkeypatch)
+    # one gap of 1 passes the solver's own generator G
+    st.solve_moment_hierarchy(spec, k, z, 1.0, 3, T, closure=closure,
+                              sample_times=[0.0, 1.0])
+    (G,) = seen
+    table = st.solve_moment_hierarchy(spec, k, z, 1.0, 3, T, closure=closure,
+                                      sample_times=times)
+    state = np.array([z ** m for m in range(1, T + 1)] + [1.0])
+    rows = [state]
+    for gap in np.diff(times):
+        state = real(gap * G) @ state
+        rows.append(state)
+    assert np.max(np.abs(table.values - np.array(rows)[:, :3])) <= 1e-13
+
+
 # --------------------------------------------------------------------------
 # radial system, growth bounds, circle diffusion
 # --------------------------------------------------------------------------
