@@ -31,6 +31,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 import threading
 from collections import namedtuple
 from dataclasses import dataclass
@@ -88,18 +89,24 @@ BROWNIAN_ALGORITHM_ID = "philox-gauss-cumsum-v1"
 _MOMENT_TOL = 1e-8
 
 # ensembles are processed in path blocks of at most _BLOCK_PATHS paths
-# and _BLOCK_FLOATS steps (16 MiB of path values).  Against a 2^22 cap
-# this took the mc_blocked benchmark's peak RSS from 93 to 57 MiB with
-# no wall time change resolved (2-core x86-64 VM); a 2^20 cap reached
-# 50 MiB but cost 6-15% wall, as its more, shorter blocks run the
-# per-step SDE loop more often.  A block then holds at most
+# and _BLOCK_FLOATS steps (8 MiB of path values).  On the mc_blocked
+# benchmark (2-core x86-64 VM) a 2^22 cap peaked at 93 MiB of RSS, 2^21
+# at 58 MiB and 2^20 at 50 MiB, lower in 6 of 6 pairs against 2^21.
+# The more, shorter blocks run the per-step SDE loop more often: in an
+# interleaved same-process A/B, 2^20 cost 1.8-5.4% more summed task
+# time than 2^21 (p50 -0.3% to +2.8%, p90 -5.6% to +3.7%, against an
+# A/A spread of about 3%).  A block then holds at most
 # _BLOCK_FLOATS + _BLOCK_PATHS values (n_steps + 1 per row), and so does
 # the one spare buffer _path_blocks keeps between ensembles
 _BLOCK_PATHS = 8192
-_BLOCK_FLOATS = 1 << 21
+_BLOCK_FLOATS = 1 << 20
 # _exp_trapezoid integrates a block this many path values at a time, and
 # _psi_sde_block makes about this many step multipliers at a time
 _CHUNK_VALUES = 1 << 16
+# exp overflows above _LOG_MAX, and _EXP_SPAN below it underflows to 0:
+# the whole double range of exp's argument
+_LOG_MAX = math.log(sys.float_info.max)
+_EXP_SPAN = _LOG_MAX - math.log(math.ulp(0.0))
 
 
 # Padé numerator coefficients b_0..b_13 of degree 13 and the bound
@@ -153,32 +160,96 @@ def _gauss_legendre():
     return np.polynomial.legendre.leggauss(20)
 
 
+def _exponent(scale, B, amp, s):
+    """The annihilator's exponent scale (s B - amp cos s), at s a float
+    or an array."""
+    return scale * (s * B - amp * np.cos(s))
+
+
+def _monotone_pieces(B, amp, lo, hi):
+    """[lo, hi] cut where the exponent turns (B + amp sin s = 0), as
+    (left, right) pairs on which it is monotone."""
+    cuts = set()
+    if amp > 0.0:
+        first = math.asin(-B / amp)
+        for base in (first, math.pi - first):
+            m = math.ceil((lo - base) / (2.0 * math.pi))
+            while base + 2.0 * math.pi * m < hi:
+                cuts.add(base + 2.0 * math.pi * m)
+                m += 1
+    edges = [lo, *sorted(c for c in cuts if c > lo), hi]
+    return zip(edges[:-1], edges[1:])
+
+
 def _exp_integral(scale, B, amp, a, b):
     """integral_a^b exp(scale (s B - amp cos s)) ds by composite 20-node
     Gauss-Legendre.
 
     The exponent's slope is at most scale (|B| + amp), so panels of
-    width 2 / (scale (|B| + amp)) see it move by at most 2; the panels
-    are summed a chunk at a time, so memory stays bounded however many
-    a small k needs.  An integral past the double range raises
-    OverflowError.
+    width 2 / (scale (|B| + amp)) see it move by at most 2.  Of those
+    panels, evenly spread over [a, b], only the ones that meet a span
+    where the exponent is within _EXP_SPAN of its top on its monotone
+    piece are summed: elsewhere exp underflows to 0 (the top is at most
+    _LOG_MAX, or the integrand overflows).  So a small k lays no panels
+    where they would sum to 0, and a segment whose exponent underflows
+    everywhere costs two exponents per piece.  Panels are summed a chunk
+    at a time, so memory stays bounded.  An integrand past the double
+    range raises OverflowError.
     """
+    overflow = ("exp(4 (s Im p0 - |p0| cos s) / k^2) overflows on [%r, %r]"
+                % (a, b))
+    spans = []
+    for x0, x1 in _monotone_pieces(B, amp, min(a, b), max(a, b)):
+        g0 = float(_exponent(scale, B, amp, x0))
+        g1 = float(_exponent(scale, B, amp, x1))
+        top_end, far_end = (x0, x1) if g0 >= g1 else (x1, x0)
+        top = max(g0, g1)
+        if not top <= _LOG_MAX:
+            raise OverflowError(overflow)
+        if math.exp(top) == 0.0:
+            continue
+        floor = top - _EXP_SPAN
+        if min(g0, g1) < floor:
+            # bisect for where the exponent falls to floor
+            inside = top_end
+            while True:
+                mid = 0.5 * (inside + far_end)
+                if mid in (inside, far_end):
+                    break
+                if _exponent(scale, B, amp, mid) >= floor:
+                    inside = mid
+                else:
+                    far_end = mid
+        spans.append((top_end, far_end))
+    if not spans:
+        return 0.0
     nodes, weights = _gauss_legendre()
     n = max(1, math.ceil(abs(b - a) * scale * (abs(B) + amp) / 2.0))
     width = (b - a) / n
+    # panel i covers a + width [i, i + 1]: the panels that meet a span,
+    # with one to spare at each end, as merged index ranges
+    ranges = []
+    for lo, hi in sorted(sorted((s - a) / width for s in span)
+                         for span in spans):
+        first, stop = max(0, math.floor(lo) - 1), min(n, math.ceil(hi) + 1)
+        if ranges and first <= ranges[-1][1]:
+            ranges[-1][1] = max(ranges[-1][1], stop)
+        else:
+            ranges.append([first, stop])
     per_chunk = max(1, _CHUNK_VALUES // len(nodes))
     offsets = 0.5 * width * (nodes + 1.0)
     parts = []
     with np.errstate(over="ignore"):
-        for first in range(0, n, per_chunk):
-            left = a + width * np.arange(first, min(n, first + per_chunk))
-            s = left[:, None] + offsets
-            values = np.exp(scale * (s * B - amp * np.cos(s)))
-            parts.append(float(values.sum(axis=0) @ weights))
+        for first, stop in ranges:
+            for start in range(first, stop, per_chunk):
+                left = a + width * np.arange(start,
+                                             min(stop, start + per_chunk))
+                values = np.exp(_exponent(scale, B, amp,
+                                          left[:, None] + offsets))
+                parts.append(float(values.sum(axis=0) @ weights))
     total = 0.5 * width * math.fsum(parts)
     if not math.isfinite(total):
-        raise OverflowError("exp(4 (s Im p0 - |p0| cos s) / k^2) overflows "
-                            "on [%r, %r]" % (a, b))
+        raise OverflowError(overflow)
     return total
 
 
@@ -316,12 +387,43 @@ def sample_brownian(seed, dt, n_steps):
     dt = _positive("dt", dt)
     n_steps = _count("n_steps", n_steps, 0)
     seed = _count("seed", seed, 0)
-    gen = np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(seed)))
-    increments = gen.standard_normal(n_steps) * math.sqrt(dt)
     values = np.empty(n_steps + 1)
     values[0] = 0.0
-    np.cumsum(increments, out=values[1:])
+    increments = values[1:]
+    # the key Philox(seed=SeedSequence(seed)) runs with
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    _normal_row(key.tolist(), increments)
+    np.multiply(increments, math.sqrt(dt), out=increments)
+    np.cumsum(increments, out=increments)
     return BrownianPath(dt=dt, values=values, seed=seed)
+
+
+# each thread's one Philox, its Generator and its fresh state as lists,
+# made on the thread's first draw: numpy.random is not loaded at import
+_philox = threading.local()
+
+
+def _normal_row(key, out):
+    """Fill the float array ``out`` with the first len(out) standard
+    normals of Philox(key=key), key a list of two uint64 ints.
+
+    The calling thread's one Philox is re-keyed to counter 0 and an empty
+    buffer, which draws what a new Philox with that key would, without
+    constructing a generator per path or per block.
+    """
+    try:
+        bitgen, gen, state = _philox.drawer
+    except AttributeError:
+        bitgen = np.random.Philox(key=key)
+        gen = np.random.Generator(bitgen)
+        # the fresh stream's state (counter 0, empty buffer) in Python
+        # ints and lists, which the state setter takes faster than
+        # uint64 arrays
+        state = _as_lists(bitgen.state)
+        _philox.drawer = bitgen, gen, state
+    state["state"]["key"] = key
+    bitgen.state = state
+    gen.standard_normal(out=out)
 
 
 # numpy.random.SeedSequence hash constants (pool of 4 uint32 words)
@@ -424,8 +526,8 @@ def _path_rows(root_seed, first_index, n_rows, dt, n_steps, out=None):
     The block's path seeds and Philox keys come from ``_path_seeds`` and
     ``_philox_keys``, which re-implement numpy.random.SeedSequence's hash
     (pool of 4 words, its hashmix/mix constants and generate_state) on
-    uint32 arrays; one Generator is then re-keyed for each row with
-    counter 0 and an empty buffer.  This relies on NumPy keeping its
+    uint32 arrays; ``_normal_row`` then re-keys the thread's one Philox
+    for each row.  This relies on NumPy keeping its
     SeedSequence hash and Philox seeding as they are; the tests compare
     against the per-path recipe.  Scale and cumsum run in place, so the
     peak memory stays at the returned matrix.
@@ -436,17 +538,10 @@ def _path_rows(root_seed, first_index, n_rows, dt, n_steps, out=None):
     if n_rows == 0 or n_steps == 0:
         return out
     keys = _philox_keys(_path_seeds(root_seed, first_index, n_rows))
-    bitgen = np.random.Philox(key=keys[0])
-    gen = np.random.Generator(bitgen)
-    # the fresh stream's state (counter 0, empty buffer) in Python ints
-    # and lists, which the state setter takes faster than uint64 arrays
-    state = _as_lists(bitgen.state)
     # a key at a time: keys.tolist() would hold ~140 B of Python objects
     # per row at once
     for key, row in zip(keys, out[:, 1:]):
-        state["state"]["key"] = key.tolist()
-        bitgen.state = state
-        gen.standard_normal(n_steps, out=row)
+        _normal_row(key.tolist(), row)
     values = out[:, 1:]
     np.multiply(values, math.sqrt(dt), out=values)
     np.cumsum(values, axis=1, out=values)
@@ -499,13 +594,13 @@ def _path_blocks(fn, root_seed, n_samples, dt, n_steps, width=1):
 
     Block sizes are a fixed function of (n_samples, n_steps, width): at
     most _BLOCK_PATHS states, ``width`` of them per path, and
-    _BLOCK_FLOATS = 2^21 steps per block (the cap counts n_steps per
+    _BLOCK_FLOATS = 2^20 steps per block (the cap counts n_steps per
     path, not the n_steps + 1 values a row holds).  Every block is drawn
     into the leading rows of one buffer: the process's spare, taken when
     the ensemble starts and given back when it ends, also by an
     exception or by closing the generator.  The spare is replaced by a
     larger one only when a block needs more room, and is never kept
-    above _BLOCK_FLOATS + _BLOCK_PATHS values (about 16 MiB); a block of
+    above _BLOCK_FLOATS + _BLOCK_PATHS values (about 8 MiB); a block of
     one row longer than that gets its own buffer, and so does an
     ensemble that starts while another holds the spare (in another
     thread, or as an interleaved generator).  So fn must not keep a
@@ -1311,7 +1406,8 @@ def generator_annihilator(A, B, k, theta, c1, c2):
     A = _time("A", A)
     B = _finite("B", B)
     amp = math.hypot(A, B)
-    scale = 4.0 / (k * k)
+    # A = B = 0 makes the exponent 0 for every k, also past 4 / k^2 = inf
+    scale = 4.0 / (k * k) if amp else 0.0
     c1 = _finite_complex("c1", c1)
     c2 = _finite_complex("c2", c2)
     thetas = _finite_array("theta", theta)

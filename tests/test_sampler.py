@@ -3,6 +3,7 @@ recipe, path blocks against sample_brownian bit for bit, the spare path
 buffer shared by ensembles, and the sampler's memory footprint."""
 
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -109,6 +110,105 @@ def test_path_rows_empty_shapes():
     assert rows.tobytes() == np.zeros((3, 1)).tobytes()
     assert rows[1].tobytes() == st.sample_brownian(
         st.derive_path_seed(1, 1), 0.01, 0).values.tobytes()
+
+
+def recipe_values(seed, dt, n_steps):
+    """The per-path recipe through NumPy's own seeding: a new Philox
+    seeded by SeedSequence(seed), N(0, dt) increments, cumsum."""
+    gen = np.random.Generator(
+        np.random.Philox(seed=np.random.SeedSequence(seed)))
+    values = np.zeros(n_steps + 1)
+    np.cumsum(gen.standard_normal(n_steps) * math.sqrt(dt), out=values[1:])
+    return values
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=hs.sampled_from([0, 2**64 - 1, 2**64, 2**128 + 3])
+       | hs.integers(0, 2**70),
+       n_steps=hs.sampled_from([0, 1]) | hs.integers(2, 3000),
+       dt=hs.sampled_from([1e-3, 0.01, 0.37, 2.0]))
+def test_sample_brownian_equals_the_numpy_recipe(seed, n_steps, dt):
+    got = st.sample_brownian(seed, dt, n_steps).values
+    assert got.tobytes() == recipe_values(seed, dt, n_steps).tobytes()
+
+
+def test_threads_interleaving_paths_and_blocks_draw_the_recipe(no_spare):
+    # each thread alternates single paths and 3-block ensembles; every
+    # thread re-keys its own generator, so no draw reads another's state
+    jobs = [[("path", 10 * i + j, 40 + 7 * j) if j % 2 else
+             ("block", 10 * i + j, 9, 20 + j) for j in range(6)]
+            for i in range(4)]
+    want = {}
+    for job in itertools.chain(*jobs):
+        if job[0] == "path":
+            want[job] = recipe_values(job[1], 0.01, job[2]).tobytes()
+        else:
+            want[job] = np.stack([
+                recipe_values(st.derive_path_seed(job[1], j), 0.01, job[3])
+                for j in range(job[2])]).tobytes()
+    got = {}
+    errors = []
+
+    def copy_later(rows):
+        time.sleep(0)
+        return rows.copy()
+
+    def run(mine):
+        try:
+            for job in mine * 3:
+                if job[0] == "path":
+                    values = st.sample_brownian(job[1], 0.01, job[2]).values
+                else:
+                    values = np.concatenate(list(st._path_blocks(
+                        copy_later, job[1], job[2], 0.01, job[3],
+                        width=st._BLOCK_PATHS // 4)))
+                assert got.setdefault(job, values.tobytes()) == want[job]
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(mine,))
+                   for mine in jobs]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert got == want
+
+
+def test_one_philox_per_thread(monkeypatch):
+    made = []
+    philox = np.random.Philox
+
+    def counting(*args, **kwargs):
+        made.append(threading.get_ident())
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+
+    def draw():
+        # 500 single paths and 500 block rows
+        for seed in range(500):
+            st.sample_brownian(seed, 0.01, 20)
+        for _ in st._path_blocks(np.copy, 3, 500, 0.01, 20,
+                                 width=st._BLOCK_PATHS // 100):
+            pass
+
+    threads = [threading.Thread(target=draw) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    draw()
+    # one for each new thread, and at most one for this one
+    assert sorted(made.count(t.ident) for t in threads) == [1, 1]
+    assert made.count(threading.get_ident()) <= 1
 
 
 def test_path_rows_peak_memory_is_one_matrix():
@@ -260,7 +360,8 @@ def test_ensembles_in_threads_draw_the_right_rows(no_spare):
 
 
 def test_default_cap_holds_one_path_buffer(no_spare):
-    # 2,000 steps: three blocks at the default cap, the last one partial
+    # 2,000 steps: four blocks of 524 rows at the default cap, the last
+    # one partial
     n_steps = 2000
     cap = st._BLOCK_FLOATS // n_steps
     n_samples = 2 * cap + 800
@@ -273,12 +374,14 @@ def test_default_cap_holds_one_path_buffer(no_spare):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert block_bytes <= peak < 1.2 * block_bytes
+    # one path buffer; the rest is the SDE loop's per-chunk arrays, sized
+    # by _CHUNK_VALUES and not by the block (about 1.7 MB here)
+    assert block_bytes <= peak < block_bytes + 2 * 2**20
 
 
 # whole ensembles of 4.2M and 4.1M path steps, at the default caps: each
-# holds at most 16 MiB of path values at a time (a 2^22 cap held 32 MiB
-# and peaked at about 34 MiB)
+# holds at most 8 MiB of path values at a time (a 2^21 cap held 16 MiB
+# and peaked at about 18 MiB, a 2^22 cap at about 34 MiB)
 WHOLE_ENSEMBLES = {
     "expectation": lambda: st.expectation_Tt(
         hg.CayleyLinear(), 1.0, 2.0, 0.3, lambda w: w, 2100, 5),
@@ -287,45 +390,66 @@ WHOLE_ENSEMBLES = {
 
 
 @pytest.mark.parametrize("name", sorted(WHOLE_ENSEMBLES))
-def test_ensemble_peak_memory_is_at_most_20_mib(name, no_spare):
+def test_ensemble_peak_memory_is_at_most_12_mib(name, no_spare):
     tracemalloc.start()
     try:
         WHOLE_ENSEMBLES[name]()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the path buffer, of almost 16 MiB, is counted
-    assert 15 * 2**20 <= peak <= 20 * 2**20
+    # the path buffer, of almost 8 MiB (8,388,192 B), is counted
+    assert 7.9 * 2**20 <= peak <= 12 * 2**20
 
 
-_SCIPY_AFTER = """
+_MODULES_AFTER = """
 import sys
 import loewnerkit, loewnerkit.cli
 from loewnerkit import herglotz as hg, stochastic as st
 %s
-print(*(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(*(m for m in sys.modules if (m + ".").startswith(%r + ".")))
 """
 
 
-def _scipy_modules_after(code):
-    """The scipy modules loaded by ``code``, run in a fresh interpreter
-    after importing the package and its CLI."""
+def _modules_after(code, package):
+    """The modules of ``package`` loaded by ``code``, run in a fresh
+    interpreter after importing loewnerkit and its CLI."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(st.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, "-c", _SCIPY_AFTER % code],
-                         check=True, capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": path})
-    return run.stdout.split()
+    run = subprocess.run(
+        [sys.executable, "-c", _MODULES_AFTER % (code, package)],
+        check=True, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path})
+    # the last line: the code may print too
+    return run.stdout.splitlines()[-1].split()
+
+
+def test_deterministic_runs_never_import_numpy_random(tmp_path):
+    # the per-thread Philox is made on a thread's first draw, not at
+    # import: numpy.random adds about 6 MiB to a process
+    assert _modules_after("""
+out = %r
+for args in (
+        ['evolve', '--mode', 'det', '--spec', 'cayley', '--k', '2.5',
+         '--z0', '0', '--t-end', '1', '--out', out + '/orbit.csv'],
+        ['moments', '--spec', 'cayley-linear', '--k', '1', '--z0', '0.3',
+         '--t-end', '1', '--m', '2', '--truncation', '6',
+         '--out', out + '/moments.csv'],
+        ['figures', '--which', 'fig1', '--out-dir', out + '/figs'],
+        ['boundary', '--what', 'image', '--spec', 'cayley', '--k', '1',
+         '--t', '0.8', '--out', out + '/image.csv'],
+        ['classify', '--spec', 'cayley', '--k', '2.5']):
+    assert loewnerkit.cli.main(args) == 0, args
+""" % str(tmp_path), "numpy.random") == []
 
 
 def test_no_library_call_imports_scipy():
-    assert _scipy_modules_after("""
+    assert _modules_after("""
 st.expectation_Tt(hg.Cayley(), 1.0, 0.05, 0.3, lambda w: w, 20, 1)
 st.solve_moment_hierarchy(hg.Cayley(), 1.0, 0.2, 1.0, 1, 6)
 st.generator_annihilator(1.0, 0.5, 1.0, 0.3, 0.0, 1.0)
 loewnerkit.cli.main(['moments', '--spec', 'cayley', '--k', '1',
                      '--out', '/dev/null', '--manifest', '/dev/null'])
-""") == []
+""", "scipy") == []
 
 
 # each estimator over three blocks of 2,000 steps: (call, paths per block)

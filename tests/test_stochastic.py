@@ -1530,6 +1530,32 @@ def test_annihilator_overflow_raises():
         st.generator_annihilator(1.0, 0.0, 0.05, 3.0, 0.0, 1.0)
 
 
+def test_annihilator_at_tiny_k_returns_c1():
+    # exp(-4 cos s / k^2) underflows on all of [0, 1.5]; at k = 1e-160,
+    # 4 / k^2 is past the double range too
+    for k in (1e-100, 1e-160):
+        got = st.generator_annihilator(1.0, 0.0, k, 1.5, 0.25 - 1.0j, 1.0)
+        assert got == 0.25 - 1.0j
+
+
+def test_annihilator_at_small_k_sums_only_panels_near_the_top(
+        monkeypatch):
+    sizes = []
+    exponent = st._exponent
+
+    def counting(scale, B, amp, s):
+        sizes.append(np.size(s))
+        return exponent(scale, B, amp, s)
+
+    monkeypatch.setattr(st, "_exponent", counting)
+    assert st.generator_annihilator(1.0, 0.0, 1e-3, 1.5, 0.0, 1.0) == 0j
+    got = st.generator_annihilator(1.0, 0.0, 1e-3, 1.5708, 0.0, 1.0)
+    assert got == pytest.approx(0.601105688200584, rel=1e-12)
+    # panels spread over all of [0, 1.5708] would take 3,141,600 of 20
+    # nodes each; those within the double range of the top take 728
+    assert sum(sizes) < 16_000
+
+
 def test_annihilator_scalar_array_consistency():
     pts = np.array([0.4, 0.0, 1.1, 2.9])
     for c2 in (0.5j, 0.0):
