@@ -24,16 +24,23 @@ than ``dt`` and walked exactly (method "mobius-exact") by
 ``_mobius_walk``, which the Brownian drive shares with B_t = t replaced
 by the path.
 
-Every other spec runs a hand-rolled adaptive Dormand-Prince 5(4) pair
-(method "dp45").  It is kept local (rather than delegating to a
-library solver) because the step-acceptance rule enforces disk
-containment on top of the local error test, and failure must report
-the exact time reached.  The step is written out stage by stage and
-reuses its last stage as the next step's first (six field evaluations
-per attempt).  Its sums keep the order of the tableau loop it replaced,
-so outputs and step counts are bit-identical to that loop; the error
-norm keeps ``np.abs`` because CPython's complex ``abs`` rounds
-differently and would move results.
+Every other spec runs a hand-rolled adaptive Dormand-Prince 8(5,3)
+pair, the DOP853 of Hairer, Norsett and Wanner (method "dop853").  It
+is kept local (rather than delegating to a library solver) because the
+step-acceptance rule enforces disk containment on top of the local
+error test, and failure must report the exact time reached.  A single
+point runs the step written out on Python complexes; an array of points
+sums each stage as one matrix product in a stage buffer allocated once
+per solve.  The first stage of a step is evaluated once per state
+("first same as last"), so an accepted step costs twelve field
+evaluations and a rejected attempt eleven.  Where the error test sets
+the step, the eighth-order step is about three times as long as a
+5(4) pair's at the default tolerances; where the sample grid or ``dt``
+sets every step (a deterministic CLI evolve at dt = 0.01, say), the
+steps are no longer and each costs twice the field evaluations, so a
+single-point run there takes about 1.8 times as long.  Dense output,
+which would let such runs step past the sample times, is not
+implemented.
 """
 
 from __future__ import annotations
@@ -84,7 +91,10 @@ __all__ = [
 CONTAINMENT_TOL = 1e-9
 MIN_STEP = 1e-14
 # the widest step of a boundary image and of the CLI's deterministic
-# evolve: exact cells no wider, or Dormand-Prince's first trial and bound
+# evolve: exact cells no wider, or Dormand-Prince's first trial and bound.
+# Without it fig1 (exponential, 256 points) takes 41 steps instead of 54,
+# but its first trial step of 2.4 evaluates the field so far outside the
+# disk that exp overflows, with a NumPy warning, before it is rejected
 _DT_CAP = 0.05
 
 
@@ -125,11 +135,13 @@ class EvolutionConfig:
     dt : float
         Base step.  On a quadratic spec it caps the width of the exact
         Moebius cells; otherwise it is the initial trial step and upper
-        bound of the adaptive integrator.
+        bound of the adaptive Dormand-Prince 8(5,3) integrator.
     rtol, atol : float
-        Local error control of the adaptive integrator, accepted when
-        err <= rtol*|phi| + atol; the exact cells of a quadratic spec
-        leave them unused.
+        Local error control of that integrator: it scales each point's
+        fifth- and third-order error sums e5, e3 by atol + rtol*|phi|
+        and accepts a step of length h when h e5^2 / sqrt(e5^2 +
+        0.01 e3^2) <= 1 at every point; the exact cells of a quadratic
+        spec leave them unused.
 
     Every field must be finite; a NaN or infinite value is a
     ValueError, never a numerical failure of the integrator.
@@ -210,55 +222,156 @@ Example1Reference = namedtuple("Example1Reference", ["phi", "psi", "dw"])
 
 
 # --------------------------------------------------------------------------
-# adaptive Dormand-Prince 5(4)
+# adaptive Dormand-Prince 8(5,3)
 # --------------------------------------------------------------------------
 
-# Dormand & Prince (1980) tableau.  The seventh stage is f(t + h, y5),
-# which is the next step's first stage ("first same as last").
-_C2, _C3, _C4, _C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0
-_A21 = 1.0 / 5.0
-_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
-_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
-_A51, _A52, _A53, _A54 = (19372.0 / 6561.0, -25360.0 / 2187.0,
-                          64448.0 / 6561.0, -212.0 / 729.0)
-_A61, _A62, _A63, _A64, _A65 = (9017.0 / 3168.0, -355.0 / 33.0,
-                                46732.0 / 5247.0, 49.0 / 176.0,
-                                -5103.0 / 18656.0)
-# fifth-order weights (b2 = b7 = 0); they are also the seventh stage's row
-_B1, _B3, _B4, _B5, _B6 = (35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0,
-                           -2187.0 / 6784.0, 11.0 / 84.0)
-# error weights e = b5 - b4 against the fourth-order weights (e2 = 0)
-_E1 = _B1 - 5179.0 / 57600.0
-_E3 = _B3 - 7571.0 / 16695.0
-_E4 = _B4 - 393.0 / 640.0
-_E5 = _B5 + 92097.0 / 339200.0
-_E6 = _B6 - 187.0 / 2100.0
-_E7 = -1.0 / 40.0
+# Dormand & Prince's eighth-order pair with Hairer's fifth- and
+# third-order error estimates (Hairer, Norsett & Wanner, Solving ODEs I,
+# sec. II.10), the float64 coefficients of SciPy's dop853_coefficients.
+# _C[s] is the node of stage s; row s < 12 of _A holds the weights of
+# stage s's sum, and row 12 the weights b of the eighth-order solution y8.
+# The first stage of a step is f(t, y), which after an accepted step is
+# f(t + h, y8) ("first same as last"), so it is evaluated once per state.
+_C = (0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+      0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+      0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0)
+_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [0.05260015195876773, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+     0.0],
+    [0.0197250569845379, 0.0591751709536137, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+     0.0, 0.0, 0.0],
+    [0.02958758547680685, 0.0, 0.08876275643042054, 0.0, 0.0, 0.0, 0.0, 0.0,
+     0.0, 0.0, 0.0, 0.0],
+    [0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792, 0.0, 0.0,
+     0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242,
+     0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596,
+     -0.017578125, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996, 0.0, 0.0, 0.0,
+     0.0],
+    [0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486,
+     -0.020331201708508627, 0.0, 0.0, 0.0],
+    [-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505,
+     2.4936055526796523, -3.0467644718982196, 0.0, 0.0],
+    [2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+     -8.87285693353063, 12.360567175794303, 0.6433927460157636, 0.0],
+    [0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+     1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+     -0.1521609496625161, 0.20136540080403034, 0.04471061572777259],
+])
+# the fifth- and third-order error weights E5 and E3
+_E = np.array([
+    [0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+     -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+     0.3341791187130175, 0.08192320648511571, -0.022355307863886294],
+    [-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+     1.8915178993145003, -5.801203960010585, -0.4226823213237919,
+     -0.1521609496625161, 0.20136540080403034, 0.02265179219836082],
+])
+# the smallest normal float
+_TINY = 2.2250738585072014e-308
 
 
-def _dp_step(field, t, y, h, k1):
-    """One Dormand-Prince step from (t, y) with k1 = field(t, y).
+def _dop853_scalar(field, t, y, h, k0):
+    """One Dormand-Prince 8(5,3) attempt from the complex y at t with
+    k0 = field(t, y): the table's sums written out, each left to right
+    with zero coefficients left out.  The coefficients are those of _C,
+    _A and _E, repeated as literals so that an attempt looks up no
+    table; tests/test_dp_reference.py holds this step to the bits of a
+    loop over the table.
 
-    Returns (y5, error_estimate, k7) where k7 = field(t + h, y5) is the
-    first stage of the next step from there.  Each sum runs left to
-    right with zero coefficients left out.
+    Returns (y8, e5, e3): the eighth-order solution and the unscaled
+    fifth- and third-order error sums of _E.
     """
-    k2 = field(t + _C2 * h, y + (h * _A21) * k1)
-    k3 = field(t + _C3 * h, y + (h * _A31) * k1 + (h * _A32) * k2)
-    k4 = field(t + _C4 * h,
-               y + (h * _A41) * k1 + (h * _A42) * k2 + (h * _A43) * k3)
-    k5 = field(t + _C5 * h,
-               y + (h * _A51) * k1 + (h * _A52) * k2 + (h * _A53) * k3
-               + (h * _A54) * k4)
-    k6 = field(t + h,
-               y + (h * _A61) * k1 + (h * _A62) * k2 + (h * _A63) * k3
-               + (h * _A64) * k4 + (h * _A65) * k5)
-    y5 = (y + (h * _B1) * k1 + (h * _B3) * k3 + (h * _B4) * k4
-          + (h * _B5) * k5 + (h * _B6) * k6)
-    k7 = field(t + h, y5)
-    err = ((h * _E1) * k1 + (h * _E3) * k3 + (h * _E4) * k4
-           + (h * _E5) * k5 + (h * _E6) * k6 + (h * _E7) * k7)
-    return y5, err, k7
+    k1 = field(t + 0.05260015195876773 * h,
+               y + (h * 0.05260015195876773) * k0)
+    k2 = field(t + 0.0789002279381516 * h,
+               y + (h * 0.0197250569845379) * k0
+               + (h * 0.0591751709536137) * k1)
+    k3 = field(t + 0.1183503419072274 * h,
+               y + (h * 0.02958758547680685) * k0
+               + (h * 0.08876275643042054) * k2)
+    k4 = field(t + 0.2816496580927726 * h,
+               y + (h * 0.2413651341592667) * k0
+               - (h * 0.8845494793282861) * k2 + (h * 0.924834003261792) * k3)
+    k5 = field(t + 0.3333333333333333 * h,
+               y + (h * 0.037037037037037035) * k0
+               + (h * 0.17082860872947386) * k3
+               + (h * 0.12546768756682242) * k4)
+    k6 = field(t + 0.25 * h,
+               y + (h * 0.037109375) * k0 + (h * 0.17025221101954405) * k3
+               + (h * 0.06021653898045596) * k4 - (h * 0.017578125) * k5)
+    k7 = field(t + 0.3076923076923077 * h,
+               y + (h * 0.03709200011850479) * k0
+               + (h * 0.17038392571223998) * k3
+               + (h * 0.10726203044637328) * k4
+               - (h * 0.015319437748624402) * k5
+               + (h * 0.008273789163814023) * k6)
+    k8 = field(t + 0.6512820512820513 * h,
+               y + (h * 0.6241109587160757) * k0
+               - (h * 3.3608926294469414) * k3
+               - (h * 0.868219346841726) * k4 + (h * 27.59209969944671) * k5
+               + (h * 20.154067550477894) * k6 - (h * 43.48988418106996) * k7)
+    k9 = field(t + 0.6 * h,
+               y + (h * 0.47766253643826434) * k0
+               - (h * 2.4881146199716677) * k3
+               - (h * 0.590290826836843) * k4 + (h * 21.230051448181193) * k5
+               + (h * 15.279233632882423) * k6 - (h * 33.28821096898486) * k7
+               - (h * 0.020331201708508627) * k8)
+    k10 = field(t + 0.8571428571428571 * h,
+                y - (h * 0.9371424300859873) * k0
+                + (h * 5.186372428844064) * k3 + (h * 1.0914373489967295) * k4
+                - (h * 8.149787010746927) * k5
+                - (h * 18.52006565999696) * k6
+                + (h * 22.739487099350505) * k7
+                + (h * 2.4936055526796523) * k8
+                - (h * 3.0467644718982196) * k9)
+    k11 = field(t + 1.0 * h,
+                y + (h * 2.273310147516538) * k0
+                - (h * 10.53449546673725) * k3
+                - (h * 2.0008720582248625) * k4
+                - (h * 17.9589318631188) * k5 + (h * 27.94888452941996) * k6
+                - (h * 2.8589982771350235) * k7
+                - (h * 8.87285693353063) * k8 + (h * 12.360567175794303) * k9
+                + (h * 0.6433927460157636) * k10)
+    y8 = (y + (h * 0.054293734116568765) * k0 + (h * 4.450312892752409) * k5
+          + (h * 1.8915178993145003) * k6 - (h * 5.801203960010585) * k7
+          + (h * 0.3111643669578199) * k8 - (h * 0.1521609496625161) * k9
+          + (h * 0.20136540080403034) * k10 + (h * 0.04471061572777259) * k11)
+    e5 = (0.01312004499419488 * k0 - 1.2251564463762044 * k5
+          - 0.4957589496572502 * k6 + 1.6643771824549864 * k7
+          - 0.35032884874997366 * k8 + 0.3341791187130175 * k9
+          + 0.08192320648511571 * k10 - 0.022355307863886294 * k11)
+    e3 = (-0.18980075407240762 * k0 + 4.450312892752409 * k5
+          + 1.8915178993145003 * k6 - 5.801203960010585 * k7
+          - 0.4226823213237919 * k8 - 0.1521609496625161 * k9
+          + 0.20136540080403034 * k10 + 0.02265179219836082 * k11)
+    return y8, e5, e3
+
+
+def _dop853_array(field, t, y, h, stages):
+    """The attempt of ``_dop853_scalar`` for a 1-d array of points.
+
+    ``stages`` is a (12, len(y)) complex buffer whose row 0 holds
+    field(t, y); row s takes stage s.  Each sum is one product of a row
+    of h _A (or of _E) with the stages as real rows, so it costs one
+    call whatever the number of its terms.  Returns (y8, e5, e3).
+    """
+    rows = stages.view(float)
+    ha = h * _A
+    for s in range(1, 12):
+        stages[s] = field(t + _C[s] * h,
+                          y + (ha[s, :s] @ rows[:s]).view(complex))
+    e5, e3 = (_E @ rows).view(complex)
+    return y + (ha[12] @ rows).view(complex), e5, e3
 
 
 def _array_max(a):
@@ -273,50 +386,72 @@ def _array_max(a):
 
 
 def _integrate(field, y0, sample_times, cfg):
-    """Drive the DP 5(4) pair through ``sample_times``.
+    """Drive the DOP853 pair through ``sample_times``.
 
-    ``y0`` is a complex scalar or ndarray; the error test and the
-    containment test (always enforced) reduce elementwise by max.  An
-    array attempt takes the modulus |y5| once and uses it three times:
-    as the finiteness pre-test (a finite max|y5| means every point is
-    finite, so ``np.isfinite`` runs only when it is not), for the
-    containment test and for the error scale atol + rtol |y5|.  A
-    non-finite y5 shrinks the step by 0.25, one outside the disk (an
-    overflowing modulus of finite points among them) by 0.5.  An
-    accepted step hands its last stage on as the next first stage; a
-    rejected one keeps its first stage, since t and y are unchanged.
-    Returns (values_at_sample_times, stats).
+    ``y0`` is a complex, whose run takes ``_dop853_scalar`` on Python
+    complexes, or a 1-d array, whose run sums each stage as one product
+    of a row of h _A with the stages before it, in one stage buffer per
+    solve.  The error test and the containment test (always enforced)
+    reduce elementwise by max.  An array attempt takes the modulus |y8|
+    once and uses it three times: as the finiteness pre-test (a finite
+    max|y8| means every point is finite, so ``np.isfinite`` runs only
+    when it is not), for the containment test and for the error scale
+    atol + rtol |y8|.  A non-finite y8 shrinks the step by 0.25, one
+    outside the disk (an overflowing modulus of finite points among
+    them) by 0.5.  Otherwise the error of each element is Hairer's
+    h e5^2 / sqrt(e5^2 + 0.01 e3^2), with e5 and e3 the scaled error
+    sums, and the step scales by 0.9 (max error)^(-1/8).  The first
+    stage is evaluated once per state: a rejected attempt keeps it, as
+    t and y are unchanged, so an accepted step costs 12 field calls and
+    a rejected one 11.  Returns (values_at_sample_times, stats).
     """
     atol, rtol = cfg.atol, cfg.rtol
-    # assess(y5, err) -> (shrink of a rejected attempt or None, error ratio)
+    # assess(y8, e5, e3) -> (shrink of a rejected attempt or None,
+    # max e5^2 / sqrt(e5^2 + 0.01 e3^2), the error ratio over h)
     if np.ndim(y0):
         y = np.asarray(y0, dtype=complex)
+        stages = np.empty((12, y.size), dtype=complex)
 
-        def assess(v, e):
+        def step(t, y, h, k0):
+            stages[0] = k0
+            return _dop853_array(field, t, y, h, stages)
+
+        def assess(v, e5, e3):
             r = np.abs(v)
             m = float(_array_max(r))
             if not math.isfinite(m) and not np.isfinite(v).all():
                 return 0.25, None
             if m > 1.0 + CONTAINMENT_TOL:
                 return 0.5, None
-            return None, float(_array_max(np.abs(e) / (atol + rtol * r)))
+            scale = atol + rtol * r
+            e5 = np.abs(e5) / scale
+            e3 = np.abs(e3) / scale
+            # e5 / hypot <= 1, so the product never overflows; a hypot
+            # below the smallest normal only meets an e5 whose square is 0
+            return None, float(_array_max(
+                e5 * (e5 / np.maximum(np.hypot(e5, 0.1 * e3), _TINY))))
     else:
         y = complex(y0)
 
-        def assess(v, e):
+        def step(t, y, h, k0):
+            return _dop853_scalar(field, t, y, h, k0)
+
+        def assess(v, e5, e3):
             if not cmath.isfinite(v):
                 return 0.25, None
-            if abs(v) > 1.0 + CONTAINMENT_TOL:
+            r = abs(v)
+            if r > 1.0 + CONTAINMENT_TOL:
                 return 0.5, None
-            # np.abs, not abs: CPython's complex abs rounds differently,
-            # and this ratio feeds the step size of every later step
-            return None, float(np.abs(e) / (atol + rtol * np.abs(v)))
+            scale = atol + rtol * r
+            e5 = abs(e5) / scale
+            e3 = abs(e3) / scale
+            return None, e5 * (e5 / max(math.hypot(e5, 0.1 * e3), _TINY))
     t = float(sample_times[0])
     out = [y]
     steps = 0
     rejections = 0
     h = cfg.dt
-    k1 = None
+    k0 = None
     for target in sample_times[1:]:
         target = float(target)
         while t < target - 1e-15 * max(1.0, abs(target)):
@@ -326,31 +461,33 @@ def _integrate(field, y0, sample_times, cfg):
                 # resolve; the state is already at the target to within
                 # every tolerance in play, so record it as arrived.
                 t = target
-                k1 = None
+                k0 = None
                 break
             h_use = min(h, gap)
             if h_use < MIN_STEP:
                 raise StiffnessError(
                     "step size underflow (h=%.3e) at t=%.12g" % (h_use, t),
                     t_reached=t)
-            if k1 is None:
-                k1 = field(t, y)
-            y_new, err, k7 = _dp_step(field, t, y, h_use, k1)
-            shrink, ratio = assess(y_new, err)
+            if k0 is None:
+                k0 = field(t, y)
+            y_new, e5, e3 = step(t, y, h_use, k0)
+            shrink, ratio = assess(y_new, e5, e3)
             if shrink is not None:
                 rejections += 1
                 h = h_use * shrink
                 continue
+            ratio *= h_use
             if ratio <= 1.0:
                 t += h_use
                 y = y_new
-                k1 = k7
+                k0 = None
                 steps += 1
-                grow = 5.0 if ratio == 0.0 else min(5.0, max(0.2, 0.9 * ratio ** -0.2))
+                grow = (5.0 if ratio == 0.0
+                        else min(5.0, max(0.2, 0.9 * ratio ** -0.125)))
                 h = min(cfg.dt, h_use * grow)
             else:
                 rejections += 1
-                h = h_use * min(0.9, max(0.1, 0.9 * ratio ** -0.2))
+                h = h_use * min(0.9, max(0.1, 0.9 * ratio ** -0.125))
             if steps + rejections > 2_000_000:
                 raise StiffnessError(
                     "step budget exhausted at t=%.12g" % t, t_reached=t)
@@ -519,10 +656,12 @@ def _solve(spec, cfg, z0, ts, frame):
     from z0, a complex or a 1-d array of points, in ``frame``.
 
     A quadratic spec walks the exact Moebius cells and turns psi into
-    phi = e^{ikt} psi at the sample times; any other spec runs the DP
-    pair on the phi-frame field tau g(phi / tau) or the psi-frame
-    generator.  stats: steps (DP steps or cells), rejections (0 for the
-    cells) and the method, "mobius-exact" or "dp45".
+    phi = e^{ikt} psi at the sample times; any other spec runs the
+    Dormand-Prince 8(5,3) pair on the phi-frame field tau g(phi / tau)
+    or the psi-frame generator, a complex z0 on Python complexes and an
+    array with one stage buffer.  stats: steps (DOP853 steps or cells),
+    rejections (0 for the cells) and the method, "mobius-exact" or
+    "dop853".
     """
     k = cfg.k
     g = spec._quadratic()
@@ -546,7 +685,7 @@ def _solve(spec, cfg, z0, ts, frame):
         def field(t, y):
             return _generator_value(spec, c, y)
     values, stats = _integrate(field, z0, ts, cfg)
-    stats["method"] = "dp45"
+    stats["method"] = "dop853"
     return values, stats
 
 
@@ -566,10 +705,13 @@ def evolve_phi(spec, cfg, z0, sample_times):
     rotating-frame flow is walked through Moebius cells no wider than
     ``cfg.dt`` and phi = e^{ikt} psi is formed at the sample times
     (stats method "mobius-exact", rejections 0).  Any other spec is
-    integrated by adaptive Dormand-Prince (method "dp45") on the field
+    integrated by the adaptive Dormand-Prince 8(5,3) pair (method
+    "dop853", twelve field evaluations per accepted step) on the field
     tau(t) * g(phi / tau(t)), where g(w) = (w - 1)^2 p(w) is the spec's
     cancelled form, so trajectories may graze the driving point without
-    a division blow-up.
+    a division blow-up.  When the sample times or ``cfg.dt`` set every
+    step, the pair takes the steps a 5(4) pair would, at twice the field
+    evaluations each; it has no dense output to step past them.
 
     Raises:
         DiskEscapeError: the exact solution is not finite or leaves the
@@ -825,9 +967,11 @@ def _boundary_images(spec, k, ts, n_points):
     grid of 0 and the times, with the solver of ``evolve_phi`` and
     dt = min(0.05, max(ts)): on a quadratic spec, exact Moebius cells no
     wider than dt, which ``_mobius_walk`` applies to every point at once;
-    adaptive Dormand-Prince otherwise, its step carried from one sample
-    time to the next, so the images after the first are sample times of
-    the same run rather than solves of their own.  images[j] is a list
+    the adaptive Dormand-Prince 8(5,3) pair otherwise, every point a
+    column of one stage buffer and each stage sum one matrix product,
+    its step carried from one sample time to the next, so the images
+    after the first are sample times of the same run rather than solves
+    of their own.  images[j] is a list
     of n_points complexes; stats are the solve's steps, rejections and
     method.  A failure raises that solver's error.
     """
@@ -851,8 +995,9 @@ def boundary_image(spec, k, t, n_points):
     ``_boundary_images`` at the one time t: n_points equispaced points
     of radius 1 - 1e-6 solved together over [0, t] with the solver of
     ``evolve_phi``, exact Moebius cells no wider than min(0.05, t) on a
-    quadratic spec and adaptive Dormand-Prince otherwise.  Returns a
-    list of n_points complexes; a failure raises that solver's error.
+    quadratic spec and adaptive Dormand-Prince 8(5,3) otherwise.
+    Returns a list of n_points complexes; a failure raises that solver's
+    error.
     """
     (points,), _ = _boundary_images(spec, k, [t], n_points)
     return points

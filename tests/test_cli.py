@@ -220,7 +220,8 @@ def test_evolve_det_manifest_records_the_method(capsys, tmp_path):
     for spec, method in (("cayley", "mobius-exact"),
                          ("automorphism:1,0.5", "mobius-exact"),
                          ("taylor:0.5+2i", "mobius-exact"),
-                         ("exponential", "dp45"), ("taylor:1,0.5", "dp45")):
+                         ("exponential", "dop853"),
+                         ("taylor:1,0.5", "dop853")):
         out = tmp_path / "d.csv"
         rc, _, _ = run(capsys, [
             "evolve", "--spec", spec, "--k", "1", "--z0", "0.3",
@@ -748,7 +749,7 @@ def test_figures_fig1_writes_three_closed_curves(capsys, tmp_path):
 
 
 def test_figures_manifest_reports_the_one_solve(capsys, tmp_path):
-    # the three panels are sample times of one Dormand-Prince run
+    # the three panels are sample times of one Dormand-Prince 8(5,3) run
     rc, _, _ = run(capsys, ["figures", "--points", "64",
                             "--out-dir", str(tmp_path)])
     assert rc == 0
@@ -759,7 +760,7 @@ def test_figures_manifest_reports_the_one_solve(capsys, tmp_path):
     _, want = deterministic._solve(Exponential(), config, z0, [0.0] + times,
                                    "phi")
     assert stats == want
-    assert stats["method"] == "dp45"
+    assert stats["method"] == "dop853"
 
 
 def test_figures_solve_once(capsys, tmp_path, monkeypatch):

@@ -205,7 +205,7 @@ def test_evolve_reports_stats():
     (hg.ConstantImaginary(), "mobius-exact"),
     (hg.Automorphism(1.0, 0.5), "mobius-exact"),
     (hg.Taylor([0.5 + 2j]), "mobius-exact"),
-    (hg.Exponential(), "dp45"), (hg.Taylor([1.0, 0.5 + 0.25j]), "dp45"),
+    (hg.Exponential(), "dop853"), (hg.Taylor([1.0, 0.5 + 0.25j]), "dop853"),
 ])
 def test_evolve_method_follows_the_spec(spec, method):
     # gaps 0.25 and 0.75 at dt 0.1: 3 + 8 equal cells
@@ -660,7 +660,7 @@ def test_boundary_images_agree_with_separate_solves(text, n_points):
     for got, want in zip(images[1:], alone[1:]):
         assert np.max(np.abs(np.subtract(got, want))) <= 1e-9
     assert stats["method"] == ("mobius-exact" if spec._quadratic()
-                               else "dp45")
+                               else "dop853")
 
 
 def test_boundary_images_follow_the_order_of_the_times():

@@ -430,7 +430,7 @@ def test_deterministic_runs_never_import_numpy_random(tmp_path):
 out = %r
 for args in (
         ['evolve', '--mode', 'det', '--spec', 'cayley', '--k', '2.5',
-         '--z0', '0', '--t-end', '1', '--out', out + '/orbit.csv'],
+         '--z0', '0', '--t-end', '12.566370614', '--out', out + '/orbit.csv'],
         ['moments', '--spec', 'cayley-linear', '--k', '1', '--z0', '0.3',
          '--t-end', '1', '--m', '2', '--truncation', '6',
          '--out', out + '/moments.csv'],
