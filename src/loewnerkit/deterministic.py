@@ -385,6 +385,7 @@ def _array_max(a):
     return flat[flat.argmax()]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _integrate(field, y0, sample_times, cfg):
     """Drive the DOP853 pair through ``sample_times``.
 
@@ -403,7 +404,10 @@ def _integrate(field, y0, sample_times, cfg):
     sums, and the step scales by 0.9 (max error)^(-1/8).  The first
     stage is evaluated once per state: a rejected attempt keeps it, as
     t and y are unchanged, so an accepted step costs 12 field calls and
-    a rejected one 11.  Returns (values_at_sample_times, stats).
+    a rejected one 11.  Attempts run with NumPy's overflow and invalid
+    warnings off: a large trial step can carry the stages far outside
+    the disk, where the field overflows, and the non-finite y8 is
+    rejected like any other.  Returns (values_at_sample_times, stats).
     """
     atol, rtol = cfg.atol, cfg.rtol
     # assess(y8, e5, e3) -> (shrink of a rejected attempt or None,

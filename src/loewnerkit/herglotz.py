@@ -343,7 +343,18 @@ class Exponential(HerglotzSpec):
     variant = "exponential"
 
     def _value(self, z):
-        return np.exp((math.pi / 2.0) * z)
+        w = (math.pi / 2.0) * z
+        if isinstance(w, np.ndarray):
+            return np.exp(w)
+        # a scalar stays a Python complex, which keeps a scalar run's
+        # arithmetic off NumPy scalars; past the double range, or at an
+        # infinite argument, cmath raises where NumPy gives a non-finite
+        # value, so give NumPy's
+        try:
+            return cmath.exp(w)
+        except (OverflowError, ValueError):
+            with np.errstate(over="ignore", invalid="ignore"):
+                return complex(np.exp(complex(w)))
 
     def _taylor(self, n):
         half_pi = math.pi / 2.0

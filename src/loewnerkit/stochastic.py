@@ -22,8 +22,8 @@ derived as ``derive_path_seed(root_seed, j)``, block sizes are a fixed
 function of the call arguments, and reductions combine block partials
 with a fixed-order pairwise sum, so repeated calls with the same
 arguments give bit-identical estimates.  A block is a matrix of path
-values B, one row per path, each row bit-identical to
-``sample_brownian(...).values`` of that path.
+increments, one row per path with column 0 == 0, whose cumsum along a
+row is bit-identical to ``sample_brownian(...).values`` of that path.
 """
 
 from __future__ import annotations
@@ -392,7 +392,7 @@ def sample_brownian(seed, dt, n_steps):
     increments = values[1:]
     # the key Philox(seed=SeedSequence(seed)) runs with
     key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
-    _normal_row(key.tolist(), increments)
+    _normal_rows([key.tolist()], [increments])
     np.multiply(increments, math.sqrt(dt), out=increments)
     np.cumsum(increments, out=increments)
     return BrownianPath(dt=dt, values=values, seed=seed)
@@ -403,27 +403,32 @@ def sample_brownian(seed, dt, n_steps):
 _philox = threading.local()
 
 
-def _normal_row(key, out):
-    """Fill the float array ``out`` with the first len(out) standard
-    normals of Philox(key=key), key a list of two uint64 ints.
+def _normal_rows(keys, rows):
+    """Fill each float array in ``rows`` with the first len(row) standard
+    normals of Philox(key=key), key the matching item of ``keys``, a list
+    of two uint64 ints.
 
-    The calling thread's one Philox is re-keyed to counter 0 and an empty
-    buffer, which draws what a new Philox with that key would, without
-    constructing a generator per path or per block.
+    The calling thread's one Philox is looked up once per call and
+    re-keyed to counter 0 and an empty buffer for each row, which draws
+    what a new Philox with that key would, without constructing a
+    generator per path or per block.
     """
     try:
         bitgen, gen, state = _philox.drawer
     except AttributeError:
-        bitgen = np.random.Philox(key=key)
+        bitgen = np.random.Philox(key=0)
         gen = np.random.Generator(bitgen)
         # the fresh stream's state (counter 0, empty buffer) in Python
         # ints and lists, which the state setter takes faster than
         # uint64 arrays
         state = _as_lists(bitgen.state)
         _philox.drawer = bitgen, gen, state
-    state["state"]["key"] = key
-    bitgen.state = state
-    gen.standard_normal(out=out)
+    stream = state["state"]
+    draw = gen.standard_normal
+    for key, row in zip(keys, rows):
+        stream["key"] = key
+        bitgen.state = state
+        draw(out=row)
 
 
 # numpy.random.SeedSequence hash constants (pool of 4 uint32 words)
@@ -515,22 +520,23 @@ def _philox_keys(seeds):
 
 
 def _path_rows(root_seed, first_index, n_rows, dt, n_steps, out=None):
-    """Path matrix for paths first_index..first_index+n_rows-1.
+    """Increment matrix for paths first_index..first_index+n_rows-1.
 
-    Shape (n_rows, n_steps + 1); row i reproduces
-    sample_brownian(derive_path_seed(root_seed, first_index+i), dt,
-    n_steps).values bit for bit.  The rows are drawn into ``out`` if it
-    is given, a C-contiguous float array of that shape, and a new matrix
-    otherwise.
+    Shape (n_rows, n_steps + 1): column 0 is 0 and column j the
+    increment B_j - B_{j-1}, N(0, dt), so the cumsum of row i
+    (``_positions``) reproduces sample_brownian(derive_path_seed(
+    root_seed, first_index+i), dt, n_steps).values bit for bit.  The
+    rows are drawn into ``out`` if it is given, a C-contiguous float
+    array of that shape, and a new matrix otherwise.
 
     The block's path seeds and Philox keys come from ``_path_seeds`` and
     ``_philox_keys``, which re-implement numpy.random.SeedSequence's hash
     (pool of 4 words, its hashmix/mix constants and generate_state) on
-    uint32 arrays; ``_normal_row`` then re-keys the thread's one Philox
+    uint32 arrays; ``_normal_rows`` then re-keys the thread's one Philox
     for each row.  This relies on NumPy keeping its
     SeedSequence hash and Philox seeding as they are; the tests compare
-    against the per-path recipe.  Scale and cumsum run in place, so the
-    peak memory stays at the returned matrix.
+    against the per-path recipe.  The scale runs in place, so the peak
+    memory stays at the returned matrix.
     """
     if out is None:
         out = np.empty((n_rows, n_steps + 1))
@@ -538,14 +544,20 @@ def _path_rows(root_seed, first_index, n_rows, dt, n_steps, out=None):
     if n_rows == 0 or n_steps == 0:
         return out
     keys = _philox_keys(_path_seeds(root_seed, first_index, n_rows))
+    increments = out[:, 1:]
     # a key at a time: keys.tolist() would hold ~140 B of Python objects
     # per row at once
-    for key, row in zip(keys, out[:, 1:]):
-        _normal_row(key.tolist(), row)
-    values = out[:, 1:]
-    np.multiply(values, math.sqrt(dt), out=values)
-    np.cumsum(values, axis=1, out=values)
+    _normal_rows((key.tolist() for key in keys), increments)
+    np.multiply(increments, math.sqrt(dt), out=increments)
     return out
+
+
+def _positions(rows):
+    """The path values B of a ``_path_rows`` block, made in place by the
+    cumsum ``sample_brownian`` takes; returns ``rows``."""
+    values = rows[:, 1:]
+    np.cumsum(values, axis=1, out=values)
+    return rows
 
 
 def _as_lists(state):
@@ -590,7 +602,9 @@ def _give_back(buf):
 
 
 def _path_blocks(fn, root_seed, n_samples, dt, n_steps, width=1):
-    """fn of the path matrix of paths 0..n_samples-1, block after block.
+    """fn of the ``_path_rows`` increment matrix of paths 0..n_samples-1,
+    block after block.  fn may overwrite its block: an fn that reads path
+    values turns it into them in place with ``_positions``.
 
     Block sizes are a fixed function of (n_samples, n_steps, width): at
     most _BLOCK_PATHS states, ``width`` of them per path, and
@@ -787,9 +801,9 @@ def _phi_pathwise_blocks(spec, k, z0, root_seed, n_paths, t, dt):
 
     Path j is ``sample_brownian(derive_path_seed(root_seed, j), ...)`` on
     the grid ``_step_grid(t, dt)``, drawn block by block by
-    ``_path_blocks`` and solved a block at a time by
-    ``_phi_pathwise_rows``, so the spec's field must be quadratic, as the
-    fields of ``_BOUND_SPECS`` are.
+    ``_path_blocks``, summed into path values by ``_positions`` and
+    solved a block at a time by ``_phi_pathwise_rows``, so the spec's
+    field must be quadratic, as the fields of ``_BOUND_SPECS`` are.
 
     Raises:
         DiskEscapeError: phi_t of some path lies outside the closed disk;
@@ -798,7 +812,8 @@ def _phi_pathwise_blocks(spec, k, z0, root_seed, n_paths, t, dt):
     n_steps, dt = _step_grid(t, dt)
     first = 0
     for phi in _path_blocks(
-            lambda rows: _phi_pathwise_rows(spec, k, z0, rows, dt),
+            lambda rows: _phi_pathwise_rows(spec, k, z0, _positions(rows),
+                                            dt),
             root_seed, n_paths, dt, n_steps):
         j = _first_escape(phi)
         if j is not None:
@@ -978,24 +993,29 @@ def _raise_non_finite(scheme, t):
                           t_reached=t)
 
 
-def _psi_sde_block(spec, k, psi0, paths, dt, scheme, record_cols=None):
+def _psi_sde_block(spec, k, psi0, increments, dt, scheme, record_cols=None):
     """Vectorized SDE stepping for a block of paths.
 
     The step multipliers of ``_sde_stepper`` are made for a chunk of
     steps at a time, _CHUNK_VALUES // n_paths of them (at least one):
-    the chunk's increments go time-major into one reused buffer, 1024
-    rows at a time so that a tall block is read a few pages at a time,
-    and their multipliers into one reused complex buffer, one row per
-    step.  A step is then the field and four ufuncs, and the chunk width
-    changes no bit of the result.
+    the chunk's increments are copied time-major into one reused buffer,
+    1024 rows at a time so that a tall block is read a few pages at a
+    time, and their multipliers go into one reused complex buffer, one
+    row per step.  One copy is the cheapest gather of the transposed
+    increments: each ufunc reading the strided view straight took 2 ns
+    more per path-step than the copy (417 paths x 2,510 steps, 2-core
+    x86-64 VM).  A step is then the field and four ufuncs, and the chunk
+    width changes no bit of the result.
 
     Args:
         psi0: initial state, a scalar or an array with one row per path
             (a 2-d array steps each row's columns along that path).
-        paths: (n_paths, n_steps + 1) Brownian path values; step j uses
-            the increment paths[:, j+1] - paths[:, j].
-        record_cols: optional collection of path columns at which to
-            snapshot the state (column j: the state after j steps).
+        increments: (n_paths, n_steps) Brownian increments, only read;
+            step j uses increments[:, j].  A ``_path_rows`` block passes
+            its columns 1..n_steps.
+        record_cols: optional collection of step counts at which to
+            snapshot the state (j: the state after j steps, which is
+            path column j of the block).
 
     Returns:
         (final_state, snapshots dict col->state, projections)
@@ -1005,8 +1025,7 @@ def _psi_sde_block(spec, k, psi0, paths, dt, scheme, record_cols=None):
             stays NaN to the end, as projection skips it.
     """
     multipliers, step = _sde_stepper(spec, k, dt, scheme)
-    n_paths, n_cols = paths.shape
-    n_steps = n_cols - 1
+    n_paths, n_steps = increments.shape
     psi = np.array(np.broadcast_to(psi0, (n_paths,) + np.shape(psi0)[1:]),
                    dtype=complex)
     width = max(1, min(n_steps, _CHUNK_VALUES // max(1, n_paths)))
@@ -1024,9 +1043,9 @@ def _psi_sde_block(spec, k, psi0, paths, dt, scheme, record_cols=None):
     for first in range(0, n_steps, width):
         w = min(width, n_steps - first)
         for top in range(0, n_paths, tile):
-            part = paths[top:top + tile, first:first + w + 1].T
+            part = increments[top:top + tile, first:first + w].T
             inc = db[:w, :part.shape[1]]
-            np.subtract(part[1:], part[:-1], out=inc)
+            np.copyto(inc, part)
             multipliers(inc, chunk[:w, top:top + tile])
         for j in range(w):
             psi = step(psi, rows_c[j])
@@ -1083,7 +1102,7 @@ def expectation_Tt(spec, k, t, z, f, n_samples, seed,
                           n_samples=n_samples)
 
     def values(rows):
-        return _apply_f(f, _psi_sde_block(spec, k, z, rows, dt_used,
+        return _apply_f(f, _psi_sde_block(spec, k, z, rows[:, 1:], dt_used,
                                           scheme)[0])
 
     return _mc_estimate(_path_blocks(values, seed, n_samples, dt_used,
@@ -1107,7 +1126,8 @@ def covariance_mc(t, k, n_samples, seed, dt=1e-3):
     k = _finite("k", k)
     n_steps, dt_used = _step_grid(t, dt)
 
-    def components(B):
+    def components(rows):
+        B = _positions(rows)
         phi = math.exp(-t) * _exp_trapezoid(B, k, dt_used)
         zeta = np.exp(-1j * k * B[:, -1])
         return zeta, phi, phi * zeta
@@ -1226,18 +1246,6 @@ def solve_moment_hierarchy(spec, k, z, t_end, M, truncation, closure="zero",
     T = truncation
     c, l0_squared = virasoro_coefficients(spec, k, T)
 
-    # state (mu_1, ..., mu_T, mu_0 = 1): column j - 1 holds mu_j, so mu_0
-    # sits at column -1 == T, which also takes the frozen tail
-    G = np.zeros((T + 1, T + 1), dtype=complex)
-    for m in range(1, T + 1):
-        i = m - 1
-        for n in range(-1, T - m + 1):
-            G[i, i + n] = -m * c[n]
-        G[i, i] -= l0_squared * m * m
-        if closure == "frozen":
-            for n in range(T - m + 1, T + 1):
-                G[i, T] -= m * c[n] * z ** (m + n)
-
     if sample_times is None:
         sample_times = np.linspace(0.0, t_end, 65)
     ts = _normalize_sample_times(sample_times, t_end)
@@ -1256,6 +1264,17 @@ def solve_moment_hierarchy(spec, k, z, t_end, M, truncation, closure="zero",
     # every state is NaN, and a huge finite G (automorphism:1e200,0) can
     # overflow expm's squares; the check below reports both
     with np.errstate(over="ignore", invalid="ignore"):
+        # state (mu_1, ..., mu_T, mu_0 = 1): column j - 1 holds mu_j, so
+        # mu_0 sits at column -1 == T, which also takes the frozen tail
+        G = np.zeros((T + 1, T + 1), dtype=complex)
+        for m in range(1, T + 1):
+            i = m - 1
+            for n in range(-1, T - m + 1):
+                G[i, i + n] = -m * c[n]
+            G[i, i] -= l0_squared * m * m
+            if closure == "frozen":
+                for n in range(T - m + 1, T + 1):
+                    G[i, T] -= m * c[n] * z ** (m + n)
         propagators = expm(gaps[:, None, None] * G)
         for i in which:
             state = propagators[i] @ state
@@ -1487,7 +1506,7 @@ def backward_equation_residual(spec, k, f, t, z, n_samples, seed=0,
 
     def samples(rows):
         psi, snaps, _ = _psi_sde_block(
-            spec, k, np.broadcast_to(start, (len(rows), P + 1)), rows,
+            spec, k, np.broadcast_to(start, (len(rows), P + 1)), rows[:, 1:],
             dt_used, "milstein", record_cols={col_minus, col_mid})
         du = (_apply_f(f, psi[:, 0])
               - _apply_f(f, snaps[col_minus][:, 0])) / (2.0 * h)

@@ -18,6 +18,7 @@ a fixed-step run and agreement with SciPy's DOP853.
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -270,6 +271,38 @@ def test_overflowing_modulus_of_finite_points_matches_loop_form():
     _assert_same_tripped_run(field, 15.0, [2], complex(1.79e308, 1.79e308),
                              0.9 * np.exp(0.5j * np.arange(8)),
                              [0.0, 16.0, 32.0], cfg)
+
+
+def test_rejected_overflowing_trial_steps_warn_of_nothing():
+    # the first trial steps (h = 4) carry the stages far outside the disk,
+    # where exp overflows; the non-finite y8 is rejected with the 0.25
+    # shrink, silently, and the run returns what it returned before
+    # those attempts ran with the warnings off (scalar: to 1e-14, as
+    # exp of a Python complex rounds apart from NumPy's at the ulp level)
+    cfg = det.EvolutionConfig(k=1.0, t_end=8.0, dt=4.0)
+    spec = hg.Exponential()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = det.evolve_phi(spec, cfg, 0.999j, [8.0])
+        points, stats = det._integrate(
+            conftest.dp_fields(spec, 1.0)["phi"],
+            0.999 * np.exp(1j * np.linspace(0.0, 6.0, 16)), [0.0, 8.0], cfg)
+    assert abs(traj.values[-1] - (0.28271829347223276 + 0.6915091740308767j)
+               ) <= 1e-14
+    assert (traj.stats["steps"], traj.stats["rejections"]) == (69, 7)
+    assert np.isfinite(points[-1]).all()
+    assert np.abs(points[-1]).max() < 1.0
+    assert (stats["steps"], stats["rejections"]) == (78, 3)
+    # a scalar stage whose exponent overflows, or whose imaginary part
+    # does (cmath.exp raises ValueError there), gives NumPy's
+    # non-finite value, silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z, want in [(1e308 + 0j, complex(math.inf, 0.0)),
+                        (complex(1.0, 1.5e308), complex(math.nan, math.nan))]:
+            got = spec._value(z)
+            assert type(got) is complex
+            assert repr(got) == repr(want)
 
 
 # ---------------------------------------------------------------- reduction

@@ -1,6 +1,7 @@
 """Block sampler: vectorized seed/key derivation against the per-path
-recipe, path blocks against sample_brownian bit for bit, the spare path
-buffer shared by ensembles, and the sampler's memory footprint."""
+recipe, path blocks (increments, whose row cumsums are the paths)
+against sample_brownian bit for bit, the spare path buffer shared by
+ensembles, and the sampler's memory footprint."""
 
 import itertools
 import math
@@ -63,8 +64,8 @@ def test_path_rows_equal_sample_brownian_bitwise(root, first, n_rows,
     rows = st._path_rows(root, first, n_rows, dt, n_steps)
     assert rows.shape == (n_rows, n_steps + 1)
     assert np.all(rows[:, 0] == 0.0)
-    for row, ref in zip(rows, per_path_values(root, first, n_rows, dt,
-                                              n_steps)):
+    for row, ref in zip(np.cumsum(rows, axis=1),
+                        per_path_values(root, first, n_rows, dt, n_steps)):
         assert row.tobytes() == ref.tobytes()
 
 
@@ -73,6 +74,7 @@ def test_path_rows_deep_inside_one_block():
     rows = st._path_rows(11, 2**32 - 250, 500, 1e-3, 300)
     assert rows.shape == (500, 301)
     assert np.all(rows[:, 0] == 0.0)
+    rows = np.cumsum(rows, axis=1)
     for i in (0, 217, 218, 249, 250, 436, 499):
         ref = st.sample_brownian(st.derive_path_seed(11, 2**32 - 250 + i),
                                  1e-3, 300).values
@@ -99,7 +101,8 @@ def test_entropy_beyond_64_bits_takes_the_per_path_seeds(monkeypatch, root,
     rows = st._path_rows(root, first, 4, 0.01, 9)
     monkeypatch.undo()
     assert len(calls) == (4 if fallback else 0)
-    for row, ref in zip(rows, per_path_values(root, first, 4, 0.01, 9)):
+    for row, ref in zip(np.cumsum(rows, axis=1),
+                        per_path_values(root, first, 4, 0.01, 9)):
         assert row.tobytes() == ref.tobytes()
 
 
@@ -159,9 +162,9 @@ def test_threads_interleaving_paths_and_blocks_draw_the_recipe(no_spare):
                 if job[0] == "path":
                     values = st.sample_brownian(job[1], 0.01, job[2]).values
                 else:
-                    values = np.concatenate(list(st._path_blocks(
+                    values = np.cumsum(np.concatenate(list(st._path_blocks(
                         copy_later, job[1], job[2], 0.01, job[3],
-                        width=st._BLOCK_PATHS // 4)))
+                        width=st._BLOCK_PATHS // 4))), axis=1)
                 assert got.setdefault(job, values.tobytes()) == want[job]
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
@@ -410,17 +413,21 @@ print(*(m for m in sys.modules if (m + ".").startswith(%r + ".")))
 """
 
 
+def _fresh_python(code):
+    """The last stdout line of ``code`` run in a fresh interpreter that
+    imports this package (the code may print before it)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(st.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    return run.stdout.splitlines()[-1]
+
+
 def _modules_after(code, package):
     """The modules of ``package`` loaded by ``code``, run in a fresh
     interpreter after importing loewnerkit and its CLI."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(st.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    run = subprocess.run(
-        [sys.executable, "-c", _MODULES_AFTER % (code, package)],
-        check=True, capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": path})
-    # the last line: the code may print too
-    return run.stdout.splitlines()[-1].split()
+    return _fresh_python(_MODULES_AFTER % (code, package)).split()
 
 
 def test_deterministic_runs_never_import_numpy_random(tmp_path):
@@ -450,6 +457,25 @@ st.generator_annihilator(1.0, 0.5, 1.0, 0.3, 0.0, 1.0)
 loewnerkit.cli.main(['moments', '--spec', 'cayley', '--k', '1',
                      '--out', '/dev/null', '--manifest', '/dev/null'])
 """, "scipy") == []
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in KiB on Linux")
+def test_multi_block_ensemble_peak_memory_is_bounded():
+    # 8,164 paths x 2,503 steps run in 20 path blocks of at most 2^20
+    # steps (8 MiB of increments): the process grows by about 15.5 MiB
+    # over its size after the imports, where 2^21 blocks grew 23.5 MiB
+    # and one 2^22 block 39 MiB
+    grown = float(_fresh_python("""
+import resource
+from loewnerkit import herglotz as hg, stochastic as st
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+st.expectation_Tt(hg.CayleyLinear(), 1.0, 1.0, 0.3, lambda w: w, 8164, 7,
+                  dt=1 / 2503)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print((after - before) / 1024)
+"""))
+    assert grown <= 20, "ru_maxrss grew %.1f MiB" % grown
 
 
 # each estimator over three blocks of 2,000 steps: (call, paths per block)

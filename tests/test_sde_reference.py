@@ -4,8 +4,10 @@
 multiplicative form psi c + b(psi) dt, with the multiplier c of the
 increment db: a scalar loop with the step as one plain expression, and
 a block kernel that runs one ufunc per operation, one step at a time.
-The library's steppers must give the same bits, the same projection
-counts and the same failure time.
+Both walk path values B, and the library's block kernel, which takes
+increments, is fed ``np.diff`` of the same B.  The library's steppers
+must give the same bits, the same projection counts and the same
+failure time.
 
 ``_additive_evolve_psi_sde`` and ``_additive_psi_sde_block`` are the
 steppers in the additive form psi + (-k^2/2 psi + b(psi)) dt - ik psi db
@@ -160,6 +162,18 @@ def _additive_psi_sde_block(spec, k, psi0, paths, dt, scheme,
     return psi, snapshots, projections
 
 
+def _positions(seed, n_paths, dt, n_steps):
+    """Path values B of paths 0..n_paths-1 of root ``seed``, one row each,
+    as the scalar loop walks them."""
+    return np.cumsum(st._path_rows(seed, 0, n_paths, dt, n_steps), axis=1)
+
+
+def _kernel(spec, k, psi0, paths, dt, scheme, record_cols=None):
+    """The library's block kernel on the increments of the path values."""
+    return st._psi_sde_block(spec, k, psi0, np.diff(paths, axis=1), dt,
+                             scheme, record_cols=record_cols)
+
+
 def _bits(x):
     return np.asarray(x, dtype=complex).tobytes()
 
@@ -209,15 +223,14 @@ def test_scalar_stepper_matches_reference(spec, scheme):
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.text_form())
 def test_block_kernel_matches_reference(spec, scheme):
-    rows = st._path_rows(11, 0, 9, DT, N_STEPS)
+    rows = _positions(11, 9, DT, N_STEPS)
     cols = {1, 37, N_STEPS}
     # one start for every path, then a start per path
     starts = Z0 * np.exp(0.1j * np.arange(len(rows)))
     projected = 0
     for k in KS:
         for psi0 in (Z0, starts):
-            got = st._psi_sde_block(spec, k, psi0, rows, DT, scheme,
-                                    record_cols=cols)
+            got = _kernel(spec, k, psi0, rows, DT, scheme, record_cols=cols)
             want = _ref_psi_sde_block(spec, k, psi0, rows, DT, scheme,
                                       record_cols=cols)
             assert got[0].shape == (len(rows),)
@@ -236,12 +249,12 @@ def test_circle_block_matches_reference(spec, scheme):
     z, radius = 0.2 + 0.1j, 0.1
     angles = 2.0 * math.pi * np.arange(16) / 16
     start = np.concatenate(([z], z + radius * np.exp(1j * angles)))
-    rows = st._path_rows(3, 0, 5, 0.005, 60)
+    rows = _positions(3, 5, 0.005, 60)
     psi0 = np.broadcast_to(start, (len(rows), 17))
     projected = 0
     for k in KS:
-        got = st._psi_sde_block(spec, k, psi0, rows, 0.005, scheme,
-                                record_cols={29, 31})
+        got = _kernel(spec, k, psi0, rows, 0.005, scheme,
+                      record_cols={29, 31})
         want = _ref_psi_sde_block(spec, k, psi0, rows, 0.005, scheme,
                                   record_cols={29, 31})
         assert got[0].shape == (5, 17)
@@ -262,7 +275,7 @@ def test_circle_block_matches_reference(spec, scheme):
 @pytest.mark.parametrize("n_paths", [9, 1100])
 def test_chunk_width_changes_no_bit(n_paths, circle, scheme, monkeypatch):
     n_steps = 100
-    rows = st._path_rows(8, 0, n_paths, DT, n_steps)
+    rows = _positions(8, n_paths, DT, n_steps)
     if circle:
         # a point near the circle and 16 points around it, as 17 columns
         z = 0.9 * cmath.exp(2j)
@@ -276,8 +289,8 @@ def test_chunk_width_changes_no_bit(n_paths, circle, scheme, monkeypatch):
     runs = []
     for chunk_values in (1, st._CHUNK_VALUES, 10 * n_paths, 7 * n_paths):
         monkeypatch.setattr(st, "_CHUNK_VALUES", chunk_values)
-        runs.append(st._psi_sde_block(hg.Cayley(), 3.0, psi0, rows, DT,
-                                      scheme, record_cols=cols))
+        runs.append(_kernel(hg.Cayley(), 3.0, psi0, rows, DT, scheme,
+                            record_cols=cols))
     assert runs[0][2] > 0
     for got in runs[1:]:
         _assert_same_block(got, runs[0])
@@ -291,8 +304,8 @@ def test_chunk_width_changes_no_bit(n_paths, circle, scheme, monkeypatch):
 def test_block_kernel_agrees_with_scalar_stepper(spec, scheme, k, radius,
                                                  angle, seed, n_steps, dt):
     z0 = radius * cmath.exp(1j * angle)
-    rows = st._path_rows(seed, 0, 3, dt, n_steps)
-    psi, _, projections = st._psi_sde_block(spec, k, z0, rows, dt, scheme)
+    rows = _positions(seed, 3, dt, n_steps)
+    psi, _, projections = _kernel(spec, k, z0, rows, dt, scheme)
     want = 0
     for i, row in enumerate(rows):
         path = st.BrownianPath(dt=dt, values=row, seed=seed)
@@ -309,7 +322,7 @@ def test_block_kernel_agrees_with_scalar_stepper(spec, scheme, k, radius,
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.text_form())
 def test_non_finite_state_fails_at_the_same_time(spec, scheme):
-    rows = st._path_rows(0, 0, 4, DT, 10)
+    rows = _positions(0, 4, DT, 10)
     # an infinite path value at column 6 makes the sixth step's state
     # NaN; k = 1e200 overflows k^2, so the first step's state is not finite
     broken = rows.copy()
@@ -325,13 +338,13 @@ def test_non_finite_state_fails_at_the_same_time(spec, scheme):
         with pytest.raises(st.DiskEscapeError) as want:
             _ref_psi_sde_block(spec, k, 0.2, block, DT, scheme)
         with pytest.raises(st.DiskEscapeError) as got:
-            st._psi_sde_block(spec, k, 0.2, block, DT, scheme)
+            _kernel(spec, k, 0.2, block, DT, scheme)
         assert got.value.t_reached == want.value.t_reached
         assert str(got.value) == str(want.value)
 
 
 def _check_one_non_finite_path(spec, scheme, psi0, monkeypatch):
-    rows = st._path_rows(11, 0, 9, DT, N_STEPS)
+    rows = _positions(11, 9, DT, N_STEPS)
     # one infinite value in one path: that path's states are NaN from the
     # sixth step on, while the other paths keep being projected
     rows[4, 6] = math.inf
@@ -340,16 +353,14 @@ def _check_one_non_finite_path(spec, scheme, psi0, monkeypatch):
         _ref_psi_sde_block(spec, 3.0, psi0, rows, DT, scheme,
                            record_cols=cols)
     with pytest.raises(st.DiskEscapeError) as got:
-        st._psi_sde_block(spec, 3.0, psi0, rows, DT, scheme,
-                          record_cols=cols)
+        _kernel(spec, 3.0, psi0, rows, DT, scheme, record_cols=cols)
     assert got.value.t_reached == want.value.t_reached
     assert str(got.value) == str(want.value)
     # the states and projection counts behind the error
     monkeypatch.setattr(st, "_raise_non_finite", lambda scheme, t: None)
     want = _ref_psi_sde_block(spec, 3.0, psi0, rows, DT, scheme,
                               record_cols=cols)
-    got = st._psi_sde_block(spec, 3.0, psi0, rows, DT, scheme,
-                            record_cols=cols)
+    got = _kernel(spec, 3.0, psi0, rows, DT, scheme, record_cols=cols)
     finite = np.isfinite(want[0]).reshape(len(rows), -1).all(axis=1)
     assert finite.tolist() == [i != 4 for i in range(len(rows))]
     assert np.isnan(want[0][4]).all()

@@ -268,7 +268,7 @@ def test_block_rows_match_the_path_solver():
     # the block solver gives each row the cells evolve_phi_pathwise takes
     # on that row's path
     n_steps, dt = 37, 0.04
-    rows = st._path_rows(5, 0, 9, dt, n_steps)
+    rows = st._positions(st._path_rows(5, 0, 9, dt, n_steps))
     for spec in (hg.CayleyLinear(), hg.Cayley(), hg.ConstantImaginary(),
                  hg.Automorphism(1.0, 0.5), hg.Taylor([1.0])):
         phi = st._phi_pathwise_rows(spec, 6.0, 0.7, rows, dt)
@@ -780,16 +780,25 @@ def test_block_kernel_steps_along_the_scalar_paths(text, scheme):
     # start near the circle makes both steppers project.
     spec = hg.parse_spec(text)
     k, z0, dt, n_steps, col = 1.3, 0.97 * cmath.exp(2j), 0.01, 60, 23
-    rows = st._path_rows(5, 0, 6, dt, n_steps)
-    psi, snaps, projections = st._psi_sde_block(spec, k, z0, rows, dt, scheme,
-                                                record_cols={col})
+    paths = brownian_ensemble(5, 6, dt, n_steps)
+    # the kernel takes increments: those of the path values the scalar
+    # loop walks
+    increments = np.diff([path.values for path in paths], axis=1)
+    psi, snaps, projections = st._psi_sde_block(spec, k, z0, increments, dt,
+                                                scheme, record_cols={col})
     want = 0
-    for i, path in enumerate(brownian_ensemble(5, 6, dt, n_steps)):
+    finals = []
+    for i, path in enumerate(paths):
         traj = st.evolve_psi_sde(spec, k, z0, path, scheme=scheme)
         assert abs(psi[i] - traj.values[-1]) <= 1e-13
         assert abs(snaps[col][i] - traj.values[col]) <= 1e-13
         want += traj.stats["projections"]
+        finals.append(traj.values[-1])
     assert projections == want
+    # the estimator steps the increments its blocks are drawn as
+    est = st.expectation_Tt(spec, k, n_steps * dt, z0, _identity, 6, 5,
+                            dt=dt, scheme=scheme)
+    assert abs(est.mean - np.mean(finals)) <= 1e-13
 
 
 # --------------------------------------------------------------------------
@@ -904,6 +913,33 @@ def test_covariance_mc_e2_is_the_mean_of_example1_pathwise(monkeypatch):
         monkeypatch.setattr(st, "_BLOCK_PATHS", block_paths)
         est = st.covariance_mc(t, k, n, seed, dt=dt)["e2"]
         assert abs(est.mean - want) <= 1e-14, block_paths
+
+
+@pytest.mark.parametrize("block_paths", [st._BLOCK_PATHS, 16])
+def test_position_readers_equal_a_positions_reference(block_paths,
+                                                      monkeypatch):
+    # covariance_mc and `bounds --paths` sum their blocks of increments
+    # into path values: bit for bit sample_brownian's, block by block
+    t, k, n, seed, dt = 0.5, 1.3, 40, 9, 0.01
+    n_steps, dt_used = st._step_grid(t, dt)
+    B = np.stack([path.values for path in
+                  brownian_ensemble(seed, n, dt_used, n_steps)])
+    blocks = [B[i:i + block_paths] for i in range(0, n, block_paths)]
+    monkeypatch.setattr(st, "_BLOCK_PATHS", block_paths)
+    phi = [math.exp(-t) * st._exp_trapezoid(b, k, dt_used) for b in blocks]
+    zeta = [np.exp(-1j * k * b[:, -1]) for b in blocks]
+    want = {"e1": st._mc_estimate(zeta), "e2": st._mc_estimate(phi),
+            "e3": st._mc_estimate([p * z for p, z in zip(phi, zeta)])}
+    got = st.covariance_mc(t, k, n, seed, dt=dt)
+    for key, est in want.items():
+        assert (got[key].mean, got[key].std_error) == (est.mean,
+                                                       est.std_error), key
+    for spec in (factory() for factory in st._BOUND_SPECS.values()):
+        got = st._phi_pathwise_blocks(spec, 3.0, 0.99, seed, n, t, dt)
+        want = [st._phi_pathwise_rows(spec, 3.0, 0.99, b, dt_used)
+                for b in blocks]
+        assert (np.concatenate(list(got)).tobytes()
+                == np.concatenate(want).tobytes())
 
 
 def test_covariance_mc_validates():
