@@ -368,7 +368,8 @@ class Taylor(HerglotzSpec):
     from the coefficients alone.  ``Re p`` is harmonic, so by the minimum
     principle its minimum over the closed disk lies on the unit circle;
     the constructor samples ``Re p`` at max(256, 8 N) equally spaced
-    angles there, for degree N, and rejects anything dipping below -1e-9.
+    angles there, for degree N, and rejects anything dipping below -1e-9
+    or not a number.
 
     Parameters
     ----------
@@ -389,8 +390,11 @@ class Taylor(HerglotzSpec):
     def _check_admissible(self):
         n = max(256, 8 * (len(self.coefficients) - 1))
         angles = 2.0 * math.pi * np.arange(n) / n
-        worst = float(np.min(self._value(np.exp(1j * angles)).real))
-        if worst < -1e-9:
+        # huge coefficients overflow to inf or NaN samples; a NaN minimum
+        # is rejected, not read as admissible
+        with np.errstate(over="ignore", invalid="ignore"):
+            worst = float(np.min(self._value(np.exp(1j * angles)).real))
+        if not worst >= -1e-9:
             raise ValueError(
                 "taylor coefficients do not give a Herglotz function: "
                 "min Re p on the unit circle is %.3e" % worst)

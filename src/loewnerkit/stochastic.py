@@ -328,9 +328,9 @@ class MomentTable:
         if values.shape != (len(times), len(self.orders)):
             raise ValueError("values must have shape (len(times), len(orders))")
         _check_closure(self.closure)
-        if values.size and np.max(np.abs(values)) > 1.0 + _MOMENT_TOL:
-            raise ValueError("moments of a disk-valued process cannot "
-                             "exceed 1 in modulus")
+        if values.size and not np.max(np.abs(values)) <= 1.0 + _MOMENT_TOL:
+            raise ValueError("moments of a disk-valued process are "
+                             "finite and at most 1 in modulus")
         times.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "times", times)

@@ -1,6 +1,7 @@
 """Shared test plumbing: the acceptance-criteria report, the Moebius
-map of exp(tH) that the rotating-drive oracles compare against, and the
-fields the adaptive integrator solves for the rotating drive.
+map of exp(tH) that the rotating-drive oracles compare against, the
+fields the adaptive integrator solves for the rotating drive, and the
+command lines of README.md.
 
 test_acceptance.py records one line per criterion through
 record_criterion; the terminal-summary hook prints the collected lines
@@ -9,6 +10,7 @@ regardless of output capturing.
 """
 
 import cmath
+import pathlib
 
 from loewnerkit import deterministic, herglotz
 
@@ -46,3 +48,17 @@ def dp_fields(spec, k):
     return {"phi": deterministic._driven_field(
                 spec, lambda t: cmath.exp(1j * k * t)),
             "psi": lambda t, y: herglotz._generator_value(spec, c, y)}
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def readme_commands():
+    """The ``loewnerkit`` command lines of README.md's ``## Command line``
+    code block, continuation lines joined."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    commands = [line for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("loewnerkit ")]
+    assert commands, "no loewnerkit commands found in README.md"
+    return commands

@@ -2,7 +2,9 @@ import argparse
 import csv
 import json
 import math
+import os
 import re
+import shlex
 import warnings
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hs
 
+import conftest
 from loewnerkit import Error, __version__, cli, deterministic, stochastic
 from loewnerkit.deterministic import StiffnessError
 from loewnerkit.herglotz import Cayley, DomainError, Exponential
@@ -447,6 +450,21 @@ def test_moments_non_finite_failure_exits_one(capsys, tmp_path):
         assert not out.exists()
 
 
+def test_moments_overflowing_spec_prints_only_the_error(capsys, tmp_path):
+    # the spec is admissible, but its samples on the circle overflow
+    # to inf: no NumPy warning may precede the one error line
+    out = tmp_path / "mom.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, _, err = run(capsys, ["moments", "--spec",
+                                  "taylor:1e308,1e308,0,1", "--k", "1",
+                                  "--out", str(out)])
+    assert caught == []
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- bounds
 
 def test_bounds_linear_field_from_origin(capsys):
@@ -468,15 +486,20 @@ def test_bounds_tanh_envelope(capsys):
 
 
 def test_bounds_monte_carlo_check(capsys):
-    rc, out, _ = run(capsys, ["bounds", "--spec", "cayley-linear",
-                              "--r0", "0.3", "--t", "1", "--k", "1.5",
-                              "--paths", "64", "--seed", "11"])
-    assert rc == 0
-    d = json.loads(out)
-    assert d["mc"]["violations"] == 0
-    assert d["mc"]["paths"] == 64
-    assert d["lower"] - 1e-9 <= d["mc"]["min"]
-    assert d["mc"]["max"] <= d["upper"] + 1e-9
+    # the second case is a coarse grid at high k, where fixed-step RK4
+    # left the disk: the Moebius cells keep all 2,000 paths inside
+    for args, paths in (
+            (["--spec", "cayley-linear", "--r0", "0.3", "--t", "1",
+              "--k", "1.5", "--paths", "64", "--seed", "11"], 64),
+            (["--spec", "cayley", "--r0", "0.99", "--t", "2", "--k", "30",
+              "--dt", "0.2", "--paths", "2000", "--seed", "0"], 2000)):
+        rc, out, _ = run(capsys, ["bounds"] + args)
+        assert rc == 0
+        d = json.loads(out)
+        assert d["mc"]["violations"] == 0
+        assert d["mc"]["paths"] == paths
+        assert d["lower"] - 1e-9 <= d["mc"]["min"]
+        assert d["mc"]["max"] <= d["upper"] + 1e-9
 
 
 def escaping_row(j, block=0):
@@ -589,6 +612,9 @@ def test_parser_is_built_once():
       "--mode", "random", "--seed", "-1"], None),
     (["bounds", "--spec", "cayley", "--r0", "0.3", "--t", "1",
       "--paths", "4"], "seed = -1\n"),
+    # Re p is NaN at some sampled angles and -1.3e308 at others
+    (["evolve", "--spec", "taylor:0,1e308,1e308,1e308", "--k", "1",
+      "--t-end", "1"], None),
 ])
 def test_bad_values_are_usage_errors(capsys, tmp_path, args, config):
     seeded = "--seed" in args or (config or "").startswith("seed")
@@ -883,6 +909,30 @@ def test_config_malformed_line(capsys, tmp_path):
     assert "key=value" in err
 
 
+def test_config_file_gives_the_same_run_as_flags(capsys, monkeypatch,
+                                                 tmp_path):
+    # the same values, given either way, make the same CSV and the same
+    # manifest config
+    monkeypatch.chdir(tmp_path)
+    flags = ["evolve", "--mode", "sde", "--scheme", "euler", "--spec",
+             "cayley", "--k", "1.5", "--z0", "0.3+0.2i", "--t-end", "0.5",
+             "--dt", "0.01", "--seed", "7", "--out", "flags.csv"]
+    assert run(capsys, flags)[0] == 0
+    (tmp_path / "run.cfg").write_text(
+        "mode = sde\nscheme = euler\nspec = cayley\nk = 1.5\n"
+        "z0 = 0.3+0.2i\nt-end = 0.5\ndt = 0.01\nseed = 7\nout = config.csv\n")
+    assert run(capsys, ["evolve", "--config", "run.cfg"])[0] == 0
+    assert (tmp_path / "config.csv").read_bytes() == (
+        tmp_path / "flags.csv").read_bytes()
+    configs = []
+    for name in ("flags", "config"):
+        manifest = tmp_path / (name + ".csv.manifest.json")
+        config = json.loads(manifest.read_text())["config"]
+        config.pop("out")
+        configs.append(config)
+    assert configs[0] == configs[1]
+
+
 # ---------------------------------------------------------------- manifest
 
 def parsed(argv):
@@ -938,3 +988,69 @@ def test_manifest_config_records_every_option(capsys, tmp_path, command):
     config = json.loads(man.read_text())["config"]
     assert set(config) - {"dt_used"} == options
 
+
+# ---------------------------------------------------------------- README
+
+def run_readme_commands(capsys, monkeypatch, where):
+    """Run README.md's command lines in process in a new directory
+    ``where``; return what each printed."""
+    where.mkdir()
+    monkeypatch.chdir(where)
+    printed = []
+    for line in conftest.readme_commands():
+        rc, out, err = run(capsys, shlex.split(line)[1:])
+        assert rc == 0, (line, err)
+        printed.append(out)
+    return printed
+
+
+def files_under(root):
+    """Every file under ``root`` by relative path: a manifest as its
+    record less wall_time_s, any other file as its bytes."""
+    found = {}
+    for path in root.rglob("*"):
+        name = str(path.relative_to(root))
+        if path.name.endswith(".manifest.json"):
+            record = json.loads(path.read_text())
+            record.pop("wall_time_s")
+            found[name] = record
+        elif path.is_file():
+            found[name] = path.read_bytes()
+    return found
+
+
+def test_readme_commands_run_and_repeat_bit_for_bit(capsys, monkeypatch,
+                                                    tmp_path):
+    first, again = tmp_path / "first", tmp_path / "again"
+    printed = run_readme_commands(capsys, monkeypatch, first)
+    assert run_readme_commands(capsys, monkeypatch, again) == printed
+    want, got = files_under(first), files_under(again)
+    assert sorted(got) == sorted(want)
+    for name in want:
+        assert got[name] == want[name], name
+    # every manifest has the schema and lists real outputs; a solve's
+    # (evolve, boundary image, figures) reports an integer step count
+    # and, unless an sde run, which reports projections, its method
+    monkeypatch.chdir(first)
+    manifests = {n: r for n, r in want.items() if isinstance(r, dict)}
+    assert manifests, "the README commands wrote no manifest"
+    for name, record in manifests.items():
+        assert record.get("schema") == cli.MANIFEST_SCHEMA, name
+        for out in record["outputs"]:
+            assert os.path.isfile(out) and os.path.getsize(out) > 0, out
+        command, config = record["command"], record["config"]
+        if command in ("evolve", "figures") or (
+                command == "boundary" and config["what"] == "image"):
+            stats = record.get("stats") or {}
+            assert type(stats.get("steps")) is int, (name, stats)
+            if config.get("mode") != "sde":
+                assert stats.get("method") in (
+                    "mobius-exact", "dop853", "rk4"), (name, stats)
+
+
+def test_console_script_runs_cli_main():
+    # tier-1 runs from the source tree, not an install, so read the entry
+    # point from pyproject.toml (by hand: no tomllib on Python 3.10)
+    text = (conftest.ROOT / "pyproject.toml").read_text()
+    section = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert section.split() == ["loewnerkit", "=", '"loewnerkit.cli:main"']

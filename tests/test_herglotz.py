@@ -299,6 +299,11 @@ def test_taylor_admissibility_check():
             hg.Taylor(coefficients)
         with pytest.raises(ValueError, match="unit circle"):
             hg.parse_spec("taylor:" + ",".join(map(repr, coefficients)))
+    # inf - inf makes Re p NaN at some sampled angles, and a finite
+    # sample reads -1.3e308: a NaN minimum is no pass, and the overflow
+    # warns of nothing
+    with pytest.raises(ValueError, match="unit circle"):
+        hg.Taylor([0.0, 1e308, 1e308, 1e308])
 
 
 @pytest.mark.parametrize("degree", [128, 256, 1000])

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+import conftest
 from loewnerkit import herglotz as hg
 from loewnerkit import stochastic as st
 
@@ -418,9 +419,10 @@ def _fresh_python(code):
     imports this package (the code may print before it)."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(st.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, "-c", code], check=True,
+    run = subprocess.run([sys.executable, "-c", code],
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": path})
+    assert run.returncode == 0, run.stderr
     return run.stdout.splitlines()[-1]
 
 
@@ -449,33 +451,83 @@ for args in (
 """ % str(tmp_path), "numpy.random") == []
 
 
-def test_no_library_call_imports_scipy():
+def test_no_library_call_imports_scipy(tmp_path):
+    # the README commands first, with scipy unimportable as on a
+    # numpy-only install: each must exit 0
     assert _modules_after("""
+import os, shlex
+os.chdir(%r)
+sys.modules["scipy"] = None
+for line in %r:
+    assert loewnerkit.cli.main(shlex.split(line)[1:]) == 0, line
+del sys.modules["scipy"]
 st.expectation_Tt(hg.Cayley(), 1.0, 0.05, 0.3, lambda w: w, 20, 1)
 st.solve_moment_hierarchy(hg.Cayley(), 1.0, 0.2, 1.0, 1, 6)
 st.generator_annihilator(1.0, 0.5, 1.0, 0.3, 0.0, 1.0)
 loewnerkit.cli.main(['moments', '--spec', 'cayley', '--k', '1',
                      '--out', '/dev/null', '--manifest', '/dev/null'])
-""", "scipy") == []
+""" % (str(tmp_path), conftest.readme_commands()), "scipy") == []
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"),
-                    reason="ru_maxrss is in KiB on Linux")
+# the peak RSS of the running interpreter's own address space, in KiB.
+# Not ru_maxrss: Linux carries a parent's RSS into its child's
+# ru_maxrss across exec, so under a test runner larger than the child
+# any growth read from it is 0
+_PEAK_KIB = """
+def peak_kib():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh
+                    if line.startswith("VmHWM:"))
+"""
+linux_only = pytest.mark.skipif(not sys.platform.startswith("linux"),
+                                reason="reads VmHWM from /proc/self/status")
+
+
+@linux_only
 def test_multi_block_ensemble_peak_memory_is_bounded():
     # 8,164 paths x 2,503 steps run in 20 path blocks of at most 2^20
     # steps (8 MiB of increments): the process grows by about 15.5 MiB
     # over its size after the imports, where 2^21 blocks grew 23.5 MiB
     # and one 2^22 block 39 MiB
-    grown = float(_fresh_python("""
-import resource
+    grown = float(_fresh_python(_PEAK_KIB + """
 from loewnerkit import herglotz as hg, stochastic as st
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+before = peak_kib()
 st.expectation_Tt(hg.CayleyLinear(), 1.0, 1.0, 0.3, lambda w: w, 8164, 7,
                   dt=1 / 2503)
-after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print((after - before) / 1024)
+print((peak_kib() - before) / 1024)
 """))
-    assert grown <= 20, "ru_maxrss grew %.1f MiB" % grown
+    assert grown <= 20, "peak RSS grew %.1f MiB" % grown
+
+
+@linux_only
+@pytest.mark.parametrize("seed", [0, 11])
+def test_task_order_peak_memory_is_bounded(seed, tmp_path):
+    # the mc_blocked benchmark's first pass after its warm-up task: every
+    # ensemble draws into the one spare path buffer of at most 8 MiB, so
+    # the process grows by about 10.7 MiB at either seed (18.7 MiB with
+    # 16 MiB blocks), where a new buffer per ensemble left freed ones in
+    # the heap and grew 25.2 and 27.3 MiB
+    grown = float(_fresh_python(_PEAK_KIB + """
+import os
+import sys
+
+for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
+sys.dont_write_bytecode = True
+sys.path.insert(0, %r)
+import workloads
+
+work = %r
+warm = workloads.run_task(workloads.warmup_task("mc_blocked"),
+                          os.path.join(work, "warmup"))
+assert warm.status == "ok", warm.detail
+before = peak_kib()
+for i, task in enumerate(workloads.make_tasks("mc_blocked", %d, 0)):
+    outcome = workloads.run_task(task, os.path.join(work, "t%%d" %% i))
+    assert outcome.status == "ok", (i, outcome.detail)
+print((peak_kib() - before) / 1024)
+""" % (str(conftest.ROOT / "bench"), str(tmp_path), seed)))
+    assert grown <= 12.5, "peak RSS grew %.1f MiB" % grown
 
 
 # each estimator over three blocks of 2,000 steps: (call, paths per block)

@@ -1258,10 +1258,12 @@ def test_moment_hierarchy_truncation_is_numerical_failure():
     assert not isinstance(info.value, ValueError)
     table = st.solve_moment_hierarchy(*args, 8, closure="frozen")
     assert np.max(np.abs(table.values)) <= 1.0
-    # a table built directly still rejects such values as bad input
-    with pytest.raises(ValueError):
-        st.MomentTable(orders=(1,), times=[0.0], values=[[1.5]],
-                       truncation=5, closure="zero")
+    # a table built directly still rejects such values, and NaN, as bad
+    # input
+    for bad in (1.5, math.nan):
+        with pytest.raises(ValueError, match="finite and at most 1"):
+            st.MomentTable(orders=(1,), times=[0.0], values=[[bad]],
+                           truncation=5, closure="zero")
 
 
 def test_moment_hierarchy_non_finite_is_numerical_failure():
