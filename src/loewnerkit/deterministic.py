@@ -29,18 +29,17 @@ pair, the DOP853 of Hairer, Norsett and Wanner (method "dop853").  It
 is kept local (rather than delegating to a library solver) because the
 step-acceptance rule enforces disk containment on top of the local
 error test, and failure must report the exact time reached.  A single
-point runs the step written out on Python complexes; an array of points
-sums each stage as one matrix product in a stage buffer allocated once
-per solve.  The first stage of a step is evaluated once per state
-("first same as last"), so an accepted step costs twelve field
-evaluations and a rejected attempt eleven.  Where the error test sets
-the step, the eighth-order step is about three times as long as a
-5(4) pair's at the default tolerances; where the sample grid or ``dt``
-sets every step (a deterministic CLI evolve at dt = 0.01, say), the
-steps are no longer and each costs twice the field evaluations, so a
-single-point run there takes about 1.8 times as long.  Dense output,
-which would let such runs step past the sample times, is not
-implemented.
+point walks the nonzero weights of the tableau on Python complexes,
+each sum left to right; an array of points sums each stage as one
+matrix product in a stage buffer allocated once per solve.  The first
+stage of a step is evaluated once per state ("first same as last"), so
+an accepted step costs twelve field evaluations and a rejected attempt
+eleven.  Where the error test sets the step, the eighth-order step is
+about three times as long as a 5(4) pair's at the default tolerances;
+where the sample grid or ``dt`` sets every step (a deterministic CLI
+evolve at dt = 0.01, say), the steps are no longer and each costs twice
+the field evaluations.  Dense output, which would let such runs step
+past the sample times, is not implemented.
 """
 
 from __future__ import annotations
@@ -229,44 +228,40 @@ Example1Reference = namedtuple("Example1Reference", ["phi", "psi", "dw"])
 # third-order error estimates (Hairer, Norsett & Wanner, Solving ODEs I,
 # sec. II.10), the float64 coefficients of SciPy's dop853_coefficients.
 # _C[s] is the node of stage s; row s < 12 of _A holds the weights of
-# stage s's sum, and row 12 the weights b of the eighth-order solution y8.
+# stage s's sum, written out to stage s - 1, and row 12 the weights b of
+# the eighth-order solution y8.
 # The first stage of a step is f(t, y), which after an accepted step is
 # f(t + h, y8) ("first same as last"), so it is evaluated once per state.
 _C = (0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
       0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
       0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0)
-_A = np.array([
-    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [0.05260015195876773, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
-     0.0],
-    [0.0197250569845379, 0.0591751709536137, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
-     0.0, 0.0, 0.0],
-    [0.02958758547680685, 0.0, 0.08876275643042054, 0.0, 0.0, 0.0, 0.0, 0.0,
-     0.0, 0.0, 0.0, 0.0],
-    [0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792, 0.0, 0.0,
-     0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242,
-     0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+_A = np.array([row + [0.0] * (12 - len(row)) for row in [
+    [],
+    [0.05260015195876773],
+    [0.0197250569845379, 0.0591751709536137],
+    [0.02958758547680685, 0.0, 0.08876275643042054],
+    [0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792],
+    [0.037037037037037035, 0.0, 0.0, 0.17082860872947386,
+     0.12546768756682242],
     [0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596,
-     -0.017578125, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
-     -0.015319437748624402, 0.008273789163814023, 0.0, 0.0, 0.0, 0.0, 0.0],
+     -0.017578125],
+    [0.03709200011850479, 0.0, 0.0, 0.17038392571223998,
+     0.10726203044637328, -0.015319437748624402, 0.008273789163814023],
     [0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
-     27.59209969944671, 20.154067550477894, -43.48988418106996, 0.0, 0.0, 0.0,
-     0.0],
-    [0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
-     21.230051448181193, 15.279233632882423, -33.28821096898486,
-     -0.020331201708508627, 0.0, 0.0, 0.0],
+     27.59209969944671, 20.154067550477894, -43.48988418106996],
+    [0.47766253643826434, 0.0, 0.0, -2.4881146199716677,
+     -0.590290826836843, 21.230051448181193, 15.279233632882423,
+     -33.28821096898486, -0.020331201708508627],
     [-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
      -8.149787010746927, -18.52006565999696, 22.739487099350505,
-     2.4936055526796523, -3.0467644718982196, 0.0, 0.0],
+     2.4936055526796523, -3.0467644718982196],
     [2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
      -17.9589318631188, 27.94888452941996, -2.8589982771350235,
-     -8.87285693353063, 12.360567175794303, 0.6433927460157636, 0.0],
+     -8.87285693353063, 12.360567175794303, 0.6433927460157636],
     [0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
      1.8915178993145003, -5.801203960010585, 0.3111643669578199,
      -0.1521609496625161, 0.20136540080403034, 0.04471061572777259],
-])
+]])
 # the fifth- and third-order error weights E5 and E3
 _E = np.array([
     [0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
@@ -280,85 +275,45 @@ _E = np.array([
 _TINY = 2.2250738585072014e-308
 
 
+# the walk of _dop853_scalar, built once: each row's nonzero (stage,
+# weight) pairs, with its node for each later stage
+_TERMS = [tuple((j, float(a)) for j, a in enumerate(row) if a != 0.0)
+          for row in (*_A, *_E)]
+_STAGE_TERMS = tuple(zip(_C[1:12], _TERMS[1:12]))
+_B_TERMS, *_E_TERMS = _TERMS[12:]
+
+
 def _dop853_scalar(field, t, y, h, k0):
     """One Dormand-Prince 8(5,3) attempt from the complex y at t with
-    k0 = field(t, y): the table's sums written out, each left to right
-    with zero coefficients left out.  The coefficients are those of _C,
-    _A and _E, repeated as literals so that an attempt looks up no
-    table; tests/test_dp_reference.py holds this step to the bits of a
-    loop over the table.
+    k0 = field(t, y): a walk over the nonzero weights of _A and _E.
+    Each stage sum runs left to right from y, ``acc + (h a) k_j``, and
+    each error sum from its first term, ``acc + a k_j``; that order fixes
+    the bits, and tests/test_dp_reference.py holds the step to those of
+    its loop over the table.
 
     Returns (y8, e5, e3): the eighth-order solution and the unscaled
     fifth- and third-order error sums of _E.
     """
-    k1 = field(t + 0.05260015195876773 * h,
-               y + (h * 0.05260015195876773) * k0)
-    k2 = field(t + 0.0789002279381516 * h,
-               y + (h * 0.0197250569845379) * k0
-               + (h * 0.0591751709536137) * k1)
-    k3 = field(t + 0.1183503419072274 * h,
-               y + (h * 0.02958758547680685) * k0
-               + (h * 0.08876275643042054) * k2)
-    k4 = field(t + 0.2816496580927726 * h,
-               y + (h * 0.2413651341592667) * k0
-               - (h * 0.8845494793282861) * k2 + (h * 0.924834003261792) * k3)
-    k5 = field(t + 0.3333333333333333 * h,
-               y + (h * 0.037037037037037035) * k0
-               + (h * 0.17082860872947386) * k3
-               + (h * 0.12546768756682242) * k4)
-    k6 = field(t + 0.25 * h,
-               y + (h * 0.037109375) * k0 + (h * 0.17025221101954405) * k3
-               + (h * 0.06021653898045596) * k4 - (h * 0.017578125) * k5)
-    k7 = field(t + 0.3076923076923077 * h,
-               y + (h * 0.03709200011850479) * k0
-               + (h * 0.17038392571223998) * k3
-               + (h * 0.10726203044637328) * k4
-               - (h * 0.015319437748624402) * k5
-               + (h * 0.008273789163814023) * k6)
-    k8 = field(t + 0.6512820512820513 * h,
-               y + (h * 0.6241109587160757) * k0
-               - (h * 3.3608926294469414) * k3
-               - (h * 0.868219346841726) * k4 + (h * 27.59209969944671) * k5
-               + (h * 20.154067550477894) * k6 - (h * 43.48988418106996) * k7)
-    k9 = field(t + 0.6 * h,
-               y + (h * 0.47766253643826434) * k0
-               - (h * 2.4881146199716677) * k3
-               - (h * 0.590290826836843) * k4 + (h * 21.230051448181193) * k5
-               + (h * 15.279233632882423) * k6 - (h * 33.28821096898486) * k7
-               - (h * 0.020331201708508627) * k8)
-    k10 = field(t + 0.8571428571428571 * h,
-                y - (h * 0.9371424300859873) * k0
-                + (h * 5.186372428844064) * k3 + (h * 1.0914373489967295) * k4
-                - (h * 8.149787010746927) * k5
-                - (h * 18.52006565999696) * k6
-                + (h * 22.739487099350505) * k7
-                + (h * 2.4936055526796523) * k8
-                - (h * 3.0467644718982196) * k9)
-    k11 = field(t + 1.0 * h,
-                y + (h * 2.273310147516538) * k0
-                - (h * 10.53449546673725) * k3
-                - (h * 2.0008720582248625) * k4
-                - (h * 17.9589318631188) * k5 + (h * 27.94888452941996) * k6
-                - (h * 2.8589982771350235) * k7
-                - (h * 8.87285693353063) * k8 + (h * 12.360567175794303) * k9
-                + (h * 0.6433927460157636) * k10)
-    y8 = (y + (h * 0.054293734116568765) * k0 + (h * 4.450312892752409) * k5
-          + (h * 1.8915178993145003) * k6 - (h * 5.801203960010585) * k7
-          + (h * 0.3111643669578199) * k8 - (h * 0.1521609496625161) * k9
-          + (h * 0.20136540080403034) * k10 + (h * 0.04471061572777259) * k11)
-    e5 = (0.01312004499419488 * k0 - 1.2251564463762044 * k5
-          - 0.4957589496572502 * k6 + 1.6643771824549864 * k7
-          - 0.35032884874997366 * k8 + 0.3341791187130175 * k9
-          + 0.08192320648511571 * k10 - 0.022355307863886294 * k11)
-    e3 = (-0.18980075407240762 * k0 + 4.450312892752409 * k5
-          + 1.8915178993145003 * k6 - 5.801203960010585 * k7
-          - 0.4226823213237919 * k8 - 0.1521609496625161 * k9
-          + 0.20136540080403034 * k10 + 0.02265179219836082 * k11)
-    return y8, e5, e3
+    ks = [k0]
+    for c, terms in _STAGE_TERMS:
+        acc = y
+        for j, a in terms:
+            acc = acc + (h * a) * ks[j]
+        ks.append(field(t + c * h, acc))
+    y8 = y
+    for j, a in _B_TERMS:
+        y8 = y8 + (h * a) * ks[j]
+    errors = []
+    for (j0, a0), *terms in _E_TERMS:
+        acc = a0 * ks[j0]
+        for j, a in terms:
+            acc = acc + a * ks[j]
+        errors.append(acc)
+    return (y8, *errors)
 
 
 def _dop853_array(field, t, y, h, stages):
-    """The attempt of ``_dop853_scalar`` for a 1-d array of points.
+    """One Dormand-Prince 8(5,3) attempt for a 1-d array of points.
 
     ``stages`` is a (12, len(y)) complex buffer whose row 0 holds
     field(t, y); row s takes stage s.  Each sum is one product of a row

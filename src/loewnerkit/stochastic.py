@@ -1015,7 +1015,7 @@ def _psi_sde_block(spec, k, psi0, increments, dt, scheme, record_cols=None):
             its columns 1..n_steps.
         record_cols: optional collection of step counts at which to
             snapshot the state (j: the state after j steps, which is
-            path column j of the block).
+            path column j of the block; 0 is the start state).
 
     Returns:
         (final_state, snapshots dict col->state, projections)
@@ -1039,6 +1039,8 @@ def _psi_sde_block(spec, k, psi0, increments, dt, scheme, record_cols=None):
     # NaN: the same value in a third of the time at a few hundred rows
     flat = r.reshape(-1)
     snapshots = {}
+    if record_cols is not None and 0 in record_cols:
+        snapshots[0] = psi.copy()
     projections = 0
     for first in range(0, n_steps, width):
         w = min(width, n_steps - first)
@@ -1484,7 +1486,7 @@ def backward_equation_residual(spec, k, f, t, z, n_samples, seed=0,
     n_plus, dt_used = _step_grid(t + h, dt)
     col_minus = round((t - h) / dt_used)
     col_mid = round(t / dt_used)
-    if not (0 < col_minus < col_mid < n_plus):
+    if not (0 <= col_minus < col_mid < n_plus):
         raise ValueError("t and h must be resolvable on the dt grid")
 
     if fit_radius is None:

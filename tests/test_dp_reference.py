@@ -6,12 +6,13 @@ every time, the module's table walked row by row, and the controller
 reducing by ``np.max`` for scalars and arrays alike.  A scalar's stage
 sums run by ``zip`` with zero coefficients skipped; an array's are one
 product of the row with the stages, as the library sums them.  The
-library evaluates each state's first stage once and writes the scalar
-sums out; it must give the same bits and the same step statistics.  The
-oracles call ``det._integrate`` on the phi- and psi-frame fields of
-every catalogue spec: ``evolve_phi``, ``evolve_psi`` and
-``boundary_image`` take exact Moebius cells for the quadratic ones, but
-the integrator takes any field.  The last sections check the table
+library evaluates each state's first stage once and walks only the
+nonzero weights of a scalar's sums, each in the same order; it must
+give the same bits and the same step statistics.  The oracles call
+``det._integrate`` on the phi- and psi-frame fields of every catalogue
+spec: ``evolve_phi``, ``evolve_psi`` and ``boundary_image`` take exact
+Moebius cells for the quadratic ones, but the integrator takes any
+field.  The last sections check the table
 itself: its order conditions, SciPy's coefficients, the eighth order of
 a fixed-step run and agreement with SciPy's DOP853.
 """
@@ -209,6 +210,21 @@ def test_failure_time_matches_loop_form(reference):
     assert got.value.t_reached == want.value.t_reached
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(spec=hs.sampled_from(SPECS), frame=hs.sampled_from(["phi", "psi"]),
+       y=hs.complex_numbers(max_magnitude=1.0), k=hs.floats(-10.0, 10.0),
+       t=hs.floats(0.0, 10.0), h=hs.floats(1e-6, 4.0))
+def test_scalar_attempt_bit_identical_to_loop_form(spec, frame, y, k, t, h):
+    # one attempt, y8 and both error sums, by repr, so that signed zeros
+    # and NaN count; at the largest steps exponential's stages overflow,
+    # so the attempt runs with the warnings _integrate turns off
+    field = conftest.dp_fields(spec, k)[frame]
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = det._dop853_scalar(field, t, y, h, field(t, y))
+        y8, (e5, e3) = _ref_dp_step(field, t, y, h)
+    assert list(map(repr, got)) == list(map(repr, (y8, e5, e3)))
+
+
 # ---------------------------------------------------------------- edge attempts
 
 def _tripwire(field, t0, points, value):
@@ -342,14 +358,14 @@ def _counting_field(spec, k):
     # first stage is evaluated there
     ([0.0, 0.5, 0.5 + 5e-15, 1.0], 2),
 ])
-def test_six_field_calls_per_attempt(y0, times, restarts):
-    # once six with the 5(4) pair: each attempt of the 8(5,3) pair calls
-    # the field at its eleven later stages, and each state it starts
-    # from once more at its first, kept through its rejections; every
-    # state an attempt starts from is the start, the end of an accepted
-    # step or a snap, and every accepted step but the last is followed by
-    # an attempt or a snap, so that is 12 calls per accepted step and 11
-    # per rejected attempt
+def test_twelve_field_calls_per_step_eleven_per_rejection(y0, times,
+                                                         restarts):
+    # each attempt of the 8(5,3) pair calls the field at its eleven later
+    # stages, and each state it starts from once more at its first, kept
+    # through its rejections; every state an attempt starts from is the
+    # start, the end of an accepted step or a snap, and every accepted
+    # step but the last is followed by an attempt or a snap, so that is
+    # 12 calls per accepted step and 11 per rejected attempt
     field, calls = _counting_field(hg.Cayley(), 3.0)
     # dt 0.25, not 0.05: the pair takes steps of 0.05 with no rejection
     cfg = det.EvolutionConfig(k=3.0, t_end=1.0, dt=0.25)

@@ -1114,6 +1114,20 @@ def test_backward_equation_residual_zero():
     assert res2 <= 3.0 * se2
 
 
+def test_backward_residual_at_t_equal_to_h():
+    # t - h = 0 reads the start state, column 0 of the step grid
+    for seed in range(3):
+        res, se = st.backward_equation_residual(
+            hg.CayleyLinear(), 1.0, _identity, 0.01, 0.2, 4000, seed=seed,
+            dt=1e-3, h=0.01)
+        assert res <= 4.0 * se, seed
+    spec, k, f, z = hg.Cayley(), 1.0, lambda w: w * w, 0.2 + 0.1j
+    got = st.backward_equation_residual(spec, k, f, 0.01, z, 20, seed=5,
+                                        dt=0.005, h=0.01)
+    want = reference_residual(spec, k, f, 0.01, z, 20, 5, 0.005)
+    assert got == pytest.approx(want, rel=0.0, abs=1e-12)
+
+
 def reference_residual(spec, k, f, t, z, n_samples, seed, dt, h=1e-2,
                        fit_points=16):
     """One residual sample per path from scalar SDE runs: the point to
