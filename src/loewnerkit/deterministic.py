@@ -34,12 +34,11 @@ each sum left to right; an array of points sums each stage as one
 matrix product in a stage buffer allocated once per solve.  The first
 stage of a step is evaluated once per state ("first same as last"), so
 an accepted step costs twelve field evaluations and a rejected attempt
-eleven.  Where the error test sets the step, the eighth-order step is
-about three times as long as a 5(4) pair's at the default tolerances;
-where the sample grid or ``dt`` sets every step (a deterministic CLI
-evolve at dt = 0.01, say), the steps are no longer and each costs twice
-the field evaluations.  Dense output, which would let such runs step
-past the sample times, is not implemented.
+eleven.  The pair meets fixed tolerances, RTOL and ATOL.  Where the
+sample grid or ``dt`` sets every step (a deterministic CLI evolve at
+dt = 0.01, say), the steps are no longer than those grid gaps.  Dense
+output, which would let such runs step past the sample times, is not
+implemented.
 """
 
 from __future__ import annotations
@@ -88,12 +87,14 @@ __all__ = [
 ]
 
 CONTAINMENT_TOL = 1e-9
+# the Dormand-Prince pair's local error tolerances (see _integrate)
+RTOL = 1e-10
+ATOL = 1e-12
 MIN_STEP = 1e-14
 # the widest step of a boundary image and of the CLI's deterministic
-# evolve: exact cells no wider, or Dormand-Prince's first trial and bound.
-# Without it fig1 (exponential, 256 points) takes 41 steps instead of 54,
-# but its first trial step of 2.4 evaluates the field so far outside the
-# disk that exp overflows, with a NumPy warning, before it is rejected
+# evolve: on a quadratic spec the widest exact Moebius cell, which keeps
+# each cell's cosh(d) bounded on long runs; on any other spec
+# Dormand-Prince's first trial step and its bound
 _DT_CAP = 0.05
 
 
@@ -134,13 +135,8 @@ class EvolutionConfig:
     dt : float
         Base step.  On a quadratic spec it caps the width of the exact
         Moebius cells; otherwise it is the initial trial step and upper
-        bound of the adaptive Dormand-Prince 8(5,3) integrator.
-    rtol, atol : float
-        Local error control of that integrator: it scales each point's
-        fifth- and third-order error sums e5, e3 by atol + rtol*|phi|
-        and accepts a step of length h when h e5^2 / sqrt(e5^2 +
-        0.01 e3^2) <= 1 at every point; the exact cells of a quadratic
-        spec leave them unused.
+        bound of the adaptive Dormand-Prince 8(5,3) integrator, whose
+        error tolerances are the module's fixed RTOL and ATOL.
 
     Every field must be finite; a NaN or infinite value is a
     ValueError, never a numerical failure of the integrator.
@@ -149,8 +145,6 @@ class EvolutionConfig:
     k: float
     t_end: float
     dt: float = 0.01
-    rtol: float = 1e-10
-    atol: float = 1e-12
 
     def __post_init__(self):
         _finite("k", self.k)
@@ -159,10 +153,6 @@ class EvolutionConfig:
         if self.t_end > 0.0 and self.dt > self.t_end:
             raise ValueError("dt must not exceed t_end (got dt=%r, t_end=%r)"
                              % (self.dt, self.t_end))
-        for name in ("rtol", "atol"):
-            v = getattr(self, name)
-            if not 0.0 < v <= 1e-2:
-                raise ValueError("%s must lie in (0, 1e-2], got %r" % (name, v))
 
 
 @dataclass(frozen=True)
@@ -364,7 +354,7 @@ def _integrate(field, y0, sample_times, cfg):
     the disk, where the field overflows, and the non-finite y8 is
     rejected like any other.  Returns (values_at_sample_times, stats).
     """
-    atol, rtol = cfg.atol, cfg.rtol
+    atol, rtol = ATOL, RTOL
     # assess(y8, e5, e3) -> (shrink of a rejected attempt or None,
     # max e5^2 / sqrt(e5^2 + 0.01 e3^2), the error ratio over h)
     if np.ndim(y0):

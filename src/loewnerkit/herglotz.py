@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +39,6 @@ __all__ = [
     "Automorphism",
     "Exponential",
     "Taylor",
-    "BerksonPortaData",
     "eval",
     "taylor_coefficients",
     "automorphism_generator",
@@ -424,24 +422,6 @@ class Taylor(HerglotzSpec):
 
 
 # --------------------------------------------------------------------------
-# canonical decomposition data
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BerksonPortaData:
-    """A (tau, p) pair: attracting point in the closed disk plus the
-    Herglotz spec of the factored field."""
-
-    tau: complex
-    herglotz: HerglotzSpec
-
-    def __post_init__(self):
-        if not abs(self.tau) <= 1.0 + 1e-12:
-            raise ValueError("tau must lie in the closed unit disk, "
-                             "got |tau| = %r" % abs(self.tau))
-
-
-# --------------------------------------------------------------------------
 # module-level ops
 # --------------------------------------------------------------------------
 
@@ -484,13 +464,12 @@ def automorphism_generator(A, B, k, z):
 
     This is the degree-two polynomial
     ``(-A + Bi) z^2 - (2B + k) i z + (A + Bi)``, i.e. the field
-    ``(z - 1)^2 p(z) - i k z`` with the pole of p cancelled exactly.
+    ``(z - 1)^2 p(z) - i k z`` with the pole of p cancelled exactly
+    (``Automorphism._bp_field``).
     """
-    A = _time("A", A)
-    B = _finite("B", B)
     k = _finite("k", k)
     z = _finite_complex("z", z)
-    return ((-A + 1j * B) * z - 1j * (2.0 * B + k)) * z + (A + 1j * B)
+    return _generator_value(Automorphism(A, B), 1j * k, z)
 
 
 def berkson_porta_p0(spec, k, tau0, z):

@@ -50,13 +50,14 @@ from .deterministic import (
     _mobius_walk,
     _normalize_sample_times,
 )
-from .herglotz import (Cayley, CayleyLinear, DomainError, Error, Taylor,
+from .herglotz import (Cayley, CayleyLinear, Error, Taylor,
                        _count, _disk_point, _finite, _finite_array,
                        _finite_complex, _generator_value, _nonzero, _positive,
                        _time, taylor_coefficients)
 
 __all__ = [
     "ZeroNotFoundError",
+    "MomentTruncationError",
     "DiskEscapeError",
     "BROWNIAN_ALGORITHM_ID",
     "BrownianPath",
@@ -87,6 +88,11 @@ BROWNIAN_ALGORITHM_ID = "philox-gauss-cumsum-v1"
 
 # moduli up to 1 + _MOMENT_TOL count as inside the disk
 _MOMENT_TOL = 1e-8
+
+# backward_equation_residual's fit circle: _FIT_POINTS points at radius
+# _FIT_RADIUS (1 - |z|) around z, inside the disk for every |z| < 1
+_FIT_POINTS = 16
+_FIT_RADIUS = 0.15
 
 # ensembles are processed in path blocks of at most _BLOCK_PATHS paths
 # and _BLOCK_FLOATS steps (8 MiB of path values).  On the mc_blocked
@@ -993,6 +999,7 @@ def _raise_non_finite(scheme, t):
                           t_reached=t)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _psi_sde_block(spec, k, psi0, increments, dt, scheme, record_cols=None):
     """Vectorized SDE stepping for a block of paths.
 
@@ -1457,18 +1464,17 @@ def generator_annihilator(A, B, k, theta, c1, c2):
 # --------------------------------------------------------------------------
 
 def backward_equation_residual(spec, k, f, t, z, n_samples, seed=0,
-                               dt=1e-3, h=1e-2, fit_points=16,
-                               fit_radius=None):
+                               dt=1e-3, h=1e-2):
     """Monte Carlo residual of d/dt u = A u for u(t,z) = E f(Psi_t(z)).
 
     The time derivative is a central difference (u(t+h) - u(t-h))/2h
     with both values read off the same paths (common random numbers);
     A u comes from Cauchy-integral derivatives of u(t, .) sampled on a
-    small circle around z, again on shared paths; the circle, of radius
-    ``fit_radius`` (default 0.15 (1 - |z|)), must lie in the open disk
-    (DomainError otherwise).  Both are linear in the per-path values of
-    f, so each path gives one residual sample and the error bar is the
-    standard error of those iid samples; any n_samples >= 2 is accepted.
+    small circle around z, again on shared paths: 16 equispaced points
+    of radius 0.15 (1 - |z|), a circle inside the disk for every z in
+    it.  Both are linear in the per-path values of f, so each path
+    gives one residual sample and the error bar is the standard error
+    of those iid samples; any n_samples >= 2 is accepted.
 
     Returns:
         (residual, std_error): |d_t u - A u| and the combined
@@ -1489,22 +1495,16 @@ def backward_equation_residual(spec, k, f, t, z, n_samples, seed=0,
     if not (0 <= col_minus < col_mid < n_plus):
         raise ValueError("t and h must be resolvable on the dt grid")
 
-    if fit_radius is None:
-        fit_radius = 0.15 * (1.0 - abs(z))
-    fit_radius = _positive("fit_radius", fit_radius)
-    if not abs(z) + fit_radius < 1.0:
-        raise DomainError("the fit circle must lie in the open disk: need "
-                          "|z| + fit_radius < 1, got %r"
-                          % (abs(z) + fit_radius))
-    P = _count("fit_points", fit_points, 3)
+    radius = _FIT_RADIUS * (1.0 - abs(z))
+    P = _FIT_POINTS
     angles = 2.0 * math.pi * np.arange(P) / P
     # column 0 of a block's state is the point z, columns 1..P the circle
-    start = np.concatenate(([z], z + fit_radius * np.exp(1j * angles)))
+    start = np.concatenate(([z], z + radius * np.exp(1j * angles)))
     # A u = drift(z) c1 - k^2 z^2 c2 with the Cauchy coefficients
     # c_m = mean(u_circle e^{-im angle}) / r^m, as one weight per point
     drift_z = _generator_value(spec, 0.5 * k * k, z)
-    weights = (drift_z / (P * fit_radius) * np.exp(-1j * angles)
-               - k * k * z * z / (P * fit_radius ** 2) * np.exp(-2j * angles))
+    weights = (drift_z / (P * radius) * np.exp(-1j * angles)
+               - k * k * z * z / (P * radius ** 2) * np.exp(-2j * angles))
 
     def samples(rows):
         psi, snaps, _ = _psi_sde_block(

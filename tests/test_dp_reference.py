@@ -94,9 +94,9 @@ def _ref_dp_step(field, t, y, h):
     return _ref_sum(y, h, _REF_A[12], ks), _ref_errors(ks)
 
 
-def _ref_ratio(y8, errors, h, cfg):
+def _ref_ratio(y8, errors, h):
     """h max(e5^2 / sqrt(e5^2 + 0.01 e3^2)) of the scaled error sums."""
-    scale = cfg.atol + cfg.rtol * _ref_abs(y8)
+    scale = det.ATOL + det.RTOL * _ref_abs(y8)
     e5, e3 = (_ref_abs(e) / scale for e in errors)
     hypot = np.hypot if np.ndim(e5) else math.hypot
     denominator = np.maximum(hypot(e5, 0.1 * e3), np.finfo(float).tiny)
@@ -131,7 +131,7 @@ def _ref_integrate(field, y0, sample_times, cfg):
                 rejections += 1
                 h = h_use * 0.5
                 continue
-            ratio = _ref_ratio(y_new, errors, h_use, cfg)
+            ratio = _ref_ratio(y_new, errors, h_use)
             if ratio <= 1.0:
                 t += h_use
                 y = y_new

@@ -1,6 +1,8 @@
-"""Every name a package module imports is used there or re-exported."""
+"""Every name a package module imports is used there or re-exported,
+and every public error class a module defines is in its ``__all__``."""
 
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -35,3 +37,14 @@ def test_no_unused_imports(path):
     tree = ast.parse(path.read_text())
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert imported_names(tree) - used - exported_names(tree) == set()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_all_names_every_public_error(path):
+    name = ("loewnerkit" if path.stem == "__init__"
+            else "loewnerkit." + path.stem)
+    module = importlib.import_module(name)
+    errors = {n for n, obj in vars(module).items()
+              if isinstance(obj, type) and issubclass(obj, loewnerkit.Error)
+              and obj.__module__ == name and not n.startswith("_")}
+    assert errors - exported_names(ast.parse(path.read_text())) == set()

@@ -110,18 +110,23 @@ def test_pathwise_disk_escape_is_a_typed_numerical_failure():
     assert "escapes the unit disk" in str(err) and "rk4" in str(err)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_non_finite_sde_state_is_a_disk_escape():
-    # k^2 overflows: the drift turns the state into NaN at the first step
+    # k^2 overflows: the drift turns the state into NaN at the first step,
+    # and each stepper reports its own DiskEscapeError, no NumPy warning
     path = st.sample_brownian(0, 0.01, 10)
     for scheme in ("euler", "milstein"):
         with pytest.raises(st.DiskEscapeError) as info:
             st.evolve_psi_sde(hg.Cayley(), 1e200, 0.2, path, scheme=scheme)
         assert info.value.t_reached == pytest.approx(0.01)
-    with pytest.raises(st.DiskEscapeError) as info:
-        st.expectation_Tt(hg.Cayley(), 1e200, 0.1, 0.2, lambda w: w, 10, 0,
-                          dt=0.01)
-    assert info.value.t_reached == pytest.approx(0.1)
+    for spec in (hg.Cayley(), hg.Exponential()):
+        with pytest.raises(st.DiskEscapeError) as info:
+            st.expectation_Tt(spec, 1e200, 0.1, 0.2, lambda w: w, 10, 0,
+                              dt=0.01)
+        assert info.value.t_reached == pytest.approx(0.1)
+        with pytest.raises(st.DiskEscapeError):
+            st.backward_equation_residual(spec, 1e200, lambda w: w, 0.5, 0.2,
+                                          8, dt=0.1, h=0.1)
 
 
 CATALOGUE = [hg.CayleyLinear(), hg.Cayley(), hg.ConstantImaginary(),
@@ -1128,8 +1133,7 @@ def test_backward_residual_at_t_equal_to_h():
     assert got == pytest.approx(want, rel=0.0, abs=1e-12)
 
 
-def reference_residual(spec, k, f, t, z, n_samples, seed, dt, h=1e-2,
-                       fit_points=16):
+def reference_residual(spec, k, f, t, z, n_samples, seed, dt, h=1e-2):
     """One residual sample per path from scalar SDE runs: the point to
     t - h and t + h, each circle point to t; then |mean| and its SE."""
     n_plus = max(2, round((t + h) / dt))
@@ -1137,7 +1141,7 @@ def reference_residual(spec, k, f, t, z, n_samples, seed, dt, h=1e-2,
     col_minus = round((t - h) / dt_used)
     col_mid = round(t / dt_used)
     radius = 0.15 * (1.0 - abs(z))
-    angles = 2.0 * math.pi * np.arange(fit_points) / fit_points
+    angles = 2.0 * math.pi * np.arange(16) / 16
     drift_z = -0.5 * k * k * z + spec._bp_field(z)
     samples = []
     for path in brownian_ensemble(seed, n_samples, dt_used, n_plus):
@@ -1185,19 +1189,6 @@ def test_backward_equation_validates():
         with pytest.raises(ValueError, match="dt must be finite and > 0"):
             st.backward_equation_residual(hg.Cayley(), 1.0, lambda w: w,
                                           0.5, 0.2, 100, dt=dt)
-
-
-@pytest.mark.parametrize("z, fit_radius", [(0.5, 0.8), (0.5, 0.5),
-                                            (0.9j, 0.1)])
-def test_backward_residual_fit_circle_lies_in_the_disk(z, fit_radius,
-                                                       monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("paths drawn for a circle outside the disk")
-
-    monkeypatch.setattr(st, "_path_rows", refuse)
-    with pytest.raises(hg.DomainError, match="fit circle"):
-        st.backward_equation_residual(hg.Cayley(), 1.0, _identity, 0.5, z,
-                                      10, dt=0.01, fit_radius=fit_radius)
 
 
 def test_backward_residual_default_fit_circle_near_the_boundary():
