@@ -708,10 +708,6 @@ def example1_reference(z, t, k):
 # classification of the automorphism family
 # --------------------------------------------------------------------------
 
-def _tol_D(A, B, k):
-    return 1e-10 * max(1.0, k * k, A * A, B * B)
-
-
 def classify_semigroup(A, B, k):
     """Classify the rotating-frame flow of p(z) = A(1+z)/(1-z) + Bi.
 
@@ -726,10 +722,13 @@ def classify_semigroup(A, B, k):
     if A == 0.0 and B == 0.0:
         raise ValueError("need (A, B) != (0, 0)")
     D = 4.0 * A * A - 4.0 * B * k - k * k
-    tol = _tol_D(A, B, k)
-    if D > tol:
+    s = max(1.0, abs(A), abs(B), abs(k))  # over s^2, k^2 cannot overflow
+    a, b, c = A / s, B / s, k / s
+    D_s = 4.0 * a * a - 4.0 * b * c - c * c
+    tol = 1e-10 * max(1.0, c * c, a * a, b * b)
+    if D_s > tol:
         return ClassificationResult(kind="Hyperbolic", discriminant=D)
-    if D < -tol:
+    if D_s < -tol:
         g2, g1, g0 = spec._quadratic()
         roots = np.roots([g2, g1 - 1j * k, g0])
         fp = complex(roots[np.argmin(np.abs(roots))])

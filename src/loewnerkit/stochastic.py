@@ -686,6 +686,7 @@ def _mc_estimate(parts):
 # pathwise random ODE
 # --------------------------------------------------------------------------
 
+@np.errstate(over="ignore", invalid="ignore")
 def evolve_phi_pathwise(spec, k, z0, path, sample_times):
     """Integrate the random ODE for phi_t along one Brownian path.
 
@@ -785,6 +786,7 @@ def _rk4_walk(spec, k, z0, B, dt, knots, h_steps):
     return at_knot
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _phi_pathwise_rows(spec, k, z0, rows, dt):
     """phi at the last column of each path row.
 
@@ -1000,7 +1002,7 @@ def _raise_non_finite(scheme, t):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _psi_sde_block(spec, k, psi0, increments, dt, scheme, record_cols=None):
+def _psi_sde_block(spec, k, psi0, increments, dt, scheme, t0=0.0):
     """Vectorized SDE stepping for a block of paths.
 
     The step multipliers of ``_sde_stepper`` are made for a chunk of
@@ -1020,21 +1022,20 @@ def _psi_sde_block(spec, k, psi0, increments, dt, scheme, record_cols=None):
         increments: (n_paths, n_steps) Brownian increments, only read;
             step j uses increments[:, j].  A ``_path_rows`` block passes
             its columns 1..n_steps.
-        record_cols: optional collection of step counts at which to
-            snapshot the state (j: the state after j steps, which is
-            path column j of the block; 0 is the start state).
+        t0: the time the leg starts at.
 
     Returns:
-        (final_state, snapshots dict col->state, projections)
+        (final_state, projections)
 
     Raises:
-        DiskEscapeError: the final state is not finite; a NaN state
-            stays NaN to the end, as projection skips it.
+        DiskEscapeError: the final state (at t0 + n_steps dt) is not
+            finite; a NaN state stays NaN to the end, as projection skips it.
     """
     multipliers, step = _sde_stepper(spec, k, dt, scheme)
     n_paths, n_steps = increments.shape
+    # C order whatever psi0's layout, which sets a matmul's summing order
     psi = np.array(np.broadcast_to(psi0, (n_paths,) + np.shape(psi0)[1:]),
-                   dtype=complex)
+                   dtype=complex, order="C")
     width = max(1, min(n_steps, _CHUNK_VALUES // max(1, n_paths)))
     tile = 1024
     db = np.empty((width, min(tile, n_paths)))
@@ -1045,9 +1046,6 @@ def _psi_sde_block(spec, k, psi0, increments, dt, scheme, record_cols=None):
     # r.max() read as r's element at its argmax, which stops at the first
     # NaN: the same value in a third of the time at a few hundred rows
     flat = r.reshape(-1)
-    snapshots = {}
-    if record_cols is not None and 0 in record_cols:
-        snapshots[0] = psi.copy()
     projections = 0
     for first in range(0, n_steps, width):
         w = min(width, n_steps - first)
@@ -1065,11 +1063,9 @@ def _psi_sde_block(spec, k, psi0, increments, dt, scheme, record_cols=None):
                 mask = r >= 1.0
                 projections += int(np.count_nonzero(mask))
                 psi[mask] *= (1.0 - 1e-12) / r[mask]
-            if record_cols is not None and first + j + 1 in record_cols:
-                snapshots[first + j + 1] = psi.copy()
     if not np.isfinite(psi).all():
-        _raise_non_finite(scheme, n_steps * dt)
-    return psi, snapshots, projections
+        _raise_non_finite(scheme, t0 + n_steps * dt)
+    return psi, projections
 
 
 def _apply_f(f, arr):
@@ -1111,8 +1107,8 @@ def expectation_Tt(spec, k, t, z, f, n_samples, seed,
                           n_samples=n_samples)
 
     def values(rows):
-        return _apply_f(f, _psi_sde_block(spec, k, z, rows[:, 1:], dt_used,
-                                          scheme)[0])
+        psi, _ = _psi_sde_block(spec, k, z, rows[:, 1:], dt_used, scheme)
+        return _apply_f(f, psi)
 
     return _mc_estimate(_path_blocks(values, seed, n_samples, dt_used,
                                      n_steps))
@@ -1401,7 +1397,8 @@ def simulate_boundary_diffusion(A, B, k, theta0, path):
 
     d Theta = -2 (Im p0 + |p0| sin Theta) dt - k dB with p0 = A + iB;
     A=1, B=0 is the noisy North-South flow d Theta = -2 sin Theta dt
-    - k dB.  Values are reduced mod 2 pi for reporting.
+    - k dB.  Values are reduced mod 2 pi for reporting, and an angle
+    that turns non-finite raises DiskEscapeError.
     """
     A = _time("A", A)
     B = _finite("B", B)
@@ -1413,9 +1410,15 @@ def simulate_boundary_diffusion(A, B, k, theta0, path):
     dt = path.dt
     out = np.empty(path.n_steps + 1)
     out[0] = theta % (2.0 * math.pi)
-    for j, db in enumerate(path.increments().tolist()):
-        theta = theta - 2.0 * (B + amp * math.sin(theta)) * dt - k * db
-        out[j + 1] = theta % (2.0 * math.pi)
+    try:
+        for j, db in enumerate(path.increments().tolist()):
+            theta = theta - 2.0 * (B + amp * math.sin(theta)) * dt - k * db
+            out[j + 1] = theta % (2.0 * math.pi)
+    except ValueError:  # math.sin of an infinite angle, NaN in out[j]
+        out[-1] = math.nan
+    if not math.isfinite(out[-1]):  # a NaN angle stays NaN to the end
+        _raise_non_finite("circle diffusion",
+                          float(np.argmin(np.isfinite(out)) * dt))
     return out
 
 
@@ -1434,8 +1437,8 @@ def generator_annihilator(A, B, k, theta, c1, c2):
     A = _time("A", A)
     B = _finite("B", B)
     amp = math.hypot(A, B)
-    # A = B = 0 makes the exponent 0 for every k, also past 4 / k^2 = inf
-    scale = 4.0 / (k * k) if amp else 0.0
+    # A = B = 0 makes the exponent 0 for any k; k^2 = 0 takes 4 / k^2 = inf
+    scale = (4.0 / (k * k) if k * k else math.inf) if amp else 0.0
     c1 = _finite_complex("c1", c1)
     c2 = _finite_complex("c2", c2)
     thetas = _finite_array("theta", theta)
@@ -1499,7 +1502,7 @@ def backward_equation_residual(spec, k, f, t, z, n_samples, seed=0,
     P = _FIT_POINTS
     angles = 2.0 * math.pi * np.arange(P) / P
     # column 0 of a block's state is the point z, columns 1..P the circle
-    start = np.concatenate(([z], z + radius * np.exp(1j * angles)))
+    start = np.concatenate(([z], z + radius * np.exp(1j * angles)))[None]
     # A u = drift(z) c1 - k^2 z^2 c2 with the Cauchy coefficients
     # c_m = mean(u_circle e^{-im angle}) / r^m, as one weight per point
     drift_z = _generator_value(spec, 0.5 * k * k, z)
@@ -1507,12 +1510,16 @@ def backward_equation_residual(spec, k, f, t, z, n_samples, seed=0,
                - k * k * z * z / (P * radius ** 2) * np.exp(-2j * angles))
 
     def samples(rows):
-        psi, snaps, _ = _psi_sde_block(
-            spec, k, np.broadcast_to(start, (len(rows), P + 1)), rows[:, 1:],
-            dt_used, "milstein", record_cols={col_minus, col_mid})
-        du = (_apply_f(f, psi[:, 0])
-              - _apply_f(f, snaps[col_minus][:, 0])) / (2.0 * h)
-        return du - _apply_f(f, snaps[col_mid][:, 1:]) @ weights
+        # all columns to t - h, on to t for the circle, the point to t + h
+        db = rows[:, 1:]
+        minus, _ = _psi_sde_block(spec, k, start, db[:, :col_minus], dt_used,
+                                  "milstein")
+        mid, _ = _psi_sde_block(spec, k, minus, db[:, col_minus:col_mid],
+                                dt_used, "milstein", col_minus * dt_used)
+        plus, _ = _psi_sde_block(spec, k, mid[:, 0], db[:, col_mid:],
+                                 dt_used, "milstein", col_mid * dt_used)
+        du = (_apply_f(f, plus) - _apply_f(f, minus[:, 0])) / (2.0 * h)
+        return du - _apply_f(f, mid[:, 1:]) @ weights
 
     est = _mc_estimate(_path_blocks(samples, seed, n_samples, dt_used, n_plus,
                                     width=P + 1))

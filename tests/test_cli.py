@@ -370,6 +370,15 @@ def test_classify_elliptic_closed(capsys):
     assert abs(fp - 0.5) < 1e-9
 
 
+def test_classify_elliptic_at_huge_k(capsys):
+    rc, out, _ = run(capsys, ["classify", "--A", "1", "--B", "0.5",
+                              "--k", "1e160"])
+    assert rc == 0
+    d = json.loads(out)
+    assert d["kind"] == "elliptic"
+    assert abs(complex(*d["fixed_point"])) < 1.0
+
+
 def test_classify_const_i_maps_to_pure_rotation_family(capsys):
     rc, out, _ = run(capsys, ["classify", "--spec", "const-i", "--k", "1",
                               "--closed-check"])
@@ -542,13 +551,23 @@ def escaping_row(j, block=0):
     ["evolve", "--mode", "random", "--t-end", "1", "--spec", "cayley",
      "--k", "1e200"],
     ["boundary", "--spec", "cayley", "--k", "1e200", "--t", "1"],
+    # k B overflows: in the driving point, in the turn back to phi, and in
+    # the circle diffusion's angle
+    ["bounds", "--spec", "cayley", "--r0", "0.5", "--t", "0.5", "--paths",
+     "8", "--k", "1.7e308"],
+    ["evolve", "--mode", "random", "--spec", "cayley", "--k", "1.7e308",
+     "--t-end", "1"],
+    ["evolve", "--mode", "random", "--spec", "exponential", "--k", "1.7e308",
+     "--t-end", "1"],
+    ["boundary", "--what", "diffusion", "--A", "1", "--B", "0.5",
+     "--k", "1.7e308", "--t-end", "1"],
 ])
 def test_disk_escape_exits_as_numerical_failure(capsys, tmp_path, monkeypatch,
                                                 args):
     named = ""
     if args[0] != "bounds":
         args = args + ["--out", str(tmp_path / "x.csv")]
-    elif "1e200" in args:
+    elif "1e200" in args or "1.7e308" in args:
         # every path escapes; the message names the first
         named = "path 0 (seed %d)" % stochastic.derive_path_seed(0, 0)
     else:

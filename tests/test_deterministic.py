@@ -346,6 +346,16 @@ def test_classification_parabolic_boundary():
             assert det.classify_semigroup(A, B, k).kind == "Parabolic"
 
 
+@pytest.mark.parametrize("k", [1e155, 1e160, 1.7e308, -1e155, -1e160,
+                               -1.7e308])
+def test_classification_at_huge_k_is_elliptic(k):
+    # D is about -k^2, which overflows: the class is decided on A, B and
+    # k scaled by their largest magnitude
+    res = det.classify_semigroup(1.0, 0.5, k)
+    assert res.kind == "Elliptic"
+    assert abs(res.fixed_point) < 1.0
+
+
 def test_classification_rejects_bad_args():
     with pytest.raises(ValueError):
         det.classify_semigroup(-1.0, 0.0, 1.0)

@@ -3,11 +3,14 @@
 ``_ref_evolve_psi_sde`` and ``_ref_psi_sde_block`` take the step in its
 multiplicative form psi c + b(psi) dt, with the multiplier c of the
 increment db: a scalar loop with the step as one plain expression, and
-a block kernel that runs one ufunc per operation, one step at a time.
-Both walk path values B, and the library's block kernel, which takes
-increments, is fed ``np.diff`` of the same B.  The library's steppers
-must give the same bits, the same projection counts and the same
-failure time.
+a block loop that runs one ufunc per operation, one step at a time
+(``_ref_block_steps``, which yields every state on its way).  Both walk
+path values B, and the library's block kernel is fed the same
+``np.diff`` of B.  The library's steppers must give the same bits, the
+same projection counts and the same failure time.
+``_ref_backward_residual`` builds the backward residual from one pass
+of the block loop, which the library's three legs must match bit for
+bit.
 
 ``_additive_evolve_psi_sde`` and ``_additive_psi_sde_block`` are the
 steppers in the additive form psi + (-k^2/2 psi + b(psi)) dt - ik psi db
@@ -73,11 +76,13 @@ def _ref_evolve_psi_sde(spec, k, z0, path, scheme):
     return np.asarray(values), projections
 
 
-def _ref_psi_sde_block(spec, k, psi0, paths, dt, scheme, record_cols=None):
-    """(final_state, snapshots, projections), one step at a time."""
+def _ref_block_steps(spec, k, psi0, increments, dt, scheme):
+    """The one-pass loop: (state, projections so far) after each step,
+    one ufunc per operation.  The state is updated in place, so a caller
+    that keeps one copies it."""
     k = float(k)
     k2h = 0.5 * k * k
-    n_paths, n_cols = paths.shape
+    n_paths = len(increments)
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.ndim == 0:
         psi = np.full(n_paths, complex(psi0))
@@ -86,13 +91,10 @@ def _ref_psi_sde_block(spec, k, psi0, paths, dt, scheme, record_cols=None):
     drift = np.empty_like(psi)
     r = np.empty(psi.shape)
     mask = np.empty(psi.shape, dtype=bool)
-    increment = np.empty(n_paths)
     c = np.empty(n_paths, dtype=complex)
     c_rows = c[:, None] if psi.ndim == 2 else c
-    snapshots = {}
     projections = 0
-    for j in range(n_cols - 1):
-        np.subtract(paths[:, j + 1], paths[:, j], out=increment)
+    for increment in increments.T:
         np.multiply(increment, -k, out=c.imag)
         if scheme == "milstein":
             np.multiply(increment, increment, out=c.real)
@@ -108,11 +110,18 @@ def _ref_psi_sde_block(spec, k, psi0, paths, dt, scheme, record_cols=None):
         if mask.any():
             projections += int(np.count_nonzero(mask))
             psi[mask] *= (1.0 - 1e-12) / r[mask]
-        if record_cols is not None and (j + 1) in record_cols:
-            snapshots[j + 1] = psi.copy()
+        yield psi, projections
+
+
+def _ref_psi_sde_block(spec, k, psi0, paths, dt, scheme):
+    """(final_state, projections) of the one-pass loop over the
+    increments of the path values B."""
+    for psi, projections in _ref_block_steps(
+            spec, k, psi0, np.diff(paths, axis=1), dt, scheme):
+        pass
     if not np.isfinite(psi).all():
-        st._raise_non_finite(scheme, (n_cols - 1) * dt)
-    return psi, snapshots, projections
+        st._raise_non_finite(scheme, (paths.shape[1] - 1) * dt)
+    return psi, projections
 
 
 def _additive_evolve_psi_sde(spec, k, z0, path, scheme):
@@ -137,15 +146,13 @@ def _additive_evolve_psi_sde(spec, k, z0, path, scheme):
     return np.asarray(values), projections
 
 
-def _additive_psi_sde_block(spec, k, psi0, paths, dt, scheme,
-                            record_cols=None):
-    """(final_state, snapshots, projections) in the additive form."""
+def _additive_psi_sde_block(spec, k, psi0, paths, dt, scheme):
+    """(final_state, projections) in the additive form."""
     k = float(k)
     k2h = 0.5 * k * k
     psi = np.array(np.broadcast_to(psi0, (len(paths),) + np.shape(psi0)[1:]),
                    dtype=complex)
     B = paths if psi.ndim == 1 else paths[:, :, None]
-    snapshots = {}
     projections = 0
     for j in range(paths.shape[1] - 1):
         db = B[:, j + 1] - B[:, j]
@@ -157,9 +164,7 @@ def _additive_psi_sde_block(spec, k, psi0, paths, dt, scheme,
         mask = r >= 1.0
         projections += int(np.count_nonzero(mask))
         psi[mask] *= (1.0 - 1e-12) / r[mask]
-        if record_cols is not None and (j + 1) in record_cols:
-            snapshots[j + 1] = psi.copy()
-    return psi, snapshots, projections
+    return psi, projections
 
 
 def _positions(seed, n_paths, dt, n_steps):
@@ -168,10 +173,10 @@ def _positions(seed, n_paths, dt, n_steps):
     return np.cumsum(st._path_rows(seed, 0, n_paths, dt, n_steps), axis=1)
 
 
-def _kernel(spec, k, psi0, paths, dt, scheme, record_cols=None):
+def _kernel(spec, k, psi0, paths, dt, scheme):
     """The library's block kernel on the increments of the path values."""
     return st._psi_sde_block(spec, k, psi0, np.diff(paths, axis=1), dt,
-                             scheme, record_cols=record_cols)
+                             scheme)
 
 
 def _bits(x):
@@ -180,18 +185,12 @@ def _bits(x):
 
 def _assert_same_block(got, want):
     assert _bits(got[0]) == _bits(want[0])
-    assert sorted(got[1]) == sorted(want[1])
-    for col in want[1]:
-        assert _bits(got[1][col]) == _bits(want[1][col]), col
-    assert got[2] == want[2]
+    assert got[1] == want[1]
 
 
 def _assert_near_block(got, want):
     assert np.max(np.abs(got[0] - want[0])) <= ADDITIVE_TOL
-    assert sorted(got[1]) == sorted(want[1])
-    for col in want[1]:
-        assert np.max(np.abs(got[1][col] - want[1][col])) <= ADDITIVE_TOL
-    assert got[2] == want[2]
+    assert got[1] == want[1]
 
 
 # ---------------------------------------------------------------- scalar
@@ -224,20 +223,21 @@ def test_scalar_stepper_matches_reference(spec, scheme):
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.text_form())
 def test_block_kernel_matches_reference(spec, scheme):
     rows = _positions(11, 9, DT, N_STEPS)
-    cols = {1, 37, N_STEPS}
     # one start for every path, then a start per path
     starts = Z0 * np.exp(0.1j * np.arange(len(rows)))
     projected = 0
     for k in KS:
         for psi0 in (Z0, starts):
-            got = _kernel(spec, k, psi0, rows, DT, scheme, record_cols=cols)
-            want = _ref_psi_sde_block(spec, k, psi0, rows, DT, scheme,
-                                      record_cols=cols)
-            assert got[0].shape == (len(rows),)
-            _assert_same_block(got, want)
-            _assert_near_block(got, _additive_psi_sde_block(
-                spec, k, psi0, rows, DT, scheme, record_cols=cols))
-            projected += want[2]
+            # the run over each prefix of the path: 1, 37 and all steps
+            for col in (1, 37, N_STEPS):
+                prefix = rows[:, :col + 1]
+                got = _kernel(spec, k, psi0, prefix, DT, scheme)
+                want = _ref_psi_sde_block(spec, k, psi0, prefix, DT, scheme)
+                assert got[0].shape == (len(rows),)
+                _assert_same_block(got, want)
+                _assert_near_block(got, _additive_psi_sde_block(
+                    spec, k, psi0, prefix, DT, scheme))
+            projected += want[1]
     assert projected > 0
 
 
@@ -245,7 +245,7 @@ def test_block_kernel_matches_reference(spec, scheme):
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.text_form())
 def test_circle_block_matches_reference(spec, scheme):
     # the backward residual's block: a point and its 16-point circle as the
-    # 17 columns of each path, snapshots at two inner columns
+    # 17 columns of each path, run to two inner columns and to the end
     z, radius = 0.2 + 0.1j, 0.1
     angles = 2.0 * math.pi * np.arange(16) / 16
     start = np.concatenate(([z], z + radius * np.exp(1j * angles)))
@@ -253,15 +253,15 @@ def test_circle_block_matches_reference(spec, scheme):
     psi0 = np.broadcast_to(start, (len(rows), 17))
     projected = 0
     for k in KS:
-        got = _kernel(spec, k, psi0, rows, 0.005, scheme,
-                      record_cols={29, 31})
-        want = _ref_psi_sde_block(spec, k, psi0, rows, 0.005, scheme,
-                                  record_cols={29, 31})
-        assert got[0].shape == (5, 17)
-        _assert_same_block(got, want)
-        _assert_near_block(got, _additive_psi_sde_block(
-            spec, k, psi0, rows, 0.005, scheme, record_cols={29, 31}))
-        projected += want[2]
+        for col in (29, 31, 60):
+            prefix = rows[:, :col + 1]
+            got = _kernel(spec, k, psi0, prefix, 0.005, scheme)
+            want = _ref_psi_sde_block(spec, k, psi0, prefix, 0.005, scheme)
+            assert got[0].shape == (5, 17)
+            _assert_same_block(got, want)
+            _assert_near_block(got, _additive_psi_sde_block(
+                spec, k, psi0, prefix, 0.005, scheme))
+        projected += want[1]
     # the largest k carries circle points out of the disk
     assert projected > 0
 
@@ -276,6 +276,7 @@ def test_circle_block_matches_reference(spec, scheme):
 def test_chunk_width_changes_no_bit(n_paths, circle, scheme, monkeypatch):
     n_steps = 100
     rows = _positions(8, n_paths, DT, n_steps)
+    increments = np.diff(rows, axis=1)
     if circle:
         # a point near the circle and 16 points around it, as 17 columns
         z = 0.9 * cmath.exp(2j)
@@ -283,17 +284,29 @@ def test_chunk_width_changes_no_bit(n_paths, circle, scheme, monkeypatch):
         psi0 = np.broadcast_to(np.concatenate(([z], ring)), (n_paths, 17))
     else:
         psi0 = Z0 * np.exp(0.1j * np.arange(n_paths))
-    cols = {10, 20, 50, 99, n_steps}
-    # one step per chunk, the default chunk, chunk edges on every recorded
-    # column but 99, and a width that does not divide n_steps
+    cols = (10, 20, 50, 99, n_steps)
+    # one step per chunk, the default chunk, a chunk edge at the end of
+    # every prefix but 99, and a width that divides none of them
     runs = []
     for chunk_values in (1, st._CHUNK_VALUES, 10 * n_paths, 7 * n_paths):
         monkeypatch.setattr(st, "_CHUNK_VALUES", chunk_values)
-        runs.append(_kernel(hg.Cayley(), 3.0, psi0, rows, DT, scheme,
-                            record_cols=cols))
-    assert runs[0][2] > 0
+        prefixes = [_kernel(hg.Cayley(), 3.0, psi0, rows[:, :col + 1], DT,
+                            scheme) for col in cols]
+        # legs between the same columns, each from the state the last
+        # returned, as the backward residual runs them
+        psi, projections, first = psi0, 0, 0
+        for col, prefix in zip(cols, prefixes):
+            psi, n = st._psi_sde_block(hg.Cayley(), 3.0, psi,
+                                       increments[:, first:col], DT, scheme,
+                                       first * DT)
+            projections += n
+            _assert_same_block((psi, projections), prefix)
+            first = col
+        runs.append(prefixes)
+    assert runs[0][-1][1] > 0
     for got in runs[1:]:
-        _assert_same_block(got, runs[0])
+        for prefix, want in zip(got, runs[0]):
+            _assert_same_block(prefix, want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -305,7 +318,7 @@ def test_block_kernel_agrees_with_scalar_stepper(spec, scheme, k, radius,
                                                  angle, seed, n_steps, dt):
     z0 = radius * cmath.exp(1j * angle)
     rows = _positions(seed, 3, dt, n_steps)
-    psi, _, projections = _kernel(spec, k, z0, rows, dt, scheme)
+    psi, projections = _kernel(spec, k, z0, rows, dt, scheme)
     want = 0
     for i, row in enumerate(rows):
         path = st.BrownianPath(dt=dt, values=row, seed=seed)
@@ -313,6 +326,54 @@ def test_block_kernel_agrees_with_scalar_stepper(spec, scheme, k, radius,
         assert abs(psi[i] - traj.values[-1]) <= 1e-13
         want += traj.stats["projections"]
     assert projections == want
+
+
+# ---------------------------------------------------------------- backward
+
+
+def _ref_backward_residual(spec, k, f, t, z, n_samples, seed, dt, h):
+    """backward_equation_residual with all 17 columns stepped in one pass
+    of the reference loop to t + h, the point read at t - h and t + h
+    and the circle at t.  One block of paths."""
+    n_plus, dt_used = st._step_grid(t + h, dt)
+    col_minus = round((t - h) / dt_used)
+    col_mid = round(t / dt_used)
+    radius = st._FIT_RADIUS * (1.0 - abs(z))
+    P = st._FIT_POINTS
+    angles = 2.0 * math.pi * np.arange(P) / P
+    start = np.broadcast_to(
+        np.concatenate(([z], z + radius * np.exp(1j * angles))),
+        (n_samples, P + 1))
+    weights = (hg._generator_value(spec, 0.5 * k * k, z) / (P * radius)
+               * np.exp(-1j * angles)
+               - k * k * z * z / (P * radius ** 2) * np.exp(-2j * angles))
+    increments = st._path_rows(seed, 0, n_samples, dt_used, n_plus)[:, 1:]
+    states = {0: start.copy()}
+    for j, (psi, _) in enumerate(_ref_block_steps(
+            spec, k, start, increments, dt_used, "milstein"), 1):
+        if j in (col_minus, col_mid, n_plus):
+            states[j] = psi.copy()
+    du = (st._apply_f(f, states[n_plus][:, 0])
+          - st._apply_f(f, states[col_minus][:, 0])) / (2.0 * h)
+    est = st._mc_estimate([du - st._apply_f(f, states[col_mid][:, 1:])
+                           @ weights])
+    return abs(est.mean), est.std_error
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.text_form())
+def test_backward_residual_legs_match_one_pass(spec):
+    # the residual's three legs (all columns to t - h, on to t, the point
+    # alone on to t + h) give the bits of one pass through t + h; t == h
+    # makes the first leg empty, and dt = 0.003 does not divide t
+    for k in (0.7, 3.0):
+        for t, h, dt in ((0.3, 0.05, 0.01), (0.02, 0.02, 0.005),
+                         (0.1, 0.01, 0.003)):
+            for f in (lambda w: w, lambda w: w * w):
+                got = st.backward_equation_residual(spec, k, f, t, 0.2 + 0.1j,
+                                                    12, seed=4, dt=dt, h=h)
+                want = _ref_backward_residual(spec, k, f, t, 0.2 + 0.1j, 12,
+                                              4, dt, h)
+                assert got == want, (k, t, h, dt)
 
 
 # ---------------------------------------------------------------- failure
@@ -348,24 +409,24 @@ def _check_one_non_finite_path(spec, scheme, psi0, monkeypatch):
     # one infinite value in one path: that path's states are NaN from the
     # sixth step on, while the other paths keep being projected
     rows[4, 6] = math.inf
-    cols = {5, 6, 40, N_STEPS}
     with pytest.raises(st.DiskEscapeError) as want:
-        _ref_psi_sde_block(spec, 3.0, psi0, rows, DT, scheme,
-                           record_cols=cols)
+        _ref_psi_sde_block(spec, 3.0, psi0, rows, DT, scheme)
     with pytest.raises(st.DiskEscapeError) as got:
-        _kernel(spec, 3.0, psi0, rows, DT, scheme, record_cols=cols)
+        _kernel(spec, 3.0, psi0, rows, DT, scheme)
     assert got.value.t_reached == want.value.t_reached
     assert str(got.value) == str(want.value)
-    # the states and projection counts behind the error
+    # the states and projection counts behind the error, after 5, 6, 40
+    # and all steps
     monkeypatch.setattr(st, "_raise_non_finite", lambda scheme, t: None)
-    want = _ref_psi_sde_block(spec, 3.0, psi0, rows, DT, scheme,
-                              record_cols=cols)
-    got = _kernel(spec, 3.0, psi0, rows, DT, scheme, record_cols=cols)
+    for col in (5, 6, 40, N_STEPS):
+        want = _ref_psi_sde_block(spec, 3.0, psi0, rows[:, :col + 1], DT,
+                                  scheme)
+        got = _kernel(spec, 3.0, psi0, rows[:, :col + 1], DT, scheme)
+        _assert_same_block(got, want)
     finite = np.isfinite(want[0]).reshape(len(rows), -1).all(axis=1)
     assert finite.tolist() == [i != 4 for i in range(len(rows))]
     assert np.isnan(want[0][4]).all()
-    assert want[2] > 0
-    _assert_same_block(got, want)
+    assert want[1] > 0
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -124,9 +124,13 @@ def test_non_finite_sde_state_is_a_disk_escape():
             st.expectation_Tt(spec, 1e200, 0.1, 0.2, lambda w: w, 10, 0,
                               dt=0.01)
         assert info.value.t_reached == pytest.approx(0.1)
-        with pytest.raises(st.DiskEscapeError):
-            st.backward_equation_residual(spec, 1e200, lambda w: w, 0.5, 0.2,
-                                          8, dt=0.1, h=0.1)
+        # the residual fails in the leg to t - h, or to t when t == h
+        # makes that leg empty
+        for t, failed_by in ((0.5, 0.4), (0.1, 0.1)):
+            with pytest.raises(st.DiskEscapeError) as info:
+                st.backward_equation_residual(spec, 1e200, lambda w: w, t,
+                                              0.2, 8, dt=0.1, h=0.1)
+            assert info.value.t_reached == pytest.approx(failed_by)
 
 
 CATALOGUE = [hg.CayleyLinear(), hg.Cayley(), hg.ConstantImaginary(),
@@ -789,14 +793,15 @@ def test_block_kernel_steps_along_the_scalar_paths(text, scheme):
     # the kernel takes increments: those of the path values the scalar
     # loop walks
     increments = np.diff([path.values for path in paths], axis=1)
-    psi, snaps, projections = st._psi_sde_block(spec, k, z0, increments, dt,
-                                                scheme, record_cols={col})
+    psi, projections = st._psi_sde_block(spec, k, z0, increments, dt, scheme)
+    at_col, _ = st._psi_sde_block(spec, k, z0, increments[:, :col], dt,
+                                  scheme)
     want = 0
     finals = []
     for i, path in enumerate(paths):
         traj = st.evolve_psi_sde(spec, k, z0, path, scheme=scheme)
         assert abs(psi[i] - traj.values[-1]) <= 1e-13
-        assert abs(snaps[col][i] - traj.values[col]) <= 1e-13
+        assert abs(at_col[i] - traj.values[col]) <= 1e-13
         want += traj.stats["projections"]
         finals.append(traj.values[-1])
     assert projections == want
@@ -1533,6 +1538,16 @@ def test_boundary_diffusion_consistent_with_sde():
     assert np.max(diff) <= 1e-2
 
 
+@pytest.mark.filterwarnings("error")
+def test_boundary_diffusion_non_finite_angle_is_a_disk_escape():
+    # k dB overflows, and the angle turns infinite: a numerical failure,
+    # not the ValueError of math.sin
+    path = st.sample_brownian(0, 0.01, 100)
+    with pytest.raises(st.DiskEscapeError) as info:
+        st.simulate_boundary_diffusion(1.0, 0.5, 1.7e308, 0.5, path)
+    assert 0.0 < info.value.t_reached <= 1.0
+
+
 def test_boundary_diffusion_validates():
     path = st.sample_brownian(1, 0.01, 10)
     with pytest.raises(ValueError):
@@ -1550,6 +1565,28 @@ def test_annihilator_quadrature_value():
     assert np.all(vals == 3.0 + 1.0j)
     with pytest.raises(ValueError):
         st.generator_annihilator(1.0, 0.0, 0.0, 1.0, 0.0, 1.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_annihilator_takes_the_limit_where_k_squared_underflows():
+    # k^2 is 0 at |k| = 1e-300 and subnormal at 1e-160, where 4 / k^2 is
+    # already inf: both give c1 where the exponent falls, and the
+    # documented OverflowError where it rises
+    def call(A, B, k, theta):
+        try:
+            return st.generator_annihilator(A, B, k, theta, 0.5, 1.0)
+        except OverflowError as exc:
+            return str(exc)
+
+    thetas = (1.0, -1.0, 3.0, np.array([0.5, 1.0]),
+              np.array([0.5, 1.0, 2.0, -0.3]))
+    for A, B in ((1.0, 0.0), (1.0, 0.5)):
+        for theta in thetas:
+            want = call(A, B, 1e-160, theta)
+            for k in (1e-300, -1e-300):
+                assert repr(call(A, B, k, theta)) == repr(want), (A, B, k)
+        assert call(A, B, 1e-300, 1.0) == 0.5
+        assert "overflows" in call(A, B, 1e-300, 3.0)
 
 
 def test_annihilator_quadrature_matches_adaptive_quadrature():
